@@ -10,7 +10,8 @@ import argparse
 from pathlib import Path
 
 from qdelta.cli import rows_to_csv
-from qdelta.oracle import minimize_dsq, potential_from_ss_pairs, quartic_roots
+from qdelta.oracle import (minimize_dsq, potential_from_ss_pairs, quartic_roots,
+                           real_double_root)
 from qdelta.scatter import DeltaPotential, denominator, sweep
 from qdelta.singular import classify_region, quartic_coeffs, ss_closed_form
 from qdelta.svgplot import render_curves_svg
@@ -37,30 +38,22 @@ def main() -> None:
     for sol in (plus, minus):
         pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
         beta_star, dsq = minimize_dsq(pot)
-        roots = quartic_roots(quartic_coeffs(pot))
-        double = next((z.real, tag) for z, tag in
-                      zip(roots.roots, roots.multiplicity_tags)
-                      if z.imag == 0.0 and tag >= 2)
+        double = real_double_root(quartic_roots(quartic_coeffs(pot)), sol.beta)
         print(f"{sol.branch.value:>5} branch: g2={sol.g_squared:.12g} "
               f"beta={sol.beta:.12g} E={sol.energy:.12g}")
         print(f"       |D(beta)| = {abs(denominator(pot, sol.beta)):.3e}, "
               f"min |D|^2 = {dsq:.3e} at beta = {beta_star:.12f}, "
               f"double root at beta = {double[0]:.12f} (x{double[1]})")
 
-        rows = sweep(pot, args.emin, args.emax, args.steps)
-        table = [{"E": r.energy, "beta": r.beta, "r": r.r, "t": r.t,
-                  "R": r.big_r, "T": r.big_t, "absD": abs(r.d_value),
-                  "at_singularity": r.at_singularity} for r in rows]
+        res = sweep(pot, args.emin, args.emax, args.steps)
         csv_path = outdir / f"curves_{sol.branch.value}.csv"
-        csv_path.write_text(rows_to_csv(table), encoding="utf-8", newline="")
+        csv_path.write_text(rows_to_csv(res), encoding="utf-8", newline="")
         markers = [s.energy for s in (plus, minus)
                    if s.feasible and args.emin <= s.energy <= args.emax]
         svg_path = outdir / f"curves_{sol.branch.value}.svg"
         svg_path.write_text(
-            render_curves_svg([r.energy for r in rows],
-                              [r.big_r for r in rows],
-                              [r.big_t for r in rows],
-                              markers,
+            render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
+                              res.big_t.tolist(), markers,
                               f"v1={v1:g} v2={v2:g} g2={sol.g_squared:.6g} "
                               f"({sol.branch.value} branch)"),
             encoding="utf-8", newline="")

@@ -2,22 +2,27 @@
 the verification suite, and CSV/JSON/SVG emission.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid arguments, 3 numerical or
-assertion failure. QDELTA_THREADS caps internal workers for large scans.
+assertion failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import re
 import sys
 
+import numpy as np
+
 from . import verify
-from .oracle import MatchMode, NumericalError, matching_solver, quartic_roots
-from .scatter import (DeltaPotential, beta_of_energy, denominator, energy_grid,
-                      sweep)
-from .singular import (SSBranchSolution, classify_region,
-                       quartic_coeffs, scan_region, ss_closed_form)
+from .oracle import (MatchMode, NumericalError, matching_solver, quartic_roots,
+                     real_double_root)
+from .scatter import (DeltaPotential, ScatteringResult, denominator,
+                      energy_grid, sweep)
+from .singular import (SSBranchSolution, quartic_coeffs, region_of,
+                       scan_region, ss_closed_form)
 from .svgplot import render_curves_svg
 
 EXIT_OK = 0
@@ -93,14 +98,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _num_or_none(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return x
+def _num_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse takes "-1e-3" for an option, since its negative-number pattern
+    has no exponent; this one reads it as a value, as it does "-0.001"."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdelta",
         description="Scattering and spectral singularities of a quaternionic "
                     "point interaction with a complex i-channel strength.")
@@ -207,59 +219,45 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _sweep_rows(args: argparse.Namespace, p: DeltaPotential) -> list[dict]:
-    rows = []
-    if args.model == "closed-form":
-        for res in sweep(p, args.emin, args.emax, args.steps):
-            rows.append({
-                "E": res.energy, "beta": res.beta,
-                "r": res.r, "t": res.t,
-                "R": res.big_r, "T": res.big_t,
-                "absD": abs(res.d_value), "at_singularity": res.at_singularity,
-            })
-    else:
-        for e in energy_grid(args.emin, args.emax, args.steps):
-            m = matching_solver(p, e, MatchMode.CONJUGATE)
-            singular = m.singular_system
-            rows.append({
-                "E": e, "beta": beta_of_energy(e),
-                "r": m.r, "t": m.t,
-                "R": math.inf if singular else abs(m.r) ** 2,
-                "T": math.inf if singular else abs(m.t) ** 2,
-                "absD": m.det_mag, "at_singularity": singular,
-            })
-    return rows
+def _physical_sweep(p: DeltaPotential, energies: np.ndarray) -> ScatteringResult:
+    """Conjugate-mode matching at each energy; d_value holds the junction-system
+    determinant magnitude, which plays the role of |D| here."""
+    sols = [matching_solver(p, e, MatchMode.CONJUGATE) for e in energies.tolist()]
+    nan = complex(math.nan, math.nan)
+    r, t, big_r, big_t = (np.array(col) for col in zip(*(
+        (nan, nan, math.inf, math.inf) if m.singular_system
+        else (m.r, m.t, abs(m.r) ** 2, abs(m.t) ** 2) for m in sols)))
+    return ScatteringResult(energies, np.sqrt(2.0 * energies), r, t, big_r, big_t,
+                            np.array([m.det_mag for m in sols]),
+                            np.array([m.singular_system for m in sols]))
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def _columns(res: ScatteringResult) -> list[list[float]]:
+    """The CSV_COLUMNS of a sweep, as lists of Python floats."""
+    d = res.d_value
+    return [col.tolist() for col in (
+        res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
+        res.big_r, res.big_t, np.hypot(np.real(d), np.imag(d)))]
+
+
+# Row templates in _fmt's format; one % operation per row.
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
+_CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0"
+
+
+def rows_to_csv(res: ScatteringResult) -> str:
+    """Sweep CSV; rows on a singularity get the literal nan/inf/0e0 cells."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        if row["at_singularity"]:
-            cells = [_fmt(row["E"]), _fmt(row["beta"]),
-                     "nan", "nan", "nan", "nan", "inf", "inf", "0e0"]
-        else:
-            cells = [_fmt(row["E"]), _fmt(row["beta"]),
-                     _fmt(row["r"].real), _fmt(row["r"].imag),
-                     _fmt(row["t"].real), _fmt(row["t"].imag),
-                     _fmt(row["R"]), _fmt(row["T"]), _fmt(row["absD"])]
-        lines.append(",".join(cells))
+    lines += [_CSV_SINGULAR_ROW % cells[:2] if singular else _CSV_ROW % cells
+              for cells, singular in zip(zip(*_columns(res)), res.at_singularity.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows: list[dict], p: DeltaPotential, args: argparse.Namespace) -> str:
-    out_rows = []
-    for row in rows:
-        r, t = row["r"], row["t"]
-        out_rows.append({
-            "E": row["E"], "beta": row["beta"],
-            "re_r": _num_or_none(r.real if r is not None else None),
-            "im_r": _num_or_none(r.imag if r is not None else None),
-            "re_t": _num_or_none(t.real if t is not None else None),
-            "im_t": _num_or_none(t.imag if t is not None else None),
-            "R": _num_or_none(row["R"]), "T": _num_or_none(row["T"]),
-            "absD": _num_or_none(row["absD"]),
-            "at_singularity": row["at_singularity"],
-        })
+def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Namespace) -> str:
+    out_rows = [
+        {**{key: _num_or_none(x) for key, x in zip(CSV_COLUMNS, cells)},
+         "at_singularity": singular}
+        for cells, singular in zip(zip(*_columns(res)), res.at_singularity.tolist())]
     doc = {
         "model": args.model,
         "potential": {"v1": p.v1, "v2": p.v2, "cap_v2": p.cap_v2,
@@ -276,8 +274,11 @@ def run_sweep(args: argparse.Namespace) -> int:
         raise UsageError("need 0 < --emin < --emax")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
-    rows = _sweep_rows(args, p)
-    text = rows_to_csv(rows) if args.format == "csv" else _rows_to_json(rows, p, args)
+    if args.model == "closed-form":
+        res = sweep(p, args.emin, args.emax, args.steps)
+    else:
+        res = _physical_sweep(p, energy_grid(args.emin, args.emax, args.steps))
+    text = rows_to_csv(res) if args.format == "csv" else _rows_to_json(res, p, args)
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -287,13 +288,8 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
         return None
     pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
     absd = abs(denominator(pot, sol.beta))
-    roots = quartic_roots(quartic_coeffs(pot))
-    double_beta = None
-    double_mult = None
-    for z, tag in zip(roots.roots, roots.multiplicity_tags):
-        if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6:
-            double_beta, double_mult = z.real, tag
-            break
+    double_beta, double_mult = (real_double_root(quartic_roots(quartic_coeffs(pot)), sol.beta)
+                                or (None, None))
     return {"abs_denominator": absd, "double_root_beta": double_beta,
             "double_root_multiplicity": double_mult}
 
@@ -320,7 +316,7 @@ def ss_report(v1: float, v2: float) -> dict:
         "E_minus": _num_or_none(minus.energy),
         "beta_plus": _num_or_none(plus.beta),
         "beta_minus": _num_or_none(minus.beta),
-        "classification": classify_region(v1, v2).value,
+        "classification": region_of(plus.feasible, minus.feasible).value,
         "branches": {"plus": _branch_record(plus), "minus": _branch_record(minus)},
         "oracle": {"plus": _oracle_confirmation(v1, v2, plus),
                    "minus": _oracle_confirmation(v1, v2, minus)},
@@ -360,16 +356,21 @@ def run_scan(args: argparse.Namespace) -> int:
     _require_finite(**{"v1-min": args.v1_min, "v1-max": args.v1_max,
                        "v2-min": args.v2_min, "v2-max": args.v2_max})
     try:
-        rows = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
+        scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                            args.n1, args.n2)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+    def energies(sol: SSBranchSolution) -> list[str]:
+        return [_fmt(e) if ok else "" for e, ok in
+                zip(sol.energy.ravel().tolist(), sol.feasible.ravel().tolist())]
+
+    cells = zip(itertools.product(map(_fmt, scan.v1.tolist()), map(_fmt, scan.v2.tolist())),
+                (c.value for c in scan.classification.flat),
+                energies(scan.plus), energies(scan.minus))
     lines = ["v1,v2,classification,E_plus,E_minus"]
-    for row in rows:
-        e_plus = _fmt(row.e_plus) if row.e_plus is not None else ""
-        e_minus = _fmt(row.e_minus) if row.e_minus is not None else ""
-        lines.append(f"{_fmt(row.v1)},{_fmt(row.v2)},{row.classification.value},"
-                     f"{e_plus},{e_minus}")
+    lines += [f"{v1},{v2},{label},{e_plus},{e_minus}"
+              for (v1, v2), label, e_plus, e_minus in cells]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -390,14 +391,12 @@ def run_plot(args: argparse.Namespace) -> int:
         raise UsageError("need 0 < --emin < --emax")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
-    rows = sweep(p, args.emin, args.emax, args.steps)
+    res = sweep(p, args.emin, args.emax, args.steps)
     markers = [sol.energy for sol in ss_closed_form(args.v1, args.v2)
                if sol.feasible and args.emin <= sol.energy <= args.emax]
     title = (f"v1={p.v1:g} v2={p.v2:g} g2={p.g_squared:.6g}")
-    svg = render_curves_svg([r.energy for r in rows],
-                            [r.big_r for r in rows],
-                            [r.big_t for r in rows],
-                            markers, title)
+    svg = render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
+                            res.big_t.tolist(), markers, title)
     _write_text(args.out, svg)
     return EXIT_OK
 

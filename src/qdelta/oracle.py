@@ -43,9 +43,6 @@ class RootSet:
     multiplicity_tags: tuple[int, int, int, int]
     converged: bool
 
-    def real_roots(self) -> list[float]:
-        return [r.real for r in self.roots if r.imag == 0.0]
-
 
 def _poly_val(b: float, c: float, d: float, e: float, z: complex) -> complex:
     return (((z + b) * z + c) * z + d) * z + e
@@ -167,6 +164,15 @@ def quartic_roots(q: QuarticCoeffs) -> RootSet:
         if abs(got - want) > _RECONSTRUCT_GUARD * scale:
             raise NumericalError("root set fails to reconstruct the quartic")
     return RootSet(roots, tags, True)
+
+
+def real_double_root(roots: RootSet, beta: float) -> tuple[float, int] | None:
+    """(value, multiplicity) of the first real root of multiplicity >= 2 within
+    1e-6 of beta, or None."""
+    for z, tag in zip(roots.roots, roots.multiplicity_tags):
+        if z.imag == 0.0 and tag >= 2 and abs(z.real - beta) <= 1e-6:
+            return z.real, tag
+    return None
 
 
 _GRID_POINTS = 10_000

@@ -33,10 +33,6 @@ class Quaternion:
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return qmul(self, other)
 
-    def scaled(self, factor: float) -> "Quaternion":
-        return Quaternion(factor * self.w, factor * self.x,
-                          factor * self.y, factor * self.z)
-
     def conjugate(self) -> "Quaternion":
         return qconj(self)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qalg import Quaternion
 
 # |D| below TOL_SINGULAR * max(1, beta^2) flags a spectral singularity instead
@@ -50,16 +52,21 @@ class DeltaPotential:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes and coefficients at one energy; r and t are None at a singularity."""
+    """Amplitudes and coefficients.
 
-    energy: float
-    beta: float
-    r: complex | None
-    t: complex | None
-    big_r: float
-    big_t: float
-    d_value: complex
-    at_singularity: bool
+    From amplitudes: one energy, with r and t None at a singularity. From
+    amplitude_arrays and sweep: arrays over the broadcast inputs, with r and t
+    nan at singular entries.
+    """
+
+    energy: float | np.ndarray
+    beta: float | np.ndarray
+    r: complex | np.ndarray | None
+    t: complex | np.ndarray | None
+    big_r: float | np.ndarray
+    big_t: float | np.ndarray
+    d_value: complex | np.ndarray
+    at_singularity: bool | np.ndarray
 
 
 def beta_of_energy(energy: float) -> float:
@@ -71,8 +78,7 @@ def beta_of_energy(energy: float) -> float:
 
 def denominator(p: DeltaPotential, beta: float) -> complex:
     """The shared amplitude denominator D = beta(beta + V1) + i(V1^2 + g^2 + V1 beta)."""
-    v1c = p.v1_complex
-    return beta * (beta + v1c) + 1j * (v1c * v1c + p.g_squared + v1c * beta)
+    return complex(*_denominator_parts(p.v1, p.v2, p.g_squared, beta)[2])
 
 
 def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
@@ -82,31 +88,95 @@ def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
     return d_r, d_i
 
 
+# Complex arithmetic on (re, im) pairs of floats or arrays, in the operation
+# order of CPython's complex type; a float x takes part as (x, 0.0), as it
+# does there.
+
+def _cmul(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(a, b):
+    """CPython's quotient: numerator and denominator scaled by the larger part of b."""
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _denominator_parts(v1, v2, g2, beta):
+    """beta (beta + V1), N = V1^2 + g^2 + V1 beta and D = beta (beta + V1) + i N,
+    as (re, im) pairs, evaluated as the complex expressions would be."""
+    v1c, beta_c = (v1, v2), (beta, 0.0)
+    bb = _cmul(beta_c, (beta + v1, 0.0 + v2))
+    vv, vb = _cmul(v1c, v1c), _cmul(v1c, beta_c)
+    numer = (vv[0] + g2 + vb[0], vv[1] + 0.0 + vb[1])
+    i_numer = _cmul((0.0, 1.0), numer)
+    return bb, numer, (bb[0] + i_numer[0], bb[1] + i_numer[1])
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
+    """Reflection and transmission from the closed forms, broadcast over arrays
+    of (v1, v2, g^2, E).
+
+    Every entry equals the scalar complex evaluation bit for bit: the complex
+    arithmetic runs on real parts in CPython's order, and |r|^2 is taken with
+    libm pow, as abs(r) ** 2 is.
+    """
+    v1, v2, g2, energy = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (v1, v2, g_squared, energy)))
+    if np.any(energy <= 0.0):
+        raise ValueError("energy must be positive")
+    beta = np.sqrt(2.0 * energy)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bb, numer, d = _denominator_parts(v1, v2, g2, beta)
+        singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
+        r = _cdiv(_cmul((-0.0, -1.0), numer), d)             # -i numer / D
+        t = _cdiv(bb, d)
+        r, t = ([np.where(singular, np.nan, part) for part in z] for z in (r, t))
+        big_r, big_t = (np.where(singular, np.inf, np.float_power(np.hypot(*z), 2.0))
+                        for z in (r, t))
+    return ScatteringResult(energy, beta, _complex(*r), _complex(*t), big_r, big_t,
+                            _complex(*d), singular)
+
+
 def amplitudes(p: DeltaPotential, energy: float) -> ScatteringResult:
     """Reflection and transmission at one energy from the closed forms."""
-    beta = beta_of_energy(energy)
-    v1c = p.v1_complex
-    d = denominator(p, beta)
-    if abs(d) < TOL_SINGULAR * max(1.0, beta * beta):
-        return ScatteringResult(energy, beta, None, None, math.inf, math.inf, d, True)
-    numer = v1c * v1c + p.g_squared + v1c * beta
-    r = -1j * numer / d
-    t = beta * (beta + v1c) / d
-    return ScatteringResult(energy, beta, r, t, abs(r) ** 2, abs(t) ** 2, d, False)
+    res = amplitude_arrays(p.v1, p.v2, p.g_squared, energy)
+    singular = bool(res.at_singularity)
+    return ScatteringResult(
+        float(res.energy), float(res.beta),
+        None if singular else complex(res.r), None if singular else complex(res.t),
+        float(res.big_r), float(res.big_t), complex(res.d_value), singular)
 
 
-def energy_grid(e_min: float, e_max: float, steps: int) -> list[float]:
-    """Uniform grid over [e_min, e_max], endpoints included."""
-    if not (0.0 < e_min < e_max):
-        raise ValueError("need 0 < e_min < e_max")
-    if steps < 2:
-        raise ValueError("need at least two grid points")
-    span = e_max - e_min
-    grid = [e_min + span * (i / (steps - 1)) for i in range(steps)]
-    grid[-1] = e_max
+def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi, both included, the last exactly hi."""
+    if n < 2:
+        raise ValueError("grid needs at least 2 points per axis")
+    if not lo < hi:
+        raise ValueError("ranges must satisfy lo < hi")
+    grid = lo + (hi - lo) * (np.arange(n) / (n - 1))
+    grid[-1] = hi
     return grid
 
 
-def sweep(p: DeltaPotential, e_min: float, e_max: float, steps: int) -> list[ScatteringResult]:
-    """Amplitudes on a uniform inclusive energy grid, in ascending order."""
-    return [amplitudes(p, e) for e in energy_grid(e_min, e_max, steps)]
+def energy_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
+    """Uniform grid over [e_min, e_max], endpoints included."""
+    if not 0.0 < e_min:
+        raise ValueError("need 0 < e_min < e_max")
+    return uniform_grid(e_min, e_max, steps)
+
+
+def sweep(p: DeltaPotential, e_min: float, e_max: float, steps: int) -> ScatteringResult:
+    """Amplitudes on a uniform inclusive energy grid, in ascending order, as arrays."""
+    return amplitude_arrays(p.v1, p.v2, p.g_squared, energy_grid(e_min, e_max, steps))

@@ -10,12 +10,12 @@ branches and the (v1, v2) feasibility regions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
-from .scatter import DeltaPotential
+import numpy as np
+
+from .scatter import DeltaPotential, uniform_grid
 
 # Lower bound of v1/v2 for singularity support at v2 > 0; root of k^2+6k+1=0.
 KAPPA = -3.0 + 2.0 * math.sqrt(2.0)
@@ -171,18 +171,22 @@ class Reason(str, Enum):
 
 @dataclass(frozen=True)
 class SSBranchSolution:
-    """One closed-form singularity branch; infeasibility is data, not an error."""
+    """One closed-form singularity branch; infeasibility is data, not an error.
+
+    Fields are Python scalars from ss_closed_form and arrays over the
+    broadcast (v1, v2) from ss_branches.
+    """
 
     branch: Branch
-    g_squared: float
-    beta: float
-    energy: float
-    feasible: bool
-    reason: Reason
+    g_squared: float | np.ndarray
+    beta: float | np.ndarray
+    energy: float | np.ndarray
+    feasible: bool | np.ndarray
+    reason: Reason | np.ndarray
 
 
-def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolution]:
-    """Both closed-form singularity branches for strengths (v1, v2).
+def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
+    """Both closed-form singularity branches, broadcast over arrays of (v1, v2).
 
     For s in {+1, -1}:
         g_s^2  = -(v1 + v2) ((v1 - v2) + s sqrt((v1 + v2)^2 + 4 v1 v2)) / 2
@@ -194,38 +198,39 @@ def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolu
     scaled guard band so that rounding noise exactly on a boundary (e.g.
     beta = 0 at v1 = 0, v2 < 0) cannot flip the classification.
     """
-    scale = max(1.0, abs(v1), abs(v2))
-    tol_degenerate = 1e-12 * scale
-    s_sum = v1 + v2
-    if abs(s_sum) <= tol_degenerate:
-        return (
-            SSBranchSolution(Branch.PLUS, math.nan, math.nan, math.nan,
-                             False, Reason.DEGENERATE_SUM),
-            SSBranchSolution(Branch.MINUS, math.nan, math.nan, math.nan,
-                             False, Reason.DEGENERATE_SUM),
-        )
-    disc = s_sum * s_sum + 4.0 * v1 * v2
-    if disc < 0.0:
-        return (
-            SSBranchSolution(Branch.PLUS, math.nan, math.nan, math.nan,
-                             False, Reason.COMPLEX_SQRT),
-            SSBranchSolution(Branch.MINUS, math.nan, math.nan, math.nan,
-                             False, Reason.COMPLEX_SQRT),
-        )
-    root = math.sqrt(disc)
+    v1, v2 = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
     solutions = []
-    for branch, sign in ((Branch.PLUS, 1.0), (Branch.MINUS, -1.0)):
-        g2 = -0.5 * s_sum * ((v1 - v2) + sign * root)
-        beta = -(v1 - v2) - g2 / s_sum
-        energy = 0.5 * beta * beta
-        if g2 <= 1e-12 * scale * scale:
-            reason, feasible = Reason.NEGATIVE_G_SQUARED, False
-        elif beta <= 1e-12 * scale:
-            reason, feasible = Reason.NON_POSITIVE_BETA, False
-        else:
-            reason, feasible = Reason.OK, True
-        solutions.append(SSBranchSolution(branch, g2, beta, energy, feasible, reason))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
+        s_sum = v1 + v2
+        degenerate = np.abs(s_sum) <= 1e-12 * scale
+        disc = s_sum * s_sum + 4.0 * v1 * v2
+        undefined = degenerate | (disc < 0.0)
+        root = np.sqrt(disc)
+        for branch, sign in ((Branch.PLUS, 1.0), (Branch.MINUS, -1.0)):
+            g2 = np.where(undefined, np.nan, -0.5 * s_sum * ((v1 - v2) + sign * root))
+            beta = -(v1 - v2) - g2 / s_sum
+            low_g2 = g2 <= 1e-12 * scale * scale
+            low_beta = beta <= 1e-12 * scale
+            # Later assignments take precedence: DegenerateSum over ComplexSqrt
+            # over NegativeGSquared over NonPositiveBeta.
+            reason = np.empty(v1.shape, dtype=object)
+            reason[...] = Reason.OK
+            reason[low_beta] = Reason.NON_POSITIVE_BETA
+            reason[low_g2] = Reason.NEGATIVE_G_SQUARED
+            reason[undefined] = Reason.COMPLEX_SQRT
+            reason[degenerate] = Reason.DEGENERATE_SUM
+            solutions.append(SSBranchSolution(branch, g2, beta, 0.5 * beta * beta,
+                                              ~(undefined | low_g2 | low_beta), reason))
     return solutions[0], solutions[1]
+
+
+def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolution]:
+    """Both closed-form singularity branches for one strength pair (v1, v2)."""
+    plus, minus = (SSBranchSolution(sol.branch, float(sol.g_squared), float(sol.beta),
+                                    float(sol.energy), bool(sol.feasible), sol.reason[()])
+                   for sol in ss_branches(v1, v2))
+    return plus, minus
 
 
 class RegionClass(str, Enum):
@@ -235,88 +240,38 @@ class RegionClass(str, Enum):
     NONE = "None"
 
 
+# Indexed by 2 * plus.feasible + minus.feasible.
+_REGIONS = np.array([RegionClass.NONE, RegionClass.MINUS_ONLY,
+                     RegionClass.PLUS_ONLY, RegionClass.BOTH_BRANCHES], dtype=object)
+
+
+def region_of(plus_feasible, minus_feasible):
+    """Region label from the two branch feasibility flags; flag arrays give a
+    label array."""
+    return _REGIONS[2 * plus_feasible + minus_feasible]
+
+
 def classify_region(v1: float, v2: float) -> RegionClass:
     """Region label derived purely from the two branch feasibility flags."""
     plus, minus = ss_closed_form(v1, v2)
-    if plus.feasible and minus.feasible:
-        return RegionClass.BOTH_BRANCHES
-    if plus.feasible:
-        return RegionClass.PLUS_ONLY
-    if minus.feasible:
-        return RegionClass.MINUS_ONLY
-    return RegionClass.NONE
+    return region_of(plus.feasible, minus.feasible)
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    v1: float
-    v2: float
-    classification: RegionClass
-    e_plus: float | None
-    e_minus: float | None
+class RegionScan:
+    """Branches and labels of a (v1, v2) grid as (n1, n2) arrays: cell (i, j)
+    is (v1[i], v2[j]), so row-major order has v1 outermost."""
 
-
-# Grids below this cell count are always scanned serially; forking workers
-# costs more than the whole scan at desk scale.
-_PARALLEL_MIN_CELLS = 4096
-
-
-def worker_count() -> int:
-    """Worker cap from QDELTA_THREADS, defaulting to all cores."""
-    raw = os.environ.get("QDELTA_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError("QDELTA_THREADS must be an integer") from exc
-        if n < 1:
-            raise ValueError("QDELTA_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
-
-
-def _axis(lo: float, hi: float, n: int) -> list[float]:
-    span = hi - lo
-    vals = [lo + span * (i / (n - 1)) for i in range(n)]
-    vals[-1] = hi
-    return vals
-
-
-def _scan_rows(v1_vals: list[float], v2_vals: list[float]) -> list[ScanRow]:
-    rows = []
-    for v1 in v1_vals:
-        for v2 in v2_vals:
-            plus, minus = ss_closed_form(v1, v2)
-            rows.append(ScanRow(
-                v1, v2, classify_region(v1, v2),
-                plus.energy if plus.feasible else None,
-                minus.energy if minus.feasible else None,
-            ))
-    return rows
-
-
-def _scan_chunk(args: tuple[list[float], list[float]]) -> list[ScanRow]:
-    return _scan_rows(*args)
+    v1: np.ndarray
+    v2: np.ndarray
+    classification: np.ndarray
+    plus: SSBranchSolution
+    minus: SSBranchSolution
 
 
 def scan_region(v1_range: tuple[float, float], v2_range: tuple[float, float],
-                n1: int, n2: int) -> list[ScanRow]:
-    """Classify every cell of the (v1, v2) grid, row-major with v1 outermost."""
-    if n1 < 2 or n2 < 2:
-        raise ValueError("grid needs at least 2 points per axis")
-    (v1_lo, v1_hi), (v2_lo, v2_hi) = v1_range, v2_range
-    if not (v1_lo < v1_hi and v2_lo < v2_hi):
-        raise ValueError("ranges must satisfy lo < hi")
-    v1_vals = _axis(v1_lo, v1_hi, n1)
-    v2_vals = _axis(v2_lo, v2_hi, n2)
-    workers = min(worker_count(), n1)
-    if workers > 1 and n1 * n2 >= _PARALLEL_MIN_CELLS:
-        size = -(-n1 // workers)
-        chunks = [v1_vals[i:i + size] for i in range(0, n1, size)]
-        try:
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = list(pool.map(_scan_chunk, [(ch, v2_vals) for ch in chunks]))
-        except OSError:
-            return _scan_rows(v1_vals, v2_vals)
-        return [row for part in parts for row in part]
-    return _scan_rows(v1_vals, v2_vals)
+                n1: int, n2: int) -> RegionScan:
+    """Classify every cell of the inclusive (v1, v2) grid in one array evaluation."""
+    v1, v2 = uniform_grid(*v1_range, n1), uniform_grid(*v2_range, n2)
+    plus, minus = ss_branches(v1[:, None], v2[None, :])
+    return RegionScan(v1, v2, region_of(plus.feasible, minus.feasible), plus, minus)

@@ -9,16 +9,21 @@ model. Reports are byte-identical for equal seeds.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import oracle
 from .oracle import MatchMode
 from .qalg import Quaternion, qconj, qmul, symplectic_join, symplectic_split
-from .scatter import DeltaPotential, amplitudes, denominator, dr_di, sweep
-from .singular import (KAPPA, Reason, RegionClass, RootNature, classify_region,
-                       discriminant_expanded, discriminant_factored,
-                       pq_classifiers, pq_simplified, quartic_coeffs,
-                       root_nature, scan_region, ss_closed_form)
+from .scatter import (DeltaPotential, amplitude_arrays, amplitudes, denominator,
+                      dr_di, sweep)
+from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
+                       classify_region, discriminant_expanded,
+                       discriminant_factored, pq_classifiers, pq_simplified,
+                       quartic_coeffs, region_of, root_nature, scan_region,
+                       ss_branches, ss_closed_form)
 
 # Published singularity pairs (g^2, beta) quoted for the reference interaction.
 REFERENCE_PAIRS = ((3.75, 2.0), (5.0, 1.5))
@@ -86,20 +91,20 @@ def check_resonance_curves() -> CheckResult:
     h = (e_max - e_min) / (steps - 1)
     for g2, e_ss in ((3.75, 2.0), (5.0, 1.125)):
         pot = DeltaPotential.from_g_squared(-0.5, 3.0, g2)
-        rows = sweep(pot, e_min, e_max, steps)
-        i_r = max(range(steps), key=lambda i: rows[i].big_r)
-        i_t = max(range(steps), key=lambda i: rows[i].big_t)
+        res = sweep(pot, e_min, e_max, steps)
+        energies = res.energy.tolist()
+        i_r, i_t = int(np.argmax(res.big_r)), int(np.argmax(res.big_t))
         for label, idx in (("R", i_r), ("T", i_t)):
-            off = abs(rows[idx].energy - e_ss)
+            off = abs(energies[idx] - e_ss)
             if off > h + 1e-12:
-                problems.append(f"{label} peak at E={rows[idx].energy:.6f}, "
+                problems.append(f"{label} peak at E={energies[idx]:.6f}, "
                                 f"{off / h:.1f} grid steps from {e_ss}")
         for e_probe in (e_ss - 1e-7, e_ss + 1e-7):
             res = amplitudes(pot, e_probe)
             if not (res.big_r > 1e6 and res.big_t > 1e6):
                 problems.append(f"R,T=({res.big_r:.3e},{res.big_t:.3e}) "
                                 f"at E={e_probe!r} not > 1e6")
-        details.append(f"g2={g2:g}: peak within {max(abs(rows[i_r].energy - e_ss), abs(rows[i_t].energy - e_ss)) / h:.2f} step of E={e_ss:g}")
+        details.append(f"g2={g2:g}: peak within {max(abs(energies[i_r] - e_ss), abs(energies[i_t] - e_ss)) / h:.2f} step of E={e_ss:g}")
     return _result("resonance-curves", problems, "; ".join(details))
 
 
@@ -153,20 +158,44 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
                    f"{trials} draws, all identities hold")
 
 
+# The batched checks draw and evaluate this many samples at a time, in RNG
+# order, so that their memory does not grow with the trial count.
+_BLOCK = 2048
+
+
+def _draw_blocks(rng: random.Random, trials: int, draw) -> Iterator[tuple[int, list]]:
+    """(index of the first draw, draws) for consecutive blocks of draw(rng)."""
+    for start in range(0, trials, _BLOCK):
+        yield start, [draw(rng) for _ in range(min(_BLOCK, trials - start))]
+
+
+def _draw_v2_zero(rng: random.Random) -> tuple[DeltaPotential, float]:
+    """A potential of the probability-conserving v2 = 0 family, and an energy."""
+    v1 = rng.uniform(-10.0, 10.0)
+    g2 = 100.0 * _open_unit(rng)
+    energy = 0.5 * (20.0 * _open_unit(rng)) ** 2
+    return DeltaPotential.from_g_squared(v1, 0.0, g2), energy
+
+
+def _closed_forms(draws: list[tuple[DeltaPotential, float]]):
+    """amplitude_arrays at each (potential, energy) draw."""
+    return amplitude_arrays([p.v1 for p, _ in draws], [p.v2 for p, _ in draws],
+                            [p.g_squared for p, _ in draws], [e for _, e in draws])
+
+
 def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
     """R + T = 1 for every draw with v2 = 0 (probability-conserving family)."""
     problems: list[str] = []
     worst = 0.0
-    for n in range(trials):
-        v1 = rng.uniform(-10.0, 10.0)
-        g2 = 100.0 * _open_unit(rng)
-        energy = 0.5 * (20.0 * _open_unit(rng)) ** 2
-        res = amplitudes(DeltaPotential.from_g_squared(v1, 0.0, g2), energy)
-        err = abs(res.big_r + res.big_t - 1.0)
-        worst = max(worst, err)
-        if err > 1e-10:
-            problems.append(f"|R+T-1| = {err:.3e} at draw {n}")
+    for start, draws in _draw_blocks(rng, trials, _draw_v2_zero):
+        res = _closed_forms(draws)
+        err = np.abs(res.big_r + res.big_t - 1.0)
+        bad = np.flatnonzero(err > 1e-10)
+        if bad.size:
+            n = int(bad[0])
+            problems.append(f"|R+T-1| = {err[n]:.3e} at draw {start + n}")
             break
+        worst = max(worst, float(err.max()))
     return _result("unitarity-v2-zero", problems,
                    f"{trials} draws, worst |R+T-1| = {worst:.3e}")
 
@@ -175,40 +204,37 @@ def _rel_close(x: complex, y: complex, rtol: float) -> bool:
     return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
 
 
+def _first_oracle_mismatch(rng: random.Random, trials: int, draw,
+                           mode: MatchMode) -> int | None:
+    """First (potential, energy) draw off the singularities where the matching
+    oracle in this mode disagrees with the closed forms, or None."""
+    for start, draws in _draw_blocks(rng, trials, draw):
+        closed = _closed_forms(draws)
+        for n in np.flatnonzero(~closed.at_singularity).tolist():
+            m = oracle.matching_solver(*draws[n], mode)
+            if m.singular_system or not (_rel_close(m.r, complex(closed.r[n]), 1e-9)
+                                         and _rel_close(m.t, complex(closed.t[n]), 1e-9)):
+                return start + n
+    return None
+
+
+def _draw_at_energy(rng: random.Random) -> tuple[DeltaPotential, float]:
+    pot, beta = _draw_potential(rng)
+    return pot, 0.5 * beta * beta
+
+
 def check_matching_equivalence(rng: random.Random, trials: int) -> CheckResult:
     """Continued-mode matching equals the closed forms everywhere; Conjugate
     mode equals them on the v2 = 0 subfamily; the two modes must differ at the
     fixed probe, whose magnitude is reported."""
     problems: list[str] = []
-    for n in range(trials):
-        pot, beta = _draw_potential(rng)
-        energy = 0.5 * beta * beta
-        closed = amplitudes(pot, energy)
-        if closed.at_singularity:
-            continue
-        cont = oracle.matching_solver(pot, energy, MatchMode.CONTINUED)
-        if cont.singular_system or not (
-                _rel_close(cont.r, closed.r, 1e-9) and _rel_close(cont.t, closed.t, 1e-9)):
-            problems.append(f"Continued mode disagrees with closed form at draw {n}")
-            break
-    for n in range(trials):
-        v1 = rng.uniform(-10.0, 10.0)
-        g2 = 100.0 * _open_unit(rng)
-        energy = 0.5 * (20.0 * _open_unit(rng)) ** 2
-        pot = DeltaPotential.from_g_squared(v1, 0.0, g2)
-        closed = amplitudes(pot, energy)
-        if closed.at_singularity:
-            continue
-        conj = oracle.matching_solver(pot, energy, MatchMode.CONJUGATE)
-        if conj.singular_system or not (
-                _rel_close(conj.r, closed.r, 1e-9) and _rel_close(conj.t, closed.t, 1e-9)):
-            problems.append(f"Conjugate mode disagrees on v2=0 at draw {n}")
-            break
-    v1, v2, g2, energy = MODE_PROBE
-    pot = DeltaPotential.from_g_squared(v1, v2, g2)
-    r_cont = oracle.matching_solver(pot, energy, MatchMode.CONTINUED).r
-    r_conj = oracle.matching_solver(pot, energy, MatchMode.CONJUGATE).r
-    divergence = abs(r_cont - r_conj)
+    n = _first_oracle_mismatch(rng, trials, _draw_at_energy, MatchMode.CONTINUED)
+    if n is not None:
+        problems.append(f"Continued mode disagrees with closed form at draw {n}")
+    n = _first_oracle_mismatch(rng, trials, _draw_v2_zero, MatchMode.CONJUGATE)
+    if n is not None:
+        problems.append(f"Conjugate mode disagrees on v2=0 at draw {n}")
+    divergence = mode_divergence_at_probe()
     if divergence <= 1e-12:
         problems.append(f"junction models coincide at probe: |dr| = {divergence:.3e}")
     return _result("matching-equivalence", problems,
@@ -238,10 +264,7 @@ def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
             problems.append(f"plus branch infeasible at ({v1!r},{v2!r})")
             break
         pot = DeltaPotential.from_g_squared(v1, v2, plus.g_squared)
-        roots = oracle.quartic_roots(quartic_coeffs(pot))
-        hit = [z for z, tag in zip(roots.roots, roots.multiplicity_tags)
-               if z.imag == 0.0 and tag >= 2 and abs(z.real - plus.beta) <= 1e-6]
-        if not hit:
+        if oracle.real_double_root(oracle.quartic_roots(quartic_coeffs(pot)), plus.beta) is None:
             problems.append(f"no real double root at beta+={plus.beta!r} for "
                             f"({v1!r},{v2!r})")
             break
@@ -256,15 +279,24 @@ def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
                    f"{pairs} lossy-quadrant pairs confirmed")
 
 
+def _first_region_failure(rng: random.Random, trials: int, draw, failed):
+    """The first drawn (v1, v2) pair where failed(plus, minus) holds for its
+    branches, with its region label; None if there is none."""
+    for _, pairs in _draw_blocks(rng, trials, draw):
+        plus, minus = ss_branches(*np.array(pairs).T)
+        bad = np.flatnonzero(failed(plus, minus))
+        if bad.size:
+            n = int(bad[0])
+            return pairs[n], region_of(plus.feasible[n], minus.feasible[n])
+    return None
+
+
 def check_lossy_quadrant(rng: random.Random, trials: int) -> CheckResult:
     """Every strictly lossy pair (v1 < 0, v2 < 0) supports a singularity."""
-    problems: list[str] = []
-    for n in range(trials):
-        v1, v2 = _lossy_draw(rng), _lossy_draw(rng)
-        cls = classify_region(v1, v2)
-        if cls not in (RegionClass.PLUS_ONLY, RegionClass.BOTH_BRANCHES):
-            problems.append(f"({v1!r},{v2!r}) classified {cls.value}")
-            break
+    # PlusOnly or BothBranches exactly where the plus branch is feasible.
+    hit = _first_region_failure(rng, trials, lambda r: (_lossy_draw(r), _lossy_draw(r)),
+                                lambda plus, _: ~plus.feasible)
+    problems = [] if hit is None else [f"({hit[0][0]!r},{hit[0][1]!r}) classified {hit[1].value}"]
     return _result("lossy-quadrant", problems,
                    f"{trials} draws, no region without a singularity")
 
@@ -321,17 +353,19 @@ def check_small_v1_limits() -> CheckResult:
                    + ", ".join(f"{r:.6f}" for r in ratios))
 
 
+def _axis_draw(rng: random.Random) -> tuple[float, float]:
+    """(v1, 0) with |v1| >= 1e-6."""
+    v1 = 0.0
+    while abs(v1) < 1e-6:
+        v1 = rng.uniform(-10.0, 10.0)
+    return v1, 0.0
+
+
 def check_no_ss_anti_hermitian(rng: random.Random, trials: int) -> CheckResult:
     """No singularity anywhere on the v2 = 0 axis."""
-    problems: list[str] = []
-    for n in range(trials):
-        v1 = 0.0
-        while abs(v1) < 1e-6:
-            v1 = rng.uniform(-10.0, 10.0)
-        cls = classify_region(v1, 0.0)
-        if cls is not RegionClass.NONE:
-            problems.append(f"v1={v1!r}, v2=0 classified {cls.value}")
-            break
+    hit = _first_region_failure(rng, trials, _axis_draw,
+                                lambda plus, minus: plus.feasible | minus.feasible)
+    problems = [] if hit is None else [f"v1={hit[0][0]!r}, v2=0 classified {hit[1].value}"]
     return _result("no-ss-anti-hermitian", problems,
                    f"{trials} draws on the v2=0 axis, none singular")
 
@@ -403,7 +437,6 @@ def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
     problems: list[str] = []
     n_coeff = min(trials, 300)
     for n in range(n_coeff):
-        from .singular import QuarticCoeffs
         q = QuarticCoeffs(*(rng.uniform(-20.0, 20.0) for _ in range(4)))
         roots = oracle.quartic_roots(q)
         conj_set = sorted((z.conjugate() for z in roots.roots),
@@ -423,9 +456,7 @@ def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
                 continue
             pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
             roots = oracle.quartic_roots(quartic_coeffs(pot))
-            hit = [z for z, tag in zip(roots.roots, roots.multiplicity_tags)
-                   if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6]
-            if not hit:
+            if oracle.real_double_root(roots, sol.beta) is None:
                 problems.append(f"branch beta {sol.beta!r} missing from roots "
                                 f"at ({v1!r},{v2!r})")
                 break
@@ -439,13 +470,15 @@ def check_scan_claims() -> CheckResult:
     """Numerical confirmation of the feasibility-region claims: every feasible
     cell has v1 < 0, and the strictly positive quadrant is empty."""
     problems: list[str] = []
-    rows = scan_region((-10.0, 10.0), (-10.0, -0.25), 41, 20)
-    for row in rows:
-        if row.classification is not RegionClass.NONE and row.v1 >= 0.0:
-            problems.append(f"feasible cell with v1 = {row.v1!r} >= 0 at v2 = {row.v2!r}")
-            break
-    rows_pos = scan_region((0.1, 1.0), (0.1, 1.0), 5, 5)
-    if any(row.classification is not RegionClass.NONE for row in rows_pos):
+    scan = scan_region((-10.0, 10.0), (-10.0, -0.25), 41, 20)
+    # A cell's label is not None exactly where a branch is feasible.
+    bad = np.argwhere((scan.plus.feasible | scan.minus.feasible) & (scan.v1[:, None] >= 0.0))
+    if bad.size:
+        i, j = bad[0]
+        problems.append(f"feasible cell with v1 = {float(scan.v1[i])!r} >= 0 "
+                        f"at v2 = {float(scan.v2[j])!r}")
+    pos = scan_region((0.1, 1.0), (0.1, 1.0), 5, 5)
+    if (pos.plus.feasible | pos.minus.feasible).any():
         problems.append("feasible cell in the strictly positive quadrant")
     return _result("region-scan-claims", problems,
                    "feasible cells require v1 < 0 on both scanned strips")

@@ -48,12 +48,12 @@ def test_c02_resonance_curves():
     h = (e_max - e_min) / (steps - 1)
     for g2, e_ss in ((15 / 4, 2.0), (5.0, 9 / 8)):
         pot = DeltaPotential.from_g_squared(-0.5, 3.0, g2)
-        rows = sweep(pot, e_min, e_max, steps)
-        assert len(rows) == steps
-        i_r = max(range(steps), key=lambda i: rows[i].big_r)
-        i_t = max(range(steps), key=lambda i: rows[i].big_t)
-        assert abs(rows[i_r].energy - e_ss) <= h + 1e-12
-        assert abs(rows[i_t].energy - e_ss) <= h + 1e-12
+        res = sweep(pot, e_min, e_max, steps)
+        assert len(res.energy) == steps
+        i_r = max(range(steps), key=lambda i: res.big_r[i])
+        i_t = max(range(steps), key=lambda i: res.big_t[i])
+        assert abs(res.energy[i_r] - e_ss) <= h + 1e-12
+        assert abs(res.energy[i_t] - e_ss) <= h + 1e-12
         for probe in (e_ss - 1e-7, e_ss + 1e-7):
             res = amplitudes(pot, probe)
             assert res.big_r > 1e6 and res.big_t > 1e6

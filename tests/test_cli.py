@@ -7,9 +7,17 @@ import jsonschema
 import pytest
 
 from qdelta.cli import SS_REPORT_SCHEMA, main
-from qdelta.scatter import DeltaPotential, sweep
+from qdelta.scatter import DeltaPotential, ScatteringResult, sweep
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
+
+
+def _rows(res):
+    """The rows of sweep columns, each with Python scalar fields."""
+    return [ScatteringResult(*row) for row in zip(
+        res.energy.tolist(), res.beta.tolist(), res.r.tolist(), res.t.tolist(),
+        res.big_r.tolist(), res.big_t.tolist(), res.d_value.tolist(),
+        res.at_singularity.tolist())]
 
 
 def run_cli(*args, env_extra=None):
@@ -40,9 +48,9 @@ def test_sweep_csv_roundtrip(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == HEADER
     assert len(lines) == 101
-    rows = sweep(DeltaPotential.from_g_squared(-0.5, 3.0, 3.75), 0.05, 4.0, 100)
+    cols = sweep(DeltaPotential.from_g_squared(-0.5, 3.0, 3.75), 0.05, 4.0, 100)
     energies = []
-    for line, res in zip(lines[1:], rows):
+    for line, res in zip(lines[1:], _rows(cols)):
         cells = line.split(",")
         energies.append(float(cells[0]))
         assert float(cells[0]) == res.energy
@@ -99,11 +107,26 @@ def test_sweep_physical_model_matches_closed_form_for_real_strength():
                    "--model", "physical")
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    rows = sweep(DeltaPotential(1.0, 0.0, 1.0, 0.0), 0.5, 1.5, 5)
-    for line, res in zip(lines[1:], rows):
+    cols = sweep(DeltaPotential(1.0, 0.0, 1.0, 0.0), 0.5, 1.5, 5)
+    for line, res in zip(lines[1:], _rows(cols)):
         cells = line.split(",")
         assert float(cells[6]) == pytest.approx(res.big_r, rel=1e-9)
         assert float(cells[7]) == pytest.approx(res.big_t, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--v1", "-1e-3", "--v2", "-2E-3", "--g2", "1e-6",
+     "--emin", "1e-3", "--emax", "2", "--steps", "3"),
+    ("ss", "--v1", "-1e-3", "--v2", "-2e-3", "--json"),
+    ("scan", "--v1-min", "-1e-3", "--v1-max", "1e-3",
+     "--v2-min", "-2.5e+0", "--v2-max", "-.5e-1", "--n1", "3", "--n2", "3"),
+])
+def test_negative_scientific_values_parse(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    flag = argv.index("--v1") if "--v1" in argv else argv.index("--v1-min")
+    equals_form = run_cli(*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:])
+    assert proc.stdout == equals_form.stdout
 
 
 @pytest.mark.parametrize("argv", [

@@ -93,21 +93,42 @@ def test_amplitudes_flags_singularity():
 
 
 def test_sweep_shape_and_order():
-    rows = sweep(FIG_POT, 0.05, 4.0, 400)
-    assert len(rows) == 400
-    assert rows[0].energy == 0.05 and rows[-1].energy == 4.0
-    assert all(a.energy < b.energy for a, b in zip(rows, rows[1:]))
+    energies = sweep(FIG_POT, 0.05, 4.0, 400).energy.tolist()
+    assert len(energies) == 400
+    assert energies[0] == 0.05 and energies[-1] == 4.0
+    assert all(a < b for a, b in zip(energies, energies[1:]))
 
 
 def test_sweep_free_rows():
-    rows = sweep(DeltaPotential(0, 0, 0, 0), 1.0, 2.0, 2)
-    assert [(r.r, r.t) for r in rows] == [(0, 1), (0, 1)]
+    res = sweep(DeltaPotential(0, 0, 0, 0), 1.0, 2.0, 2)
+    assert list(zip(res.r.tolist(), res.t.tolist())) == [(0, 1), (0, 1)]
 
 
 def test_sweep_unitary_rows():
     p = DeltaPotential(1.0, 0.0, 1.0, 0.0)
-    for res in sweep(p, 0.1, 10.0, 100):
-        assert abs(res.big_r + res.big_t - 1.0) <= 1e-10
+    res = sweep(p, 0.1, 10.0, 100)
+    for big_r, big_t in zip(res.big_r.tolist(), res.big_t.tolist()):
+        assert abs(big_r + big_t - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [FIG_POT, DeltaPotential(1.0, 0.0, 1.0, 0.0),
+                               DeltaPotential(-2.0, -3.0, 1.5, 0.5)])
+def test_sweep_matches_scalar_amplitudes(p):
+    # E = 2 is the grid node i = 100 and a singularity of FIG_POT
+    res = sweep(p, 1.0, 3.0, 201)
+    assert res.at_singularity.tolist().count(True) == (1 if p is FIG_POT else 0)
+    for i, energy in enumerate(res.energy.tolist()):
+        want = amplitudes(p, energy)
+        assert bool(res.at_singularity[i]) is want.at_singularity
+        assert (float(res.beta[i]), float(res.big_r[i]), float(res.big_t[i])) == (
+            want.beta, want.big_r, want.big_t)
+        assert complex(res.d_value[i]) == want.d_value
+        if want.at_singularity:
+            assert want.r is None and want.t is None
+            assert all(math.isnan(x) for x in (res.r[i].real, res.r[i].imag,
+                                               res.t[i].real, res.t[i].imag))
+        else:
+            assert (complex(res.r[i]), complex(res.t[i])) == (want.r, want.t)
 
 
 def test_energy_grid_validation():

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -222,8 +223,18 @@ def test_branch_betas_are_quadratic_roots(v1, v2):
         assert abs(sol.beta - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
+def _rows(scan):
+    """Cells of a scan in row-major order, with None for infeasible energies."""
+    def energy(sol, i, j):
+        return float(sol.energy[i, j]) if sol.feasible[i, j] else None
+    return [SimpleNamespace(v1=v1, v2=v2, classification=scan.classification[i, j],
+                            e_plus=energy(scan.plus, i, j), e_minus=energy(scan.minus, i, j))
+            for i, v1 in enumerate(scan.v1.tolist())
+            for j, v2 in enumerate(scan.v2.tolist())]
+
+
 def test_scan_region_grid_contract():
-    rows = scan_region((-1.0, -0.01), (-1.0, -0.01), 10, 10)
+    rows = _rows(scan_region((-1.0, -0.01), (-1.0, -0.01), 10, 10))
     assert len(rows) == 100
     assert all(r.classification is not RegionClass.NONE for r in rows)
     assert all(r.classification in (RegionClass.PLUS_ONLY, RegionClass.BOTH_BRANCHES)
@@ -239,7 +250,7 @@ def test_scan_region_grid_contract():
 
 
 def test_scan_region_positive_quadrant_empty():
-    rows = scan_region((0.1, 1.0), (0.1, 1.0), 5, 5)
+    rows = _rows(scan_region((0.1, 1.0), (0.1, 1.0), 5, 5))
     assert all(r.classification is RegionClass.NONE for r in rows)
     assert all(r.e_plus is None and r.e_minus is None for r in rows)
 
@@ -253,29 +264,37 @@ def test_scan_region_rejects_bad_grid():
         scan_region((-0.1, -1.0), (-1.0, -0.1), 10, 10)
 
 
-def test_scan_region_parallel_merge_matches_serial(monkeypatch):
-    import qdelta.singular as singular
-    args = ((-2.0, -0.2), (-3.0, -0.3), 24, 10)
-    monkeypatch.setenv("QDELTA_THREADS", "1")
-    serial = scan_region(*args)
-    monkeypatch.setattr(singular, "_PARALLEL_MIN_CELLS", 100)
-    monkeypatch.setenv("QDELTA_THREADS", "3")
-    parallel = scan_region(*args)
-    assert parallel == serial
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def test_worker_count_env(monkeypatch):
-    import qdelta.singular as singular
-    monkeypatch.setenv("QDELTA_THREADS", "5")
-    assert singular.worker_count() == 5
-    monkeypatch.setenv("QDELTA_THREADS", "0")
-    with pytest.raises(ValueError):
-        singular.worker_count()
-    monkeypatch.setenv("QDELTA_THREADS", "many")
-    with pytest.raises(ValueError):
-        singular.worker_count()
-    monkeypatch.delenv("QDELTA_THREADS")
-    assert singular.worker_count() >= 1
+@pytest.mark.parametrize("grid", [
+    # lossy quadrant, and DegenerateSum cells on the anti-diagonal
+    ((-4.0, 4.0), (-4.0, 4.0), 41, 41),
+    # the v2 > 0 band edge v1 = kappa v2 at the cell (3 kappa, 3)
+    ((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31),
+])
+def test_scan_region_matches_scalar_loop(grid):
+    scan = scan_region(*grid)
+    for i, v1 in enumerate(scan.v1.tolist()):
+        for j, v2 in enumerate(scan.v2.tolist()):
+            assert scan.classification[i, j] is classify_region(v1, v2)
+            for sol, cols in zip(ss_closed_form(v1, v2), (scan.plus, scan.minus)):
+                assert cols.branch is sol.branch
+                assert cols.reason[i, j] is sol.reason
+                assert bool(cols.feasible[i, j]) is sol.feasible
+                for got, want in ((cols.g_squared, sol.g_squared),
+                                  (cols.beta, sol.beta), (cols.energy, sol.energy)):
+                    assert _same(float(got[i, j]), want)
+
+
+def test_scan_region_equivalence_grids_hold_the_edge_cases():
+    diagonal = scan_region((-4.0, 4.0), (-4.0, 4.0), 41, 41)
+    assert sum(r is Reason.DEGENERATE_SUM for r in diagonal.plus.reason.flat) >= 39
+    assert any(c is RegionClass.PLUS_ONLY for c in diagonal.classification.flat)
+    edge = scan_region((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31)
+    assert (edge.v1[-1], edge.v2[-1]) == (3 * KAPPA, 3.0)
+    assert any(r is Reason.COMPLEX_SQRT for r in edge.plus.reason.flat)
 
 
 def test_boundary_double_root_seeded_ensemble():
