@@ -211,6 +211,13 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
     return DeltaPotential.from_g_squared(args.v1, args.v2, sol.g_squared)
 
 
+def _check_grid(args: argparse.Namespace) -> None:
+    if not (0.0 < args.emin < args.emax):
+        raise UsageError("need 0 < --emin < --emax")
+    if args.steps < 2:
+        raise UsageError("--steps must be at least 2")
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -270,10 +277,7 @@ def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Names
 
 def run_sweep(args: argparse.Namespace) -> int:
     p = _resolve_potential(args)
-    if not (0.0 < args.emin < args.emax):
-        raise UsageError("need 0 < --emin < --emax")
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+    _check_grid(args)
     if args.model == "closed-form":
         res = sweep(p, args.emin, args.emax, args.steps)
     else:
@@ -355,11 +359,8 @@ def run_ss(args: argparse.Namespace) -> int:
 def run_scan(args: argparse.Namespace) -> int:
     _require_finite(**{"v1-min": args.v1_min, "v1-max": args.v1_max,
                        "v2-min": args.v2_min, "v2-max": args.v2_max})
-    try:
-        scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
-                           args.n1, args.n2)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
+                       args.n1, args.n2)
 
     def energies(sol: SSBranchSolution) -> list[str]:
         return [_fmt(e) if ok else "" for e, ok in
@@ -387,10 +388,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_plot(args: argparse.Namespace) -> int:
     p = _resolve_potential(args)
-    if not (0.0 < args.emin < args.emax):
-        raise UsageError("need 0 < --emin < --emax")
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
+    _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)
     markers = [sol.energy for sol in ss_closed_form(args.v1, args.v2)
                if sol.feasible and args.emin <= sol.energy <= args.emax]
@@ -415,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

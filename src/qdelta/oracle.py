@@ -24,8 +24,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to reach its required accuracy."""
 
 
-DK_MAX_ITER = 500
-DK_STEP_TOL = 1e-13
 CLUSTER_RTOL = 1e-6
 REAL_TAG_RTOL = 1e-8
 _RECONSTRUCT_GUARD = 1e-6
@@ -41,37 +39,6 @@ class RootSet:
 
     roots: tuple[complex, complex, complex, complex]
     multiplicity_tags: tuple[int, int, int, int]
-    converged: bool
-
-
-def _poly_val(b: float, c: float, d: float, e: float, z: complex) -> complex:
-    return (((z + b) * z + c) * z + d) * z + e
-
-
-# Non-real, pairwise distinct, and not closed under conjugation: a
-# conjugate-closed start set locks the iteration in a symmetric subspace
-# that has no fixed point when all four roots are real and simple.
-_DK_SEED = complex(0.4, 0.9)
-
-
-def _durand_kerner(b: float, c: float, d: float, e: float) -> list[complex] | None:
-    radius = 1.0 + max(abs(b), abs(c), abs(d), abs(e))
-    z = [radius * _DK_SEED ** (k + 1) for k in range(4)]
-    for _ in range(DK_MAX_ITER):
-        step = 0.0
-        for k in range(4):
-            den = 1.0 + 0.0j
-            for j in range(4):
-                if j != k:
-                    den *= z[k] - z[j]
-            if den == 0:
-                return None
-            w = _poly_val(b, c, d, e, z[k]) / den
-            z[k] -= w
-            step = max(step, abs(w))
-        if step <= DK_STEP_TOL * max(1.0, max(abs(x) for x in z)):
-            return z
-    return None
 
 
 def _companion_roots(b: float, c: float, d: float, e: float) -> list[complex]:
@@ -107,26 +74,6 @@ def _tag_real(clusters: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
     return out
 
 
-def _pair_conjugates(clusters: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """Force strictly complex roots into exact conjugate pairs."""
-    real_part = [(z, n) for z, n in clusters if z.imag == 0.0]
-    upper = [(z, n) for z, n in clusters if z.imag > 0.0]
-    lower = [(z, n) for z, n in clusters if z.imag < 0.0]
-    paired: list[tuple[complex, int]] = []
-    for z, n in upper:
-        if not lower:
-            paired.append((complex(z.real, 0.0), n))
-            continue
-        k = min(range(len(lower)), key=lambda i: abs(z - lower[i][0].conjugate()))
-        w, m = lower.pop(k)
-        mean = (z + w.conjugate()) / 2.0
-        paired.append((mean, n))
-        paired.append((mean.conjugate(), m))
-    for z, n in lower:
-        paired.append((complex(z.real, 0.0), n))
-    return real_part + paired
-
-
 def _reconstruct_coeffs(roots: tuple[complex, ...]) -> tuple[complex, complex, complex, complex]:
     r1, r2, r3, r4 = roots
     b = -(r1 + r2 + r3 + r4)
@@ -137,20 +84,16 @@ def _reconstruct_coeffs(roots: tuple[complex, ...]) -> tuple[complex, complex, c
 
 
 def quartic_roots(q: QuarticCoeffs) -> RootSet:
-    """All four roots of the monic quartic, via simultaneous iteration.
+    """All four roots of the monic quartic, as companion-matrix eigenvalues.
 
-    Falls back to companion-matrix eigenvalues when the iteration stalls
-    (double roots rattle at the sqrt(eps) noise floor and never meet the step
-    criterion). Either way the result is clustered into multiplicity tags,
-    real-tagged, conjugate-symmetrised and checked by re-expansion.
+    The real eigensolver returns complex roots in exact conjugate pairs. The
+    roots are clustered into multiplicity tags, clusters centred on the real
+    axis are snapped onto it, and the result is checked by re-expansion.
     """
     b, c, d, e = q.b, q.c, q.d, q.e
     if not all(math.isfinite(x) for x in (b, c, d, e)):
         raise ValueError("coefficients must be finite")
-    found = _durand_kerner(b, c, d, e)
-    if found is None:
-        found = _companion_roots(b, c, d, e)
-    clusters = _pair_conjugates(_tag_real(_cluster(found)))
+    clusters = _tag_real(_cluster(_companion_roots(b, c, d, e)))
     expanded = sorted(
         ((z, n) for z, n in clusters for _ in range(n)),
         key=lambda item: (item[0].real, item[0].imag),
@@ -163,7 +106,7 @@ def quartic_roots(q: QuarticCoeffs) -> RootSet:
     for got, want in ((rb, b), (rc, c), (rd, d), (re_, e)):
         if abs(got - want) > _RECONSTRUCT_GUARD * scale:
             raise NumericalError("root set fails to reconstruct the quartic")
-    return RootSet(roots, tags, True)
+    return RootSet(roots, tags)
 
 
 def real_double_root(roots: RootSet, beta: float) -> tuple[float, int] | None:
@@ -180,10 +123,6 @@ _REFINE_WIDTH = 1e-12
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def default_beta_max(p: DeltaPotential) -> float:
-    return 10.0 * (1.0 + max(abs(p.v1), abs(p.v2), math.sqrt(p.g_squared)))
-
-
 def minimize_dsq(p: DeltaPotential, beta_max: float | None = None) -> tuple[float, float]:
     """Global minimum of |D(beta)|^2 over (0, beta_max].
 
@@ -192,7 +131,7 @@ def minimize_dsq(p: DeltaPotential, beta_max: float | None = None) -> tuple[floa
     of the best bracket down to width 1e-12.
     """
     if beta_max is None:
-        beta_max = default_beta_max(p)
+        beta_max = 10.0 * (1.0 + max(abs(p.v1), abs(p.v2), math.sqrt(p.g_squared)))
     if beta_max <= 0.0:
         raise ValueError("beta_max must be positive")
 

@@ -43,7 +43,6 @@ class Quaternion:
     __abs__ = norm
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

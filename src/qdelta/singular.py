@@ -135,27 +135,6 @@ def root_nature(q: QuarticCoeffs) -> RootNature:
     return RootNature.NO_REAL
 
 
-@dataclass(frozen=True)
-class QuarticAnalysis:
-    """Coefficients, discriminant data and root-nature verdict in one record."""
-
-    coeffs: QuarticCoeffs
-    delta: float
-    a_factor: float
-    b_factor: float
-    p_val: float
-    q_val: float
-    verdict: RootNature
-
-
-def analyze_quartic(p: DeltaPotential) -> QuarticAnalysis:
-    coeffs = quartic_coeffs(p)
-    a_factor, b_factor, _ = discriminant_factored(p)
-    p_val, q_val = pq_classifiers(coeffs)
-    return QuarticAnalysis(coeffs, discriminant_expanded(coeffs), a_factor,
-                           b_factor, p_val, q_val, root_nature(coeffs))
-
-
 class Branch(str, Enum):
     PLUS = "plus"
     MINUS = "minus"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -298,11 +299,16 @@ def test_main_callable_in_process(capsys):
     assert doc["E_plus"] == 2.0
 
 
-def test_scan_respects_thread_env(tmp_path):
-    # equality of output under different worker caps
-    args = ("scan", "--v1-min", "-2", "--v1-max", "-0.2",
-            "--v2-min", "-2", "--v2-max", "-0.2", "--n1", "8", "--n2", "8")
-    one = run_cli(*args, env_extra={"QDELTA_THREADS": "1"})
-    two = run_cli(*args, env_extra={"QDELTA_THREADS": "2"})
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
+def test_reproduce_reference_case_script(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_reference_case.py"),
+         "--outdir", str(tmp_path), "--steps", "200"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for branch in ("plus", "minus"):
+        for ext in ("csv", "svg"):
+            assert (tmp_path / f"curves_{branch}.{ext}").is_file()
+    assert "v1=-0.5, v2=3" in proc.stdout
+    assert proc.stdout.count("(x2)") == 2

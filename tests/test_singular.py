@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qdelta.scatter import DeltaPotential, denominator, dr_di
 from qdelta.singular import (KAPPA, Branch, QuarticCoeffs, Reason, RegionClass,
-                             RootNature, analyze_quartic, classify_region,
+                             RootNature, classify_region,
                              discriminant_expanded, discriminant_factored,
                              pq_classifiers, pq_simplified, quartic_coeffs,
                              root_nature, scan_region, ss_closed_form)
@@ -98,13 +98,16 @@ def test_root_nature_examples():
     assert root_nature(QuarticCoeffs(0.0, 0.0, 0.0, -1.0)) is RootNature.TWO_DISTINCT_REAL
 
 
-def test_analyze_quartic_bundle():
-    analysis = analyze_quartic(DeltaPotential(1.0, 0.0, 1.0, 0.0))
-    assert analysis.coeffs == QuarticCoeffs(2.0, 2.0, 4.0, 4.0)
-    assert analysis.delta == 2304.0
-    assert analysis.delta == 64.0 * analysis.a_factor * analysis.b_factor
-    assert (analysis.p_val, analysis.q_val) == (4.0, 144.0)
-    assert analysis.verdict is RootNature.NO_REAL
+def test_quartic_invariants_unitary_case():
+    p = DeltaPotential(1.0, 0.0, 1.0, 0.0)
+    coeffs = quartic_coeffs(p)
+    a_factor, b_factor, _ = discriminant_factored(p)
+    delta = discriminant_expanded(coeffs)
+    assert coeffs == QuarticCoeffs(2.0, 2.0, 4.0, 4.0)
+    assert delta == 2304.0
+    assert delta == 64.0 * a_factor * b_factor
+    assert pq_classifiers(coeffs) == (4.0, 144.0)
+    assert root_nature(coeffs) is RootNature.NO_REAL
 
 
 @given(strengths, strengths, g_squares)
