@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .oracle import (MatchMode, NumericalError, matching_solver, quartic_roots,
+from .oracle import (MatchMode, NumericalError, matching_arrays, quartic_roots,
                      real_double_root)
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
@@ -227,16 +227,25 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _physical_sweep(p: DeltaPotential, energies: np.ndarray) -> ScatteringResult:
-    """Conjugate-mode matching at each energy; d_value holds the junction-system
-    determinant magnitude, which plays the role of |D| here."""
-    sols = [matching_solver(p, e, MatchMode.CONJUGATE) for e in energies.tolist()]
-    nan = complex(math.nan, math.nan)
-    r, t, big_r, big_t = (np.array(col) for col in zip(*(
-        (nan, nan, math.inf, math.inf) if m.singular_system
-        else (m.r, m.t, abs(m.r) ** 2, abs(m.t) ** 2) for m in sols)))
-    return ScatteringResult(energies, np.sqrt(2.0 * energies), r, t, big_r, big_t,
-                            np.array([m.det_mag for m in sols]),
-                            np.array([m.singular_system for m in sols]))
+    """Conjugate-mode matching over the energy grid; d_value holds the
+    junction-system determinant magnitude, which plays the role of |D| here."""
+    m = matching_arrays(p.v1, p.v2, p.cap_v2, p.cap_v3, energies, MatchMode.CONJUGATE)
+    # |r|^2 as abs(r) ** 2 takes it, as amplitude_arrays does.
+    big_r, big_t = (np.where(m.singular_system, np.inf,
+                             np.float_power(np.hypot(z.real, z.imag), 2.0)) for z in (m.r, m.t))
+    return ScatteringResult(energies, np.sqrt(2.0 * energies), m.r, m.t, big_r, big_t,
+                            m.det_mag, m.singular_system)
+
+
+def _check_finite(res: ScatteringResult) -> None:
+    """Raise NumericalError at the first row off the singularities with a
+    non-finite cell, which would otherwise print as a silent nan or inf."""
+    finite = np.logical_and.reduce([np.isfinite(col) for col in (
+        res.beta, res.r, res.t, res.big_r, res.big_t, res.d_value)])
+    bad = np.flatnonzero(~(finite | res.at_singularity))
+    if bad.size:
+        raise NumericalError(f"non-finite amplitudes at E={_fmt(res.energy[bad[0]])} "
+                             "off the singularities")
 
 
 def _columns(res: ScatteringResult) -> list[list[float]]:
@@ -282,6 +291,7 @@ def run_sweep(args: argparse.Namespace) -> int:
         res = sweep(p, args.emin, args.emax, args.steps)
     else:
         res = _physical_sweep(p, energy_grid(args.emin, args.emax, args.steps))
+    _check_finite(res)
     text = rows_to_csv(res) if args.format == "csv" else _rows_to_json(res, p, args)
     _write_text(args.out, text)
     return EXIT_OK
@@ -292,7 +302,10 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
         return None
     pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
     absd = abs(denominator(pot, sol.beta))
-    double_beta, double_mult = (real_double_root(quartic_roots(quartic_coeffs(pot)), sol.beta)
+    coeffs = quartic_coeffs(pot)
+    if not all(math.isfinite(x) for x in (coeffs.b, coeffs.c, coeffs.d, coeffs.e)):
+        raise NumericalError(f"the quartic of the {sol.branch.value} branch overflows")
+    double_beta, double_mult = (real_double_root(quartic_roots(coeffs), sol.beta)
                                 or (None, None))
     return {"abs_denominator": absd, "double_root_beta": double_beta,
             "double_root_multiplicity": double_mult}
@@ -390,6 +403,7 @@ def run_plot(args: argparse.Namespace) -> int:
     p = _resolve_potential(args)
     _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)
+    _check_finite(res)
     markers = [sol.energy for sol in ss_closed_form(args.v1, args.v2)
                if sol.feasible and args.emin <= sol.energy <= args.emax]
     title = (f"v1={p.v1:g} v2={p.v2:g} g2={p.g_squared:.6g}")

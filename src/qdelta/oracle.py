@@ -4,7 +4,9 @@ Three oracles, none of which reuses the closed-form amplitude or branch
 expressions: a general quartic root solver, a direct minimiser of |D(beta)|^2,
 and a first-principles matching-condition solver that assembles the junction
 conditions as a 4x4 complex linear system via the complex-pair split of the
-wave function.
+wave function. The matching solver works on arrays: matching_arrays stacks
+one system per (potential, energy) and takes one determinant and one solve
+over the stack; matching_solver is its one-row form.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import symplectic_split
-from .scatter import DeltaPotential, beta_of_energy, denominator
+from .scatter import DeltaPotential, cmul, denominator
 from .singular import QuarticCoeffs
 
 
@@ -170,20 +171,26 @@ MATCH_SINGULAR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MatchingAmplitudes:
-    """Solution of the four junction conditions; amplitudes are None when the
-    system is singular. det_mag is the magnitude of the system determinant."""
+    """Solution of the four junction conditions; det_mag is the magnitude of
+    the system determinant.
 
-    r: complex | None
-    t: complex | None
-    r_tilde: complex | None
-    t_tilde: complex | None
+    From matching_solver: one system, with amplitudes None when it is
+    singular. From matching_arrays: flat arrays, with amplitudes nan at the
+    singular systems.
+    """
+
+    r: complex | np.ndarray | None
+    t: complex | np.ndarray | None
+    r_tilde: complex | np.ndarray | None
+    t_tilde: complex | np.ndarray | None
     mode: MatchMode
-    singular_system: bool
-    det_mag: float
+    singular_system: bool | np.ndarray
+    det_mag: float | np.ndarray
 
 
-def matching_solver(p: DeltaPotential, energy: float, mode: MatchMode) -> MatchingAmplitudes:
-    """Solve the junction conditions at the interaction point from scratch.
+def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> MatchingAmplitudes:
+    """Solve the junction conditions at the interaction point from scratch,
+    for broadcast arrays of (v1, v2, cap_v2, cap_v3, E), flattened.
 
     The wave function splits into complex channels psi = psi1 + j*psi2 with
     the scattering ansatz
@@ -201,26 +208,55 @@ def matching_solver(p: DeltaPotential, energy: float, mode: MatchMode) -> Matchi
     solved numerically. Conjugate mode takes cj = conj(V1), the literal
     real-quaternion interaction; Continued mode takes cj = V1, the analytic
     continuation that the closed-form amplitudes solve exactly.
+
+    The entries are formed as CPython's complex arithmetic forms them, so
+    each row equals the solve of that one system bit for bit.
     """
-    beta = beta_of_energy(energy)
-    a_ch, b_ch = symplectic_split(p.as_quaternion())
-    v1c = -1j * a_ch               # i-channel strength v1 + i v2
-    c12 = -1j * b_ch.conjugate()   # j-wave drive felt by the i channel: V3 - i V2
-    c21 = 1j * b_ch                # i-wave drive felt by the j channel: V3 + i V2
-    cj = v1c.conjugate() if mode is MatchMode.CONJUGATE else v1c
+    v1, v2, cap_v2, cap_v3, energy = (np.ravel(x) for x in np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (v1, v2, cap_v2, cap_v3, energy))))
+    if np.any(energy <= 0.0):
+        raise ValueError("energy must be positive")
+    beta = np.sqrt(2.0 * energy)
     half_b = 0.5 * beta
-    system = np.array([
-        [1.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [1j * half_b, 1j * half_b - v1c, 0.0, c12],
-        [0.0, c21, half_b, half_b + cj],
-    ], dtype=complex)
-    rhs = np.array([-1.0, 0.0, 1j * half_b, 0.0], dtype=complex)
-    det_mag = abs(np.linalg.det(system))
-    if det_mag < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
-        return MatchingAmplitudes(None, None, None, None, mode, True, det_mag)
-    r, t, rt, tt = (complex(z) for z in np.linalg.solve(system, rhs))
-    return MatchingAmplitudes(r, t, rt, tt, mode, False, det_mag)
+    # The real-quaternion strength is i (v1 + i v2) + cap_v2 j + cap_v3 k
+    # = -v2 + v1 i + cap_v2 j + cap_v3 k; (a_ch, b_ch) is its qalg.symplectic_split.
+    a_ch, b_ch = (-v2, v1), (cap_v2, -cap_v3)
+    v1c = cmul((-0.0, -1.0), a_ch)                 # i-channel strength v1 + i v2
+    c12 = cmul((-0.0, -1.0), (b_ch[0], -b_ch[1]))  # j-wave drive felt by the i channel: V3 - i V2
+    c21 = cmul((0.0, 1.0), b_ch)                   # i-wave drive felt by the j channel: V3 + i V2
+    cj = (v1c[0], -v1c[1]) if mode is MatchMode.CONJUGATE else v1c
+    i_half_b = cmul((0.0, 1.0), (half_b, 0.0))
+    system = np.zeros((beta.size, 4, 4), dtype=complex)
+    system[:, 0, :2] = 1.0, -1.0
+    system[:, 1, 2:] = 1.0, -1.0
+    rhs = np.zeros((beta.size, 4), dtype=complex)
+    rhs[:, 0] = -1.0
+    for entry, (re, im) in (
+            (system[:, 2, 0], i_half_b),
+            (system[:, 2, 1], (i_half_b[0] - v1c[0], i_half_b[1] - v1c[1])),
+            (system[:, 2, 3], c12),
+            (system[:, 3, 1], c21),
+            (system[:, 3, 2], (half_b, 0.0)),
+            (system[:, 3, 3], (half_b + cj[0], 0.0 + cj[1])),
+            (rhs[:, 2], i_half_b)):
+        entry.real, entry.imag = re, im
+    det = np.linalg.det(system)
+    det_mag = np.hypot(det.real, det.imag)
+    singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
+    # A stacked solve raises on any exactly singular system; those rows are
+    # reported as nan instead.
+    system[singular] = np.eye(4)
+    sol = np.linalg.solve(system, rhs[..., None])[..., 0]
+    sol[singular] = complex(math.nan, math.nan)
+    return MatchingAmplitudes(*sol.T, mode, singular, det_mag)
+
+
+def matching_solver(p: DeltaPotential, energy: float, mode: MatchMode) -> MatchingAmplitudes:
+    """matching_arrays for one potential at one energy."""
+    m = matching_arrays(p.v1, p.v2, p.cap_v2, p.cap_v3, energy, mode)
+    singular = bool(m.singular_system[0])
+    amps = [None if singular else complex(z[0]) for z in (m.r, m.t, m.r_tilde, m.t_tilde)]
+    return MatchingAmplitudes(*amps, mode, singular, float(m.det_mag[0]))
 
 
 def potential_from_ss_pairs(pair_a: tuple[float, float], pair_b: tuple[float, float],

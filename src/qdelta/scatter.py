@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import Quaternion
 
 # |D| below TOL_SINGULAR * max(1, beta^2) flags a spectral singularity instead
 # of dividing; downstream serialization must stay parseable.
@@ -22,7 +21,11 @@ TOL_SINGULAR = 1e-10
 
 @dataclass(frozen=True)
 class DeltaPotential:
-    """Strength parameters of the point interaction; g^2 is always derived."""
+    """Strength parameters of the point interaction; g^2 is always derived.
+
+    The fields may also be arrays that broadcast together: denominator, dr_di
+    and the quartic forms of singular then evaluate over them elementwise.
+    """
 
     v1: float
     v2: float
@@ -44,11 +47,6 @@ class DeltaPotential:
     def v1_complex(self) -> complex:
         return complex(self.v1, self.v2)
 
-    def as_quaternion(self) -> Quaternion:
-        # i*(v1 + i*v2) = -v2 + v1*i, so the real-quaternion strength reads
-        # -v2 + v1*i + cap_v2*j + cap_v3*k.
-        return Quaternion(-self.v2, self.v1, self.cap_v2, self.cap_v3)
-
 
 @dataclass(frozen=True)
 class ScatteringResult:
@@ -69,16 +67,11 @@ class ScatteringResult:
     at_singularity: bool | np.ndarray
 
 
-def beta_of_energy(energy: float) -> float:
-    """Wave number beta = sqrt(2 E) for positive energy."""
-    if energy <= 0.0:
-        raise ValueError("energy must be positive")
-    return math.sqrt(2.0 * energy)
-
-
 def denominator(p: DeltaPotential, beta: float) -> complex:
-    """The shared amplitude denominator D = beta(beta + V1) + i(V1^2 + g^2 + V1 beta)."""
-    return complex(*_denominator_parts(p.v1, p.v2, p.g_squared, beta)[2])
+    """The shared amplitude denominator D = beta(beta + V1) + i(V1^2 + g^2 + V1 beta);
+    a complex array when p's fields or beta are arrays."""
+    d_re, d_im = _denominator_parts(p.v1, p.v2, p.g_squared, beta)[2]
+    return _complex(d_re, d_im) if isinstance(d_re, np.ndarray) else complex(d_re, d_im)
 
 
 def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
@@ -90,9 +83,10 @@ def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
 
 # Complex arithmetic on (re, im) pairs of floats or arrays, in the operation
 # order of CPython's complex type; a float x takes part as (x, 0.0), as it
-# does there.
+# does there. numpy's own complex product and modulus may round differently.
 
-def _cmul(a, b):
+def cmul(a, b):
+    """The product a * b of (re, im) pairs, rounded as CPython's complex type does."""
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
 
@@ -111,10 +105,10 @@ def _denominator_parts(v1, v2, g2, beta):
     """beta (beta + V1), N = V1^2 + g^2 + V1 beta and D = beta (beta + V1) + i N,
     as (re, im) pairs, evaluated as the complex expressions would be."""
     v1c, beta_c = (v1, v2), (beta, 0.0)
-    bb = _cmul(beta_c, (beta + v1, 0.0 + v2))
-    vv, vb = _cmul(v1c, v1c), _cmul(v1c, beta_c)
+    bb = cmul(beta_c, (beta + v1, 0.0 + v2))
+    vv, vb = cmul(v1c, v1c), cmul(v1c, beta_c)
     numer = (vv[0] + g2 + vb[0], vv[1] + 0.0 + vb[1])
-    i_numer = _cmul((0.0, 1.0), numer)
+    i_numer = cmul((0.0, 1.0), numer)
     return bb, numer, (bb[0] + i_numer[0], bb[1] + i_numer[1])
 
 
@@ -140,7 +134,7 @@ def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bb, numer, d = _denominator_parts(v1, v2, g2, beta)
         singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
-        r = _cdiv(_cmul((-0.0, -1.0), numer), d)             # -i numer / D
+        r = _cdiv(cmul((-0.0, -1.0), numer), d)             # -i numer / D
         t = _cdiv(bb, d)
         r, t = ([np.where(singular, np.nan, part) for part in z] for z in (r, t))
         big_r, big_t = (np.where(singular, np.inf, np.float_power(np.hypot(*z), 2.0))

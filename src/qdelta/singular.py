@@ -26,10 +26,23 @@ KAPPA = -3.0 + 2.0 * math.sqrt(2.0)
 # largest monomial ~1.7e8) classified as four distinct real roots.
 BOUNDARY_DELTA_RTOL = 1e-9
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _pow(x, n):
+    """x ** n through libm pow, as Python floats take it, also on arrays: numpy's
+    power rounds some results differently, its float_power does not."""
+    return np.float_power(x, n) if isinstance(x, np.ndarray) else x ** n
+
 
 @dataclass(frozen=True)
 class QuarticCoeffs:
-    """Coefficients of the monic quartic beta^4 + b beta^3 + c beta^2 + d beta + e."""
+    """Coefficients of the monic quartic beta^4 + b beta^3 + c beta^2 + d beta + e.
+
+    Fields are floats, or arrays from a DeltaPotential of arrays. value_at,
+    discriminant_bounded and the P/Q forms take either, entry for entry with
+    the bits of the float evaluation.
+    """
 
     b: float
     c: float
@@ -47,35 +60,52 @@ def quartic_coeffs(p: DeltaPotential) -> QuarticCoeffs:
     b = 2.0 * diff
     c = 2.0 * (diff * diff)
     d = 2.0 * (g2 * (v1 + v2) + diff * (v1 * v1 + v2 * v2))
-    e = g2 * g2 + 2.0 * g2 * (v1 * v1 - v2 * v2) + (v1 * v1 + v2 * v2) ** 2
+    e = g2 * g2 + 2.0 * g2 * (v1 * v1 - v2 * v2) + _pow(v1 * v1 + v2 * v2, 2)
     return QuarticCoeffs(b, c, d, e)
 
 
 def _discriminant_terms(q: QuarticCoeffs) -> tuple[float, ...]:
     b, c, d, e = q.b, q.c, q.d, q.e
+    b2, b3, b4 = _pow(b, 2), _pow(b, 3), _pow(b, 4)
+    c2, c3, c4 = _pow(c, 2), _pow(c, 3), _pow(c, 4)
+    d2, d3, d4 = _pow(d, 2), _pow(d, 3), _pow(d, 4)
+    e2, e3 = _pow(e, 2), _pow(e, 3)
     return (
-        256.0 * e ** 3,
-        -192.0 * b * d * e ** 2,
-        -128.0 * c ** 2 * e ** 2,
-        144.0 * c * d ** 2 * e,
-        -27.0 * d ** 4,
-        144.0 * b ** 2 * c * e ** 2,
-        -6.0 * b ** 2 * d ** 2 * e,
-        -80.0 * b * c ** 2 * d * e,
-        18.0 * b * c * d ** 3,
-        16.0 * c ** 4 * e,
-        -4.0 * c ** 3 * d ** 2,
-        -27.0 * b ** 4 * e ** 2,
-        18.0 * b ** 3 * c * d * e,
-        -4.0 * b ** 3 * d ** 3,
-        -4.0 * b ** 2 * c ** 3 * e,
-        b ** 2 * c ** 2 * d ** 2,
+        256.0 * e3,
+        -192.0 * b * d * e2,
+        -128.0 * c2 * e2,
+        144.0 * c * d2 * e,
+        -27.0 * d4,
+        144.0 * b2 * c * e2,
+        -6.0 * b2 * d2 * e,
+        -80.0 * b * c2 * d * e,
+        18.0 * b * c * d3,
+        16.0 * c4 * e,
+        -4.0 * c3 * d2,
+        -27.0 * b4 * e2,
+        18.0 * b3 * c * d * e,
+        -4.0 * b3 * d3,
+        -4.0 * b2 * c3 * e,
+        b2 * c2 * d2,
     )
 
 
 def discriminant_expanded(q: QuarticCoeffs) -> float:
     """Quartic discriminant evaluated literally from its 16-term expansion."""
     return math.fsum(_discriminant_terms(q))
+
+
+def discriminant_bounded(q: QuarticCoeffs) -> tuple[float, float]:
+    """(sum, bound): the 16-term expansion summed in plain floating point, also
+    over array coefficients, and a bound on its distance from
+    discriminant_expanded.
+
+    A running sum of 16 terms errs by at most about 15 u sum|t| (u = eps / 2)
+    and fsum's correctly rounded sum by u |sum|; the bound, 30 u sum|t|,
+    covers both with room for its own rounding.
+    """
+    terms = _discriminant_terms(q)
+    return sum(terms), 15.0 * _EPS * sum(abs(t) for t in terms)
 
 
 def discriminant_factored(p: DeltaPotential) -> tuple[float, float, float]:
@@ -89,7 +119,7 @@ def discriminant_factored(p: DeltaPotential) -> tuple[float, float, float]:
     s = v1 + v2
     bracket = g2 * g2 + g2 * (v1 * v1 - v2 * v2) - 2.0 * v1 * v2 * s * s
     a_factor = bracket * bracket
-    b_factor = 4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + (v1 * v1 + v2 * v2) ** 2
+    b_factor = 4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + _pow(v1 * v1 + v2 * v2, 2)
     return a_factor, b_factor, 64.0 * a_factor * b_factor
 
 
@@ -97,15 +127,15 @@ def pq_classifiers(q: QuarticCoeffs) -> tuple[float, float]:
     """P = 8c - 3b^2 and Q = 64e - 16c^2 + 16b^2 c - 16bd - 3b^4."""
     b, c, d, e = q.b, q.c, q.d, q.e
     p_val = 8.0 * c - 3.0 * b * b
-    q_val = 64.0 * e - 16.0 * c * c + 16.0 * b * b * c - 16.0 * b * d - 3.0 * b ** 4
+    q_val = 64.0 * e - 16.0 * c * c + 16.0 * b * b * c - 16.0 * b * d - 3.0 * _pow(b, 4)
     return p_val, q_val
 
 
 def pq_simplified(p: DeltaPotential) -> tuple[float, float]:
     """P and Q reduced over this potential family; must match the raw forms."""
     v1, v2, g2 = p.v1, p.v2, p.g_squared
-    p_val = 4.0 * (v1 - v2) ** 2
-    q_val = 16.0 * (4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + (v1 + v2) ** 4)
+    p_val = 4.0 * _pow(v1 - v2, 2)
+    q_val = 16.0 * (4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + _pow(v1 + v2, 4))
     return p_val, q_val
 
 

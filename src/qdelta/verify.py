@@ -8,6 +8,7 @@ model. Reports are byte-identical for equal seeds.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -20,10 +21,11 @@ from .qalg import Quaternion, qconj, qmul, symplectic_join, symplectic_split
 from .scatter import (DeltaPotential, amplitude_arrays, amplitudes, denominator,
                       dr_di, sweep)
 from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
-                       classify_region, discriminant_expanded,
-                       discriminant_factored, pq_classifiers, pq_simplified,
-                       quartic_coeffs, region_of, root_nature, scan_region,
-                       ss_branches, ss_closed_form)
+                       classify_region, discriminant_bounded,
+                       discriminant_expanded, discriminant_factored,
+                       pq_classifiers, pq_simplified, quartic_coeffs,
+                       region_of, root_nature, scan_region, ss_branches,
+                       ss_closed_form)
 
 # Published singularity pairs (g^2, beta) quoted for the reference interaction.
 REFERENCE_PAIRS = ((3.75, 2.0), (5.0, 1.5))
@@ -33,6 +35,8 @@ REFERENCE_QUOTED_STRENGTH = "-10 - 0.5i"
 
 # Fixed probe where the Conjugate and Continued junction models must differ.
 MODE_PROBE = (-0.5, 3.0, 3.75, 1.0)   # v1, v2, g^2, energy
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,54 +112,13 @@ def check_resonance_curves() -> CheckResult:
     return _result("resonance-curves", problems, "; ".join(details))
 
 
-def _draw_potential(rng: random.Random) -> tuple[DeltaPotential, float]:
+def _draw_potential(rng: random.Random) -> tuple[float, float, float, float]:
+    """(v1, v2, g^2, beta) on the draw box."""
     v1 = rng.uniform(-10.0, 10.0)
     v2 = rng.uniform(-10.0, 10.0)
     g2 = 100.0 * _open_unit(rng)
     beta = 20.0 * _open_unit(rng)
-    return DeltaPotential.from_g_squared(v1, v2, g2), beta
-
-
-def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
-    """|D|^2 = Dr^2 + Di^2 = quartic(beta); discriminant = 64 A B; P, Q raw
-    versus reduced; A >= 0 and B >= 0 throughout."""
-    problems: list[str] = []
-    for n in range(trials):
-        pot, beta = _draw_potential(rng)
-        d = denominator(pot, beta)
-        dsq = d.real * d.real + d.imag * d.imag
-        d_r, d_i = dr_di(pot, beta)
-        split_sq = d_r * d_r + d_i * d_i
-        coeffs = quartic_coeffs(pot)
-        quartic_val = coeffs.value_at(beta)
-        tol = 1e-9 * max(1.0, dsq, split_sq, abs(quartic_val))
-        if abs(dsq - split_sq) > tol or abs(dsq - quartic_val) > tol:
-            problems.append(f"|D|^2 identity broken at draw {n}: "
-                            f"{dsq!r} vs {split_sq!r} vs {quartic_val!r}")
-            break
-        a_factor, b_factor, delta_fact = discriminant_factored(pot)
-        delta_exp = discriminant_expanded(coeffs)
-        b, c, dd, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
-        term_scale = max(abs(e) ** 3 * 256.0, 27.0 * dd ** 4, 27.0 * b ** 4 * e * e,
-                         abs(delta_exp), abs(delta_fact))
-        if abs(delta_exp - delta_fact) > max(1e-8, 1e-6 * term_scale):
-            problems.append(f"discriminant identity broken at draw {n}: "
-                            f"{delta_exp!r} vs {delta_fact!r}")
-            break
-        p_raw, q_raw = pq_classifiers(coeffs)
-        p_simple, q_simple = pq_simplified(pot)
-        p_scale = max(1.0, 8.0 * abs(c), 3.0 * b * b)
-        q_scale = max(1.0, 64.0 * abs(e), 16.0 * c * c, 3.0 * b ** 4,
-                      16.0 * abs(b * dd), 16.0 * b * b * abs(c))
-        if abs(p_raw - p_simple) > 1e-10 * p_scale or abs(q_raw - q_simple) > 1e-10 * q_scale:
-            problems.append(f"P/Q reduction broken at draw {n}")
-            break
-        if a_factor < 0.0 or b_factor < 0.0:
-            problems.append(f"negative discriminant factor at draw {n}: "
-                            f"A={a_factor!r} B={b_factor!r}")
-            break
-    return _result("algebraic-identities", problems,
-                   f"{trials} draws, all identities hold")
+    return v1, v2, g2, beta
 
 
 # The batched checks draw and evaluate this many samples at a time, in RNG
@@ -169,26 +132,118 @@ def _draw_blocks(rng: random.Random, trials: int, draw) -> Iterator[tuple[int, l
         yield start, [draw(rng) for _ in range(min(_BLOCK, trials - start))]
 
 
-def _draw_v2_zero(rng: random.Random) -> tuple[DeltaPotential, float]:
-    """A potential of the probability-conserving v2 = 0 family, and an energy."""
+def _potential_blocks(rng: random.Random, trials: int,
+                      draw) -> Iterator[tuple[int, DeltaPotential, np.ndarray]]:
+    """(index of the first draw, potentials, beta or E) for consecutive blocks
+    of draw(rng) = (v1, v2, g^2, beta or E); the potentials are one
+    DeltaPotential of arrays, each entry as from_g_squared builds it."""
+    for start, draws in _draw_blocks(rng, trials, draw):
+        v1, v2, g2, last = np.array(draws).T
+        yield start, DeltaPotential(v1, v2, np.sqrt(g2), 0.0), last
+
+
+def _maximum(*values):
+    return functools.reduce(np.maximum, values)
+
+
+def _first_failure(checks) -> str | None:
+    """For (failed, message) pairs over one block, message(n) of the first
+    check that fails at the first draw n where any fails; None if none does."""
+    failing = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
+    if not failing.size:
+        return None
+    n = int(failing[0])
+    return next(message(n) for failed, message in checks if failed[n])
+
+
+def _expanded_at(coeffs: QuarticCoeffs, n: int) -> float:
+    """discriminant_expanded of row n of array coefficients."""
+    return discriminant_expanded(QuarticCoeffs(*(x[n].item() for x in (
+        coeffs.b, coeffs.c, coeffs.d, coeffs.e))))
+
+
+def _discriminant_gaps(coeffs: QuarticCoeffs,
+                       delta_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|delta_exp - delta_fact| and the gap allowed, per row; delta_exp is
+    discriminant_expanded's fsum wherever the plain sum's error could flip
+    the verdict."""
+    b, c, dd, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
+    # np.float_power rounds as ** on floats does; numpy's power may not.
+    monomials = _maximum(np.float_power(np.abs(e), 3) * 256.0, 27.0 * np.float_power(dd, 4),
+                         27.0 * np.float_power(b, 4) * e * e)
+
+    def gaps(delta_exp):
+        term_scale = _maximum(monomials, np.abs(delta_exp), np.abs(delta_fact))
+        return np.abs(delta_exp - delta_fact), np.maximum(1e-8, 1e-6 * term_scale)
+
+    delta_exp, bound = discriminant_bounded(coeffs)
+    gap, allowed = gaps(delta_exp)
+    # The verdict gap > allowed moves by at most (1 + 1e-6) |delta_exp - fsum|,
+    # plus the rounding of gap and allowed themselves.
+    unsure = np.flatnonzero(np.abs(gap - allowed) <= 2.0 * (bound + _EPS * allowed))
+    for n in unsure.tolist():
+        delta_exp[n] = _expanded_at(coeffs, n)
+    if unsure.size:
+        gap, allowed = gaps(delta_exp)
+    return gap, allowed
+
+
+def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
+    """|D|^2 = Dr^2 + Di^2 = quartic(beta); discriminant = 64 A B; P, Q raw
+    versus reduced; A >= 0 and B >= 0 throughout."""
+    problems: list[str] = []
+    for start, pot, beta in _potential_blocks(rng, trials, _draw_potential):
+        d = denominator(pot, beta)
+        dsq = d.real * d.real + d.imag * d.imag
+        d_r, d_i = dr_di(pot, beta)
+        split_sq = d_r * d_r + d_i * d_i
+        coeffs = quartic_coeffs(pot)
+        quartic_val = coeffs.value_at(beta)
+        tol = 1e-9 * _maximum(1.0, dsq, split_sq, np.abs(quartic_val))
+        a_factor, b_factor, delta_fact = discriminant_factored(pot)
+        disc_gap, disc_allowed = _discriminant_gaps(coeffs, delta_fact)
+        p_raw, q_raw = pq_classifiers(coeffs)
+        p_simple, q_simple = pq_simplified(pot)
+        b, c, dd, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
+        p_scale = _maximum(1.0, 8.0 * np.abs(c), 3.0 * b * b)
+        q_scale = _maximum(1.0, 64.0 * np.abs(e), 16.0 * c * c, 3.0 * np.float_power(b, 4),
+                           16.0 * np.abs(b * dd), 16.0 * b * b * np.abs(c))
+        problem = _first_failure((
+            ((np.abs(dsq - split_sq) > tol) | (np.abs(dsq - quartic_val) > tol),
+             lambda n: f"|D|^2 identity broken at draw {start + n}: {dsq[n].item()!r} "
+                       f"vs {split_sq[n].item()!r} vs {quartic_val[n].item()!r}"),
+            (disc_gap > disc_allowed,
+             lambda n: f"discriminant identity broken at draw {start + n}: "
+                       f"{_expanded_at(coeffs, n)!r} vs {delta_fact[n].item()!r}"),
+            ((np.abs(p_raw - p_simple) > 1e-10 * p_scale)
+             | (np.abs(q_raw - q_simple) > 1e-10 * q_scale),
+             lambda n: f"P/Q reduction broken at draw {start + n}"),
+            ((a_factor < 0.0) | (b_factor < 0.0),
+             lambda n: f"negative discriminant factor at draw {start + n}: "
+                       f"A={a_factor[n].item()!r} B={b_factor[n].item()!r}"),
+        ))
+        if problem is not None:
+            problems.append(problem)
+            break
+    return _result("algebraic-identities", problems,
+                   f"{trials} draws, all identities hold")
+
+
+def _draw_v2_zero(rng: random.Random) -> tuple[float, float, float, float]:
+    """(v1, 0, g^2, E): a potential of the probability-conserving v2 = 0
+    family, and an energy."""
     v1 = rng.uniform(-10.0, 10.0)
     g2 = 100.0 * _open_unit(rng)
     energy = 0.5 * (20.0 * _open_unit(rng)) ** 2
-    return DeltaPotential.from_g_squared(v1, 0.0, g2), energy
-
-
-def _closed_forms(draws: list[tuple[DeltaPotential, float]]):
-    """amplitude_arrays at each (potential, energy) draw."""
-    return amplitude_arrays([p.v1 for p, _ in draws], [p.v2 for p, _ in draws],
-                            [p.g_squared for p, _ in draws], [e for _, e in draws])
+    return v1, 0.0, g2, energy
 
 
 def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
     """R + T = 1 for every draw with v2 = 0 (probability-conserving family)."""
     problems: list[str] = []
     worst = 0.0
-    for start, draws in _draw_blocks(rng, trials, _draw_v2_zero):
-        res = _closed_forms(draws)
+    for start, pot, energy in _potential_blocks(rng, trials, _draw_v2_zero):
+        res = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
         err = np.abs(res.big_r + res.big_t - 1.0)
         bad = np.flatnonzero(err > 1e-10)
         if bad.size:
@@ -200,27 +255,30 @@ def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
                    f"{trials} draws, worst |R+T-1| = {worst:.3e}")
 
 
-def _rel_close(x: complex, y: complex, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as abs() takes it for a complex number; numpy's abs may round otherwise."""
+    return np.hypot(z.real, z.imag)
 
 
 def _first_oracle_mismatch(rng: random.Random, trials: int, draw,
                            mode: MatchMode) -> int | None:
     """First (potential, energy) draw off the singularities where the matching
     oracle in this mode disagrees with the closed forms, or None."""
-    for start, draws in _draw_blocks(rng, trials, draw):
-        closed = _closed_forms(draws)
-        for n in np.flatnonzero(~closed.at_singularity).tolist():
-            m = oracle.matching_solver(*draws[n], mode)
-            if m.singular_system or not (_rel_close(m.r, complex(closed.r[n]), 1e-9)
-                                         and _rel_close(m.t, complex(closed.t[n]), 1e-9)):
-                return start + n
+    for start, pot, energy in _potential_blocks(rng, trials, draw):
+        closed = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
+        m = oracle.matching_arrays(pot.v1, pot.v2, pot.cap_v2, pot.cap_v3, energy, mode)
+        agree = np.ones(energy.shape, dtype=bool)
+        for got, want in ((m.r, closed.r), (m.t, closed.t)):
+            agree &= _modulus(got - want) <= 1e-9 * _maximum(1.0, _modulus(got), _modulus(want))
+        bad = np.flatnonzero(~closed.at_singularity & (m.singular_system | ~agree))
+        if bad.size:
+            return start + int(bad[0])
     return None
 
 
-def _draw_at_energy(rng: random.Random) -> tuple[DeltaPotential, float]:
-    pot, beta = _draw_potential(rng)
-    return pot, 0.5 * beta * beta
+def _draw_at_energy(rng: random.Random) -> tuple[float, float, float, float]:
+    v1, v2, g2, beta = _draw_potential(rng)
+    return v1, v2, g2, 0.5 * beta * beta
 
 
 def check_matching_equivalence(rng: random.Random, trials: int) -> CheckResult:
@@ -420,13 +478,14 @@ def check_quaternion_algebra(rng: random.Random) -> CheckResult:
 def check_decomposition_identity(rng: random.Random, trials: int) -> CheckResult:
     """Complex denominator equals Dr + i Di to 1e-12 absolute on the draw box."""
     problems: list[str] = []
-    for n in range(trials):
-        pot, beta = _draw_potential(rng)
+    for start, pot, beta in _potential_blocks(rng, trials, _draw_potential):
         d = denominator(pot, beta)
         d_r, d_i = dr_di(pot, beta)
-        if abs(d - complex(d_r, d_i)) > 1e-12:
-            problems.append(f"decomposition off by {abs(d - complex(d_r, d_i)):.3e} "
-                            f"at draw {n}")
+        off = np.hypot(d.real - d_r, d.imag - d_i)
+        problem = _first_failure(((off > 1e-12, lambda n: f"decomposition off by {off[n]:.3e} "
+                                                          f"at draw {start + n}"),))
+        if problem is not None:
+            problems.append(problem)
             break
     return _result("decomposition-identity", problems, f"{trials} draws within 1e-12")
 

@@ -76,16 +76,20 @@ def test_sweep_lf_line_endings(tmp_path):
 
 
 def test_sweep_singular_row_tokens():
-    # grid point exactly on the singularity: E = 2 for the reference pair
-    proc = run_cli("sweep", "--v1", "-0.5", "--v2", "3", "--g2", "3.75",
-                   "--emin", "1", "--emax", "3", "--steps", "3")
-    assert proc.returncode == 0
-    lines = proc.stdout.splitlines()
-    row = lines[2].split(",")
-    assert float(row[0]) == 2.0
-    assert row[2:6] == ["nan", "nan", "nan", "nan"]
-    assert row[6] == "inf" and row[7] == "inf"
-    assert row[8] == "0e0"
+    for argv, energy in (
+            # grid point exactly on the singularity: E = 2 for the reference pair
+            (("--v1", "-0.5", "--v2", "3", "--g2", "3.75", "--emin", "1", "--emax", "3"), 2.0),
+            # Conjugate-mode junction singular at beta = v2 - v1 = 3, g^2 = -2 v1 v2
+            (("--v1", "-1", "--v2", "2", "--g2", "4", "--emin", "1", "--emax", "8",
+              "--model", "physical"), 4.5)):
+        proc = run_cli("sweep", *argv, "--steps", "3")
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        row = lines[2].split(",")
+        assert float(row[0]) == energy
+        assert row[2:6] == ["nan", "nan", "nan", "nan"]
+        assert row[6] == "inf" and row[7] == "inf"
+        assert row[8] == "0e0"
 
 
 def test_sweep_json_format():
@@ -113,6 +117,21 @@ def test_sweep_physical_model_matches_closed_form_for_real_strength():
         cells = line.split(",")
         assert float(cells[6]) == pytest.approx(res.big_r, rel=1e-9)
         assert float(cells[7]) == pytest.approx(res.big_t, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--v1=1e200", "--v2=-2e200", "--g2=1e300", "--emin=1", "--emax=2", "--steps=3"),
+    ("sweep", "--v1=1e200", "--v2=-2e200", "--g2=1e300", "--emin=1", "--emax=2", "--steps=3",
+     "--model=physical"),
+    ("ss", "--v1=-1e160", "--v2=3e160"),
+    ("plot", "--v1=1e200", "--v2=-2e200", "--g2=1e300", "--emin=1", "--emax=2", "--steps=3"),
+])
+def test_overflow_exits_3(argv, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(*argv, f"--out={out}")
+    assert proc.returncode == 3
+    assert not out.exists()
+    assert "numerical failure: " in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta import verify
-from qdelta.oracle import (MatchMode, NumericalError, matching_solver,
-                           minimize_dsq, potential_from_ss_pairs, quartic_roots)
+from qdelta.oracle import (MATCH_SINGULAR_TOL, MatchMode, NumericalError,
+                           matching_arrays, matching_solver, minimize_dsq,
+                           potential_from_ss_pairs, quartic_roots)
+from qdelta.qalg import Quaternion, symplectic_split
 from qdelta.scatter import DeltaPotential, amplitudes
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
 
@@ -218,3 +221,62 @@ def test_potential_recovery_from_pairs():
 def test_potential_recovery_rejects_inconsistent_pairs():
     with pytest.raises(NumericalError):
         potential_from_ss_pairs((1.0, 1.0), (1.0, 2.0))
+
+
+def _scalar_matching(p, energy, mode):
+    """One junction system assembled with Python complex arithmetic and solved
+    on its own: the reference the stacked solve must reproduce bit for bit."""
+    beta = math.sqrt(2.0 * energy)
+    # i (v1 + i v2) + cap_v2 j + cap_v3 k, split into complex channels.
+    a_ch, b_ch = symplectic_split(Quaternion(-p.v2, p.v1, p.cap_v2, p.cap_v3))
+    v1c = -1j * a_ch
+    c12 = -1j * b_ch.conjugate()
+    c21 = 1j * b_ch
+    cj = v1c.conjugate() if mode is MatchMode.CONJUGATE else v1c
+    half_b = 0.5 * beta
+    system = np.array([
+        [1.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -1.0],
+        [1j * half_b, 1j * half_b - v1c, 0.0, c12],
+        [0.0, c21, half_b, half_b + cj],
+    ], dtype=complex)
+    rhs = np.array([-1.0, 0.0, 1j * half_b, 0.0], dtype=complex)
+    det_mag = abs(np.linalg.det(system))
+    if det_mag < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
+        return (None,) * 4, True, det_mag
+    return tuple(complex(z) for z in np.linalg.solve(system, rhs)), False, det_mag
+
+
+def _bits(z):
+    return None if z is None else (math.copysign(1.0, z.real), z.real.hex(),
+                                   math.copysign(1.0, z.imag), z.imag.hex())
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_matching_arrays_equal_scalar_solves(mode):
+    rng = random.Random(2024)
+    rows = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0) if rng.random() < 0.7 else 0.0,
+             rng.uniform(0.0, 10.0), rng.uniform(-5.0, 5.0) if rng.random() < 0.5 else 0.0,
+             0.5 * (20.0 * (1.0 - rng.random())) ** 2) for _ in range(2000)]
+    # Singular in Continued mode (the reference branch point) and in Conjugate
+    # mode (beta = v2 - v1, g^2 = -2 v1 v2), and the free particle.
+    rows += [(-0.5, 3.0, math.sqrt(3.75), 0.0, 2.0), (-1.0, 2.0, 2.0, 0.0, 4.5),
+             (0.0, 0.0, 0.0, 0.0, 1.7)]
+    stacked = matching_arrays(*np.array(rows).T, mode)
+    singular_rows = 0
+    for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
+        pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
+        amps, singular, det_mag = _scalar_matching(pot, energy, mode)
+        one = matching_solver(pot, energy, mode)
+        singular_rows += singular
+        assert (one.singular_system, one.det_mag) == (singular, det_mag)
+        assert (bool(stacked.singular_system[n]), stacked.det_mag[n]) == (singular, det_mag)
+        for got_one, got_row, want in zip((one.r, one.t, one.r_tilde, one.t_tilde),
+                                          (stacked.r, stacked.t, stacked.r_tilde, stacked.t_tilde),
+                                          amps):
+            assert _bits(got_one) == _bits(want)
+            if singular:
+                assert np.isnan(got_row[n].real) and np.isnan(got_row[n].imag)
+            else:
+                assert _bits(complex(got_row[n])) == _bits(want)
+    assert singular_rows == 1

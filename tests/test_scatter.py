@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdelta.qalg import Quaternion
-from qdelta.scatter import (DeltaPotential, amplitudes, beta_of_energy,
-                            denominator, dr_di, energy_grid, sweep)
+from qdelta.scatter import (DeltaPotential, amplitudes, denominator, dr_di,
+                            energy_grid, sweep)
 from qdelta.singular import quartic_coeffs
 
 FIG_POT = DeltaPotential.from_g_squared(-0.5, 3.0, 3.75)
@@ -17,15 +16,6 @@ g_squares = st.floats(min_value=1e-6, max_value=100, allow_nan=False)
 betas = st.floats(min_value=1e-3, max_value=20, allow_nan=False)
 
 
-def test_beta_of_energy():
-    assert beta_of_energy(2.0) == 2.0
-    assert beta_of_energy(9 / 8) == 1.5
-    with pytest.raises(ValueError):
-        beta_of_energy(0.0)
-    with pytest.raises(ValueError):
-        beta_of_energy(-1.0)
-
-
 def test_potential_construction():
     p = DeltaPotential.from_g_squared(1.0, -2.0, 9.0)
     assert p.cap_v2 == 3.0 and p.cap_v3 == 0.0
@@ -33,12 +23,6 @@ def test_potential_construction():
     assert p.v1_complex == 1 - 2j
     with pytest.raises(ValueError):
         DeltaPotential.from_g_squared(0.0, 0.0, -1.0)
-
-
-def test_as_quaternion_reads_i_v1():
-    # i*(v1 + i*v2) = -v2 + v1*i
-    p = DeltaPotential(-0.5, 3.0, 1.5, 2.0)
-    assert p.as_quaternion() == Quaternion(-3.0, -0.5, 1.5, 2.0)
 
 
 def test_denominator_examples():
