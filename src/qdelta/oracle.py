@@ -4,19 +4,23 @@ Three oracles, none of which reuses the closed-form amplitude or branch
 expressions: a general quartic root solver, a direct minimiser of |D(beta)|^2,
 and a first-principles matching-condition solver that assembles the junction
 conditions as a 4x4 complex linear system via the complex-pair split of the
-wave function. The matching solver works on arrays: matching_arrays stacks
-one system per (potential, energy) and takes one determinant and one solve
-over the stack; matching_solver is its one-row form.
+wave function. The root and matching solvers work on arrays:
+quartic_root_arrays stacks one companion matrix per quartic and takes one
+eigenvalue solve over the stack, matching_arrays stacks one system per
+(potential, energy) and takes one determinant and one solve over the stack,
+and quartic_roots and matching_solver are their one-row forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .qalg import as_complex
 from .scatter import DeltaPotential, cmul, denominator
 from .singular import QuarticCoeffs
 
@@ -42,79 +46,141 @@ class RootSet:
     multiplicity_tags: tuple[int, int, int, int]
 
 
-def _companion_roots(b: float, c: float, d: float, e: float) -> list[complex]:
-    comp = np.array([
-        [0.0, 0.0, 0.0, -e],
-        [1.0, 0.0, 0.0, -d],
-        [0.0, 1.0, 0.0, -c],
-        [0.0, 0.0, 1.0, -b],
-    ])
-    return [complex(z) for z in np.linalg.eigvals(comp)]
+@dataclass(frozen=True)
+class RootArrays:
+    """quartic_root_arrays' result: row n holds the four roots of quartic n,
+    ascending by (real, imag), their multiplicity tags, and whether they
+    reconstruct the quartic."""
+
+    roots: np.ndarray
+    multiplicity_tags: np.ndarray
+    reconstructs: np.ndarray
+
+    def row(self, n: int) -> RootSet:
+        """Row n as a RootSet; raises NumericalError if it fails to reconstruct."""
+        if not self.reconstructs[n]:
+            raise NumericalError("root set fails to reconstruct the quartic")
+        return RootSet(tuple(self.roots[n].tolist()), tuple(self.multiplicity_tags[n].tolist()))
+
+    def has_double_root(self, beta) -> np.ndarray:
+        """Per row: whether a real root of multiplicity >= 2 lies within 1e-6 of beta[n]."""
+        return np.any(_double_root_near(self.roots.real, self.roots.imag,
+                                        self.multiplicity_tags, np.asarray(beta)[:, None]), axis=1)
 
 
-def _cluster(roots: list[complex]) -> list[tuple[complex, int]]:
-    """Group roots closer than CLUSTER_RTOL * scale and take cluster centroids."""
-    clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda r: (r.real, r.imag)):
-        for members in clusters:
-            tol = CLUSTER_RTOL * max(1.0, abs(members[0]))
-            if abs(z - members[0]) <= tol:
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
-    return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
+def _double_root_near(re, im, tag, beta):
+    return (im == 0.0) & (tag >= 2) & (abs(re - beta) <= 1e-6)
 
 
-def _tag_real(clusters: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    out = []
-    for z, n in clusters:
-        if abs(z.imag) <= REAL_TAG_RTOL * max(1.0, abs(z.real)):
-            z = complex(z.real, 0.0)
-        out.append((z, n))
-    return out
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of each row (b, c, d, e) of
+    coeffs, from one solve over the stacked matrices."""
+    comp = np.zeros((len(coeffs), 4, 4))
+    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    comp[:, :, 3] = -coeffs[:, ::-1]
+    return np.linalg.eigvals(comp).astype(complex)
 
 
-def _reconstruct_coeffs(roots: tuple[complex, ...]) -> tuple[complex, complex, complex, complex]:
-    r1, r2, r3, r4 = roots
-    b = -(r1 + r2 + r3 + r4)
-    c = r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4
-    d = -(r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4)
-    e = r1 * r2 * r3 * r4
-    return b, c, d, e
+# Index pairs (i, j), i < j, of the four roots, and the triples of the
+# quartic's d coefficient as (index into the pairs, third root), in the
+# order the re-expansion sums them.
+_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
+_TRIPLES = ((0, 0, 1, 3), (2, 3, 3, 3))
 
 
-def quartic_roots(q: QuarticCoeffs) -> RootSet:
-    """All four roots of the monic quartic, as companion-matrix eigenvalues.
+def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy clustering of each row of roots sorted by (real, imag): a root
+    joins the first cluster whose first member lies within CLUSTER_RTOL *
+    max(1, |member|) of it, else starts a cluster. Returns, per root, the
+    index of its cluster's first member, the centroid and the member count.
+
+    The centroid is summed from 0 in member order and divided by the count
+    as CPython's sum() and complex division do, so it has their bits.
+    """
+    rows = np.arange(len(z))[:, None]
+    tol = CLUSTER_RTOL * np.maximum(1.0, np.hypot(z.real, z.imag))
+    diff = z[:, None, :] - z[:, :, None]
+    # close[n, i, j]: root j lies within the tolerance of root i (so of itself).
+    close = np.hypot(diff.real, diff.imag) <= tol[:, :, None]
+    head = np.zeros(z.shape, dtype=int)
+    is_head = np.ones(z.shape, dtype=bool)
+    for j in range(1, 4):
+        head[:, j] = (close[:, :j + 1, j] & is_head[:, :j + 1]).argmax(axis=1)
+        is_head[:, j] = head[:, j] == j
+    member = head[:, None, :] == np.arange(4)[:, None]
+    # Sums from 0 in member order; the + 0.0 turns the one -0.0 a sum from 0
+    # cannot give (every term -0.0) into 0.0.
+    total = np.add.accumulate(np.where(member, z[:, None, :], 0.0), axis=2)[..., -1] + 0.0
+    total, count = total[rows, head], member.sum(axis=2)[rows, head]
+    # total / count as total / complex(count, 0.0): Smith's quotient, ratio 0.
+    centroid = np.empty(z.shape, dtype=complex)
+    centroid.real = (total.real + total.imag * 0.0) / count
+    centroid.imag = (total.imag - total.real * 0.0) / count
+    return head, centroid, count
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, rounded as CPython's complex type rounds it."""
+    return as_complex(*cmul((a.real, a.imag), (b.real, b.imag)))
+
+
+def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per row, whether the roots re-expand to the quartic within the guard.
+
+    Each row decides as the one quartic's Python complex arithmetic would:
+    products are rounded as CPython rounds them, and sums, exact per part in
+    numpy too, run left to right.
+    """
+    i, j = _PAIRS
+    pair = _product(z[:, i], z[:, j])
+    k, m = _TRIPLES
+    triple = _product(pair[:, k], z[:, m])
+    got = np.stack((-np.add.accumulate(z, axis=1)[:, -1],
+                    np.add.accumulate(pair, axis=1)[:, -1],
+                    -np.add.accumulate(triple, axis=1)[:, -1],
+                    _product(triple[:, 0], z[:, 3])), axis=1)
+    scale = functools.reduce(np.maximum, (
+        1.0, np.abs(coeffs).max(axis=1), np.float_power(np.hypot(z.real, z.imag).max(axis=1), 4.0)))
+    off = np.hypot(got.real - coeffs, got.imag) > _RECONSTRUCT_GUARD * scale[:, None]
+    return ~off.any(axis=1)
+
+
+def quartic_root_arrays(b, c, d, e) -> RootArrays:
+    """All four roots of each monic quartic over broadcast coefficient arrays,
+    flattened, as companion-matrix eigenvalues: one eigenvalue solve over the
+    stack of companion matrices.
 
     The real eigensolver returns complex roots in exact conjugate pairs. The
     roots are clustered into multiplicity tags, clusters centred on the real
-    axis are snapped onto it, and the result is checked by re-expansion.
+    axis are snapped onto it, and each row is checked by re-expansion; a row
+    equals the one-row evaluation bit for bit.
     """
-    b, c, d, e = q.b, q.c, q.d, q.e
-    if not all(math.isfinite(x) for x in (b, c, d, e)):
+    coeffs = np.array(np.broadcast_arrays(b, c, d, e), dtype=float).reshape(4, -1).T
+    if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
-    clusters = _tag_real(_cluster(_companion_roots(b, c, d, e)))
-    expanded = sorted(
-        ((z, n) for z, n in clusters for _ in range(n)),
-        key=lambda item: (item[0].real, item[0].imag),
-    )
-    roots = tuple(z for z, _ in expanded)
-    tags = tuple(n for _, n in expanded)
-    rb, rc, rd, re_ = _reconstruct_coeffs(roots)
-    scale = max(1.0, abs(b), abs(c), abs(d), abs(e),
-                max(abs(z) for z in roots) ** 4)
-    for got, want in ((rb, b), (rc, c), (rd, d), (re_, e)):
-        if abs(got - want) > _RECONSTRUCT_GUARD * scale:
-            raise NumericalError("root set fails to reconstruct the quartic")
-    return RootSet(roots, tags)
+    rows = np.arange(len(coeffs))[:, None]
+    z = _companion_roots(coeffs)
+    z = z[rows, np.lexsort((z.imag, z.real))]
+    head, z, tags = _cluster(z)
+    z.imag[np.abs(z.imag) <= REAL_TAG_RTOL * np.maximum(1.0, np.abs(z.real))] = 0.0
+    # Stable by (real, imag), cluster by cluster, as sorting the expanded
+    # clusters in cluster order is.
+    order = np.lexsort((head, z.imag, z.real))
+    z, tags = z[rows, order], tags[rows, order]
+    return RootArrays(z, tags, _reconstructs(z, coeffs))
+
+
+def quartic_roots(q: QuarticCoeffs) -> RootSet:
+    """quartic_root_arrays for one quartic; raises NumericalError if its
+    roots fail to reconstruct it."""
+    return quartic_root_arrays(q.b, q.c, q.d, q.e).row(0)
 
 
 def real_double_root(roots: RootSet, beta: float) -> tuple[float, int] | None:
     """(value, multiplicity) of the first real root of multiplicity >= 2 within
     1e-6 of beta, or None."""
     for z, tag in zip(roots.roots, roots.multiplicity_tags):
-        if z.imag == 0.0 and tag >= 2 and abs(z.real - beta) <= 1e-6:
+        if _double_root_near(z.real, z.imag, tag, beta):
             return z.real, tag
     return None
 
@@ -240,13 +306,16 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
             (system[:, 3, 3], (half_b + cj[0], 0.0 + cj[1])),
             (rhs[:, 2], i_half_b)):
         entry.real, entry.imag = re, im
-    det = np.linalg.det(system)
-    det_mag = np.hypot(det.real, det.imag)
-    singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
-    # A stacked solve raises on any exactly singular system; those rows are
-    # reported as nan instead.
-    system[singular] = np.eye(4)
-    sol = np.linalg.solve(system, rhs[..., None])[..., 0]
+    # Overflowing entries give inf and nan rows, which callers report; numpy's
+    # warnings about them would only repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(system)
+        det_mag = np.hypot(det.real, det.imag)
+        singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
+        # A stacked solve raises on any exactly singular system; those rows
+        # are reported as nan instead.
+        system[singular] = np.eye(4)
+        sol = np.linalg.solve(system, rhs[..., None])[..., 0]
     sol[singular] = complex(math.nan, math.nan)
     return MatchingAmplitudes(*sol.T, mode, singular, det_mag)
 

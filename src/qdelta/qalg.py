@@ -2,12 +2,17 @@
 
 The decomposition convention is fixed once here and used everywhere else:
 q = z1 + j*z2 with z1 = w + x*i and z2 = y - z*i.
+
+The components may also be numpy arrays: qmul, qconj, norm and the split and
+join then act entry by entry, with the bits of the float evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class Quaternion:
         return qconj(self)
 
     def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x
-                         + self.y * self.y + self.z * self.z)
+        square = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        return np.sqrt(square) if isinstance(square, np.ndarray) else math.sqrt(square)
 
     __abs__ = norm
 
@@ -69,9 +74,19 @@ def embed_complex(zc: complex) -> Quaternion:
     return Quaternion(zc.real, zc.imag, 0.0, 0.0)
 
 
+def as_complex(re, im):
+    """re + i im with both parts kept bit for bit: a complex number, or a
+    complex array when re is an array."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def symplectic_split(q: Quaternion) -> tuple[complex, complex]:
     """Split q into (z1, z2) with q = z1 + j*z2, z1 = w + x*i, z2 = y - z*i."""
-    return complex(q.w, q.x), complex(q.y, -q.z)
+    return as_complex(q.w, q.x), as_complex(q.y, -q.z)
 
 
 def symplectic_join(z1: complex, z2: complex) -> Quaternion:

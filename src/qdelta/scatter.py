@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qalg import as_complex
+
 
 # |D| below TOL_SINGULAR * max(1, beta^2) flags a spectral singularity instead
 # of dividing; downstream serialization must stay parseable.
@@ -71,7 +73,7 @@ def denominator(p: DeltaPotential, beta: float) -> complex:
     """The shared amplitude denominator D = beta(beta + V1) + i(V1^2 + g^2 + V1 beta);
     a complex array when p's fields or beta are arrays."""
     d_re, d_im = _denominator_parts(p.v1, p.v2, p.g_squared, beta)[2]
-    return _complex(d_re, d_im) if isinstance(d_re, np.ndarray) else complex(d_re, d_im)
+    return as_complex(d_re, d_im)
 
 
 def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
@@ -112,12 +114,6 @@ def _denominator_parts(v1, v2, g2, beta):
     return bb, numer, (bb[0] + i_numer[0], bb[1] + i_numer[1])
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
     """Reflection and transmission from the closed forms, broadcast over arrays
     of (v1, v2, g^2, E).
@@ -139,8 +135,8 @@ def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
         r, t = ([np.where(singular, np.nan, part) for part in z] for z in (r, t))
         big_r, big_t = (np.where(singular, np.inf, np.float_power(np.hypot(*z), 2.0))
                         for z in (r, t))
-    return ScatteringResult(energy, beta, _complex(*r), _complex(*t), big_r, big_t,
-                            _complex(*d), singular)
+    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
+                            as_complex(*d), singular)
 
 
 def amplitudes(p: DeltaPotential, energy: float) -> ScatteringResult:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +50,6 @@ def _result(name: str, problems: list[str], detail: str) -> CheckResult:
     if problems:
         return CheckResult(name, False, problems[0])
     return CheckResult(name, True, detail)
-
-
-def _open_unit(rng: random.Random) -> float:
-    """Uniform in (0, 1]."""
-    return 1.0 - rng.random()
 
 
 def check_reference_constants() -> CheckResult:
@@ -112,33 +107,112 @@ def check_resonance_curves() -> CheckResult:
     return _result("resonance-curves", problems, "; ".join(details))
 
 
-def _draw_potential(rng: random.Random) -> tuple[float, float, float, float]:
+@functools.cache
+def _mt19937() -> np.random.RandomState:
+    """One generator for every block: seeding a new one costs more than a
+    block of draws, and each use first sets its whole state, so no call sees
+    another's. Built on first use, since importing numpy.random costs the
+    commands that draw nothing about 10 ms and 6 MB."""
+    return np.random.RandomState(0)
+
+
+def _randoms(rng: random.Random, n: int) -> np.ndarray:
+    """The next n values of rng.random(), bit for bit, leaving rng after them.
+
+    random.Random and numpy's legacy RandomState run the same MT19937 and
+    build a double from two 32-bit outputs the same way (genrand_res53), so
+    the block is drawn in numpy from rng's state, which is then handed back.
+    """
+    version, internal, gauss_next = rng.getstate()
+    mt = _mt19937()
+    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0))
+    block = mt.random_sample(n)
+    _, keys, pos, _, _ = mt.get_state()
+    rng.setstate((version, (*keys.tolist(), int(pos)), gauss_next))
+    return block
+
+
+def _rewind(rng: random.Random, state: tuple, used: int) -> None:
+    """Leave rng `used` draws past state: where a draw-by-draw loop that
+    stopped there would have left it."""
+    rng.setstate(state)
+    _randoms(rng, used)
+
+
+def _stop_at_first_failure(checks, problems: list[str], rng: random.Random,
+                           state: tuple, width: int) -> None:
+    """Record _first_failure(checks) over draws of width numbers each, taken
+    from rng at state, and leave rng after the failing draw."""
+    problem = _first_failure(checks)
+    if problem is not None:
+        problems.append(problem[1])
+        _rewind(rng, state, width * (problem[0] + 1))
+
+
+# Draw shapes: each maps (rng, n) to columns of n draws, taken from rng in
+# the order a draw-by-draw loop takes them; rng.uniform(a, b) is a + (b - a) u
+# and an open unit (0, 1] is 1 - u, for u = rng.random().
+
+def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    return a + (b - a) * u
+
+
+def _draw_potentials(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
     """(v1, v2, g^2, beta) on the draw box."""
-    v1 = rng.uniform(-10.0, 10.0)
-    v2 = rng.uniform(-10.0, 10.0)
-    g2 = 100.0 * _open_unit(rng)
-    beta = 20.0 * _open_unit(rng)
-    return v1, v2, g2, beta
+    u = _randoms(rng, 4 * n).reshape(n, 4)
+    return (_uniform(-10.0, 10.0, u[:, 0]), _uniform(-10.0, 10.0, u[:, 1]),
+            100.0 * (1.0 - u[:, 2]), 20.0 * (1.0 - u[:, 3]))
+
+
+def _draw_at_energy(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+    """(v1, v2, g^2, E) on the draw box, E = beta^2 / 2."""
+    v1, v2, g2, beta = _draw_potentials(rng, n)
+    return v1, v2, g2, 0.5 * beta * beta
+
+
+def _draw_v2_zero(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+    """(v1, 0, g^2, E): potentials of the probability-conserving v2 = 0
+    family, and energies."""
+    u = _randoms(rng, 3 * n).reshape(n, 3)
+    # np.float_power rounds as ** on floats does; numpy's power may not.
+    return (_uniform(-10.0, 10.0, u[:, 0]), np.zeros(n), 100.0 * (1.0 - u[:, 1]),
+            0.5 * np.float_power(20.0 * (1.0 - u[:, 2]), 2.0))
+
+
+def _draw_lossy(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, v2), both uniform in [-10, 0)."""
+    u = _randoms(rng, 2 * n).reshape(n, 2)
+    return -10.0 * (1.0 - u[:, 0]), -10.0 * (1.0 - u[:, 1])
+
+
+def _draw_axis(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v1, 0) with |v1| >= 1e-6: a draw below is skipped, as if redrawn."""
+    v1 = np.empty(0)
+    while v1.size < n:
+        more = _uniform(-10.0, 10.0, _randoms(rng, n - v1.size))
+        v1 = np.concatenate((v1, more[np.abs(more) >= 1e-6]))
+    return v1, np.zeros(n)
 
 
 # The batched checks draw and evaluate this many samples at a time, in RNG
 # order, so that their memory does not grow with the trial count.
 _BLOCK = 2048
 
+Draw = Callable[[random.Random, int], tuple[np.ndarray, ...]]
 
-def _draw_blocks(rng: random.Random, trials: int, draw) -> Iterator[tuple[int, list]]:
-    """(index of the first draw, draws) for consecutive blocks of draw(rng)."""
+
+def _blocks(rng: random.Random, trials: int, draw: Draw) -> Iterator[tuple[int, tuple]]:
+    """(index of the first draw, columns) for consecutive blocks of draws."""
     for start in range(0, trials, _BLOCK):
-        yield start, [draw(rng) for _ in range(min(_BLOCK, trials - start))]
+        yield start, draw(rng, min(_BLOCK, trials - start))
 
 
 def _potential_blocks(rng: random.Random, trials: int,
-                      draw) -> Iterator[tuple[int, DeltaPotential, np.ndarray]]:
+                      draw: Draw) -> Iterator[tuple[int, DeltaPotential, np.ndarray]]:
     """(index of the first draw, potentials, beta or E) for consecutive blocks
-    of draw(rng) = (v1, v2, g^2, beta or E); the potentials are one
-    DeltaPotential of arrays, each entry as from_g_squared builds it."""
-    for start, draws in _draw_blocks(rng, trials, draw):
-        v1, v2, g2, last = np.array(draws).T
+    of draws (v1, v2, g^2, beta or E); the potentials are one DeltaPotential
+    of arrays, each entry as from_g_squared builds it."""
+    for start, (v1, v2, g2, last) in _blocks(rng, trials, draw):
         yield start, DeltaPotential(v1, v2, np.sqrt(g2), 0.0), last
 
 
@@ -146,20 +220,21 @@ def _maximum(*values):
     return functools.reduce(np.maximum, values)
 
 
-def _first_failure(checks) -> str | None:
-    """For (failed, message) pairs over one block, message(n) of the first
-    check that fails at the first draw n where any fails; None if none does."""
+def _first_failure(checks) -> tuple[int, str] | None:
+    """For (failed, message) pairs over one block, the first draw n where any
+    check fails and message(n) of the first check failing there; None if
+    none does. The checks are listed in the order a draw-by-draw loop makes
+    them on one draw."""
     failing = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
     if not failing.size:
         return None
     n = int(failing[0])
-    return next(message(n) for failed, message in checks if failed[n])
+    return n, next(message(n) for failed, message in checks if failed[n])
 
 
-def _expanded_at(coeffs: QuarticCoeffs, n: int) -> float:
-    """discriminant_expanded of row n of array coefficients."""
-    return discriminant_expanded(QuarticCoeffs(*(x[n].item() for x in (
-        coeffs.b, coeffs.c, coeffs.d, coeffs.e))))
+def _coeffs_at(coeffs: QuarticCoeffs, n: int) -> QuarticCoeffs:
+    """Row n of array coefficients."""
+    return QuarticCoeffs(*(x[n].item() for x in (coeffs.b, coeffs.c, coeffs.d, coeffs.e)))
 
 
 def _discriminant_gaps(coeffs: QuarticCoeffs,
@@ -182,7 +257,7 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
     # plus the rounding of gap and allowed themselves.
     unsure = np.flatnonzero(np.abs(gap - allowed) <= 2.0 * (bound + _EPS * allowed))
     for n in unsure.tolist():
-        delta_exp[n] = _expanded_at(coeffs, n)
+        delta_exp[n] = discriminant_expanded(_coeffs_at(coeffs, n))
     if unsure.size:
         gap, allowed = gaps(delta_exp)
     return gap, allowed
@@ -192,7 +267,7 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
     """|D|^2 = Dr^2 + Di^2 = quartic(beta); discriminant = 64 A B; P, Q raw
     versus reduced; A >= 0 and B >= 0 throughout."""
     problems: list[str] = []
-    for start, pot, beta in _potential_blocks(rng, trials, _draw_potential):
+    for start, pot, beta in _potential_blocks(rng, trials, _draw_potentials):
         d = denominator(pot, beta)
         dsq = d.real * d.real + d.imag * d.imag
         d_r, d_i = dr_di(pot, beta)
@@ -214,7 +289,8 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
                        f"vs {split_sq[n].item()!r} vs {quartic_val[n].item()!r}"),
             (disc_gap > disc_allowed,
              lambda n: f"discriminant identity broken at draw {start + n}: "
-                       f"{_expanded_at(coeffs, n)!r} vs {delta_fact[n].item()!r}"),
+                       f"{discriminant_expanded(_coeffs_at(coeffs, n))!r} vs "
+                       f"{delta_fact[n].item()!r}"),
             ((np.abs(p_raw - p_simple) > 1e-10 * p_scale)
              | (np.abs(q_raw - q_simple) > 1e-10 * q_scale),
              lambda n: f"P/Q reduction broken at draw {start + n}"),
@@ -223,19 +299,10 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
                        f"A={a_factor[n].item()!r} B={b_factor[n].item()!r}"),
         ))
         if problem is not None:
-            problems.append(problem)
+            problems.append(problem[1])
             break
     return _result("algebraic-identities", problems,
                    f"{trials} draws, all identities hold")
-
-
-def _draw_v2_zero(rng: random.Random) -> tuple[float, float, float, float]:
-    """(v1, 0, g^2, E): a potential of the probability-conserving v2 = 0
-    family, and an energy."""
-    v1 = rng.uniform(-10.0, 10.0)
-    g2 = 100.0 * _open_unit(rng)
-    energy = 0.5 * (20.0 * _open_unit(rng)) ** 2
-    return v1, 0.0, g2, energy
 
 
 def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
@@ -276,15 +343,12 @@ def _first_oracle_mismatch(rng: random.Random, trials: int, draw,
     return None
 
 
-def _draw_at_energy(rng: random.Random) -> tuple[float, float, float, float]:
-    v1, v2, g2, beta = _draw_potential(rng)
-    return v1, v2, g2, 0.5 * beta * beta
-
-
-def check_matching_equivalence(rng: random.Random, trials: int) -> CheckResult:
+def check_matching_equivalence(rng: random.Random, trials: int,
+                               divergence: float | None = None) -> CheckResult:
     """Continued-mode matching equals the closed forms everywhere; Conjugate
     mode equals them on the v2 = 0 subfamily; the two modes must differ at the
-    fixed probe, whose magnitude is reported."""
+    fixed probe, whose magnitude is reported (mode_divergence_at_probe, solved
+    here unless given)."""
     problems: list[str] = []
     n = _first_oracle_mismatch(rng, trials, _draw_at_energy, MatchMode.CONTINUED)
     if n is not None:
@@ -292,7 +356,8 @@ def check_matching_equivalence(rng: random.Random, trials: int) -> CheckResult:
     n = _first_oracle_mismatch(rng, trials, _draw_v2_zero, MatchMode.CONJUGATE)
     if n is not None:
         problems.append(f"Conjugate mode disagrees on v2=0 at draw {n}")
-    divergence = mode_divergence_at_probe()
+    if divergence is None:
+        divergence = mode_divergence_at_probe()
     if divergence <= 1e-12:
         problems.append(f"junction models coincide at probe: |dr| = {divergence:.3e}")
     return _result("matching-equivalence", problems,
@@ -307,53 +372,66 @@ def mode_divergence_at_probe() -> float:
     return abs(r_cont - r_conj)
 
 
-def _lossy_draw(rng: random.Random) -> float:
-    return -10.0 * _open_unit(rng)
+def _pair_at(v1: np.ndarray, v2: np.ndarray, n: int) -> str:
+    return f"({v1[n].item()!r},{v2[n].item()!r})"
+
+
+def _branch_roots(v1: np.ndarray, v2: np.ndarray,
+                  sols) -> tuple[DeltaPotential, QuarticCoeffs, oracle.RootArrays]:
+    """The potentials of the given branches over (v1, v2), stacked branch
+    after branch, their quartics and the roots from one stacked oracle call.
+    An infeasible branch's rows take g^2 = 1; no check reads them."""
+    g2 = np.concatenate([np.where(sol.feasible, sol.g_squared, 1.0) for sol in sols])
+    pot = DeltaPotential(np.tile(v1, len(sols)), np.tile(v2, len(sols)), np.sqrt(g2), 0.0)
+    coeffs = quartic_coeffs(pot)
+    return pot, coeffs, oracle.quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
 
 
 def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
     """Plus-branch singularities in the lossy quadrant are genuine double
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
     problems: list[str] = []
-    for n in range(pairs):
-        v1, v2 = _lossy_draw(rng), _lossy_draw(rng)
-        plus, _ = ss_closed_form(v1, v2)
-        if not plus.feasible:
-            problems.append(f"plus branch infeasible at ({v1!r},{v2!r})")
-            break
-        pot = DeltaPotential.from_g_squared(v1, v2, plus.g_squared)
-        if oracle.real_double_root(oracle.quartic_roots(quartic_coeffs(pot)), plus.beta) is None:
-            problems.append(f"no real double root at beta+={plus.beta!r} for "
-                            f"({v1!r},{v2!r})")
-            break
+    for _, (v1, v2) in _blocks(rng, pairs, _draw_lossy):
+        plus, _ = ss_branches(v1, v2)
+        pot, coeffs, found = _branch_roots(v1, v2, (plus,))
         a_factor, _, _ = discriminant_factored(pot)
-        if a_factor > 1e-8 * max(1.0, plus.g_squared ** 2):
-            problems.append(f"A = {a_factor:.3e} not ~0 at ({v1!r},{v2!r})")
-            break
-        if root_nature(quartic_coeffs(pot)) is not RootNature.BOUNDARY_DOUBLE_ROOT:
-            problems.append(f"verdict is not the boundary at ({v1!r},{v2!r})")
+        a_large = a_factor > 1e-8 * np.maximum(1.0, np.float_power(plus.g_squared, 2.0))
+        off_boundary = np.array([root_nature(_coeffs_at(coeffs, n))
+                                 is not RootNature.BOUNDARY_DOUBLE_ROOT
+                                 for n in range(len(v1))])
+        problem = _first_failure((
+            (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
+            # found.row raises NumericalError, as quartic_roots does.
+            (~found.reconstructs, found.row),
+            (~found.has_double_root(plus.beta),
+             lambda n: f"no real double root at beta+={plus.beta[n].item()!r} for "
+                       f"{_pair_at(v1, v2, n)}"),
+            (a_large, lambda n: f"A = {a_factor[n]:.3e} not ~0 at {_pair_at(v1, v2, n)}"),
+            (off_boundary, lambda n: f"verdict is not the boundary at {_pair_at(v1, v2, n)}"),
+        ))
+        if problem is not None:
+            problems.append(problem[1])
             break
     return _result("double-root-boundary", problems,
                    f"{pairs} lossy-quadrant pairs confirmed")
 
 
-def _first_region_failure(rng: random.Random, trials: int, draw, failed):
+def _first_region_failure(rng: random.Random, trials: int, draw: Draw, failed):
     """The first drawn (v1, v2) pair where failed(plus, minus) holds for its
     branches, with its region label; None if there is none."""
-    for _, pairs in _draw_blocks(rng, trials, draw):
-        plus, minus = ss_branches(*np.array(pairs).T)
+    for _, (v1, v2) in _blocks(rng, trials, draw):
+        plus, minus = ss_branches(v1, v2)
         bad = np.flatnonzero(failed(plus, minus))
         if bad.size:
             n = int(bad[0])
-            return pairs[n], region_of(plus.feasible[n], minus.feasible[n])
+            return (v1[n].item(), v2[n].item()), region_of(plus.feasible[n], minus.feasible[n])
     return None
 
 
 def check_lossy_quadrant(rng: random.Random, trials: int) -> CheckResult:
     """Every strictly lossy pair (v1 < 0, v2 < 0) supports a singularity."""
     # PlusOnly or BothBranches exactly where the plus branch is feasible.
-    hit = _first_region_failure(rng, trials, lambda r: (_lossy_draw(r), _lossy_draw(r)),
-                                lambda plus, _: ~plus.feasible)
+    hit = _first_region_failure(rng, trials, _draw_lossy, lambda plus, _: ~plus.feasible)
     problems = [] if hit is None else [f"({hit[0][0]!r},{hit[0][1]!r}) classified {hit[1].value}"]
     return _result("lossy-quadrant", problems,
                    f"{trials} draws, no region without a singularity")
@@ -411,25 +489,18 @@ def check_small_v1_limits() -> CheckResult:
                    + ", ".join(f"{r:.6f}" for r in ratios))
 
 
-def _axis_draw(rng: random.Random) -> tuple[float, float]:
-    """(v1, 0) with |v1| >= 1e-6."""
-    v1 = 0.0
-    while abs(v1) < 1e-6:
-        v1 = rng.uniform(-10.0, 10.0)
-    return v1, 0.0
-
-
 def check_no_ss_anti_hermitian(rng: random.Random, trials: int) -> CheckResult:
     """No singularity anywhere on the v2 = 0 axis."""
-    hit = _first_region_failure(rng, trials, _axis_draw,
+    hit = _first_region_failure(rng, trials, _draw_axis,
                                 lambda plus, minus: plus.feasible | minus.feasible)
     problems = [] if hit is None else [f"v1={hit[0][0]!r}, v2=0 classified {hit[1].value}"]
     return _result("no-ss-anti-hermitian", problems,
                    f"{trials} draws on the v2=0 axis, none singular")
 
 
-def _rand_quaternion(rng: random.Random, scale: float = 1e3) -> Quaternion:
-    return Quaternion(*(rng.uniform(-scale, scale) for _ in range(4)))
+def _differs(p: Quaternion, q: Quaternion) -> np.ndarray:
+    """p != q for quaternions of arrays, entry by entry."""
+    return (p.w != q.w) | (p.x != q.x) | (p.y != q.y) | (p.z != q.z)
 
 
 def check_quaternion_algebra(rng: random.Random) -> CheckResult:
@@ -448,46 +519,49 @@ def check_quaternion_algebra(rng: random.Random) -> CheckResult:
         if qmul(p, q) != want:
             problems.append("unit multiplication table violated")
             break
-    for _ in range(500):
-        p, q, r = (_rand_quaternion(rng) for _ in range(3))
-        if abs(qmul(p, q).norm() - p.norm() * q.norm()) > 1e-12 * max(1.0, p.norm() * q.norm()):
-            problems.append("norm not multiplicative")
-            break
-        left = qmul(qmul(p, q), r)
-        right = qmul(p, qmul(q, r))
-        scale = max(1.0, p.norm() * q.norm() * r.norm())
-        if (left - right).norm() > 1e-12 * scale:
-            problems.append("product not associative")
-            break
-        if qconj(qconj(p)) != p:
-            problems.append("conjugation not an involution")
-            break
-        if symplectic_join(*symplectic_split(p)) != p:
-            problems.append("split/join round trip not exact")
-            break
-    for _ in range(500):
-        z = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
-        lhs = qmul(j, Quaternion(z.real, z.imag, 0.0, 0.0))
-        rhs = qmul(Quaternion(z.real, -z.imag, 0.0, 0.0), j)
-        if lhs != rhs:
-            problems.append("j z != conj(z) j")
-            break
+    # 500 draws of three quaternions, each four uniforms in [-1e3, 1e3).
+    state = rng.getstate()
+    u = _uniform(-1e3, 1e3, _randoms(rng, 500 * 12).reshape(500, 3, 4))
+    p, q, r = (Quaternion(*u[:, n].T) for n in range(3))
+    pn, qn = p.norm(), q.norm()
+    _stop_at_first_failure((
+        (np.abs(qmul(p, q).norm() - pn * qn) > 1e-12 * np.maximum(1.0, pn * qn),
+         lambda _: "norm not multiplicative"),
+        ((qmul(qmul(p, q), r) - qmul(p, qmul(q, r))).norm()
+         > 1e-12 * np.maximum(1.0, pn * qn * r.norm()),
+         lambda _: "product not associative"),
+        (_differs(qconj(qconj(p)), p), lambda _: "conjugation not an involution"),
+        (_differs(symplectic_join(*symplectic_split(p)), p),
+         lambda _: "split/join round trip not exact"),
+    ), problems, rng, state, 12)
+    # 500 draws of z = x + y i, x and y uniform in [-1e3, 1e3).
+    state = rng.getstate()
+    x, y = _uniform(-1e3, 1e3, _randoms(rng, 500 * 2).reshape(500, 2)).T
+    lhs = qmul(j, Quaternion(x, y, 0.0, 0.0))
+    rhs = qmul(Quaternion(x, -y, 0.0, 0.0), j)
+    _stop_at_first_failure(((_differs(lhs, rhs), lambda _: "j z != conj(z) j"),),
+                           problems, rng, state, 2)
     return _result("quaternion-algebra", problems, "500 draws per identity")
 
 
 def check_decomposition_identity(rng: random.Random, trials: int) -> CheckResult:
     """Complex denominator equals Dr + i Di to 1e-12 absolute on the draw box."""
     problems: list[str] = []
-    for start, pot, beta in _potential_blocks(rng, trials, _draw_potential):
+    for start, pot, beta in _potential_blocks(rng, trials, _draw_potentials):
         d = denominator(pot, beta)
         d_r, d_i = dr_di(pot, beta)
         off = np.hypot(d.real - d_r, d.imag - d_i)
         problem = _first_failure(((off > 1e-12, lambda n: f"decomposition off by {off[n]:.3e} "
                                                           f"at draw {start + n}"),))
         if problem is not None:
-            problems.append(problem)
+            problems.append(problem[1])
             break
     return _result("decomposition-identity", problems, f"{trials} draws within 1e-12")
+
+
+def _ascending(z: np.ndarray) -> np.ndarray:
+    """Each row of z sorted by (real, imag)."""
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real)), axis=1)
 
 
 def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
@@ -495,32 +569,40 @@ def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
     beta appears among the roots with multiplicity 2."""
     problems: list[str] = []
     n_coeff = min(trials, 300)
-    for n in range(n_coeff):
-        q = QuarticCoeffs(*(rng.uniform(-20.0, 20.0) for _ in range(4)))
-        roots = oracle.quartic_roots(q)
-        conj_set = sorted((z.conjugate() for z in roots.roots),
-                          key=lambda z: (z.real, z.imag))
-        plain = sorted(roots.roots, key=lambda z: (z.real, z.imag))
-        if conj_set != plain:
-            problems.append(f"root set not conjugate-closed at draw {n}")
-            break
+    state = rng.getstate()
+    found = oracle.quartic_root_arrays(
+        *_uniform(-20.0, 20.0, _randoms(rng, 4 * n_coeff).reshape(n_coeff, 4)).T)
+    _stop_at_first_failure((
+        # found.row raises NumericalError, as quartic_roots does.
+        (~found.reconstructs, found.row),
+        (np.any(_ascending(found.roots.conj()) != _ascending(found.roots), axis=1),
+         lambda n: f"root set not conjugate-closed at draw {n}"),
+    ), problems, rng, state, 4)
     n_branch = min(trials, 100)
-    for n in range(n_branch):
-        v2 = 0.1 + 9.9 * _open_unit(rng)
-        v1 = KAPPA * v2 * rng.random()
-        if v1 == 0.0:
-            continue
-        for sol in ss_closed_form(v1, v2):
-            if not sol.feasible:
-                continue
-            pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
-            roots = oracle.quartic_roots(quartic_coeffs(pot))
-            if oracle.real_double_root(roots, sol.beta) is None:
-                problems.append(f"branch beta {sol.beta!r} missing from roots "
-                                f"at ({v1!r},{v2!r})")
-                break
-        if problems:
-            break
+    state = rng.getstate()
+    u = _randoms(rng, 2 * n_branch).reshape(n_branch, 2)
+    v2 = 0.1 + 9.9 * (1.0 - u[:, 0])
+    v1 = KAPPA * v2 * u[:, 1]
+    drawn = v1 != 0.0
+    if problems:
+        # A loop over the draws stops after its first draw with v1 != 0.
+        last = int(np.argmax(drawn)) if drawn.any() else n_branch - 1
+        v1, v2, drawn = v1[:last + 1], v2[:last + 1], drawn[:last + 1]
+        _rewind(rng, state, 2 * (last + 1))
+    sols = ss_branches(v1, v2)
+    _, _, found = _branch_roots(v1, v2, sols)
+    has_double_root = found.has_double_root(np.concatenate([sol.beta for sol in sols]))
+    checks = []
+    for offset, sol in zip((0, len(v1)), sols):
+        rows = slice(offset, offset + len(v1))
+        examined = drawn & sol.feasible
+        checks += [
+            (examined & ~found.reconstructs[rows], lambda n, k=offset: found.row(k + n)),
+            (examined & ~has_double_root[rows],
+             lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
+                                f"at {_pair_at(v1, v2, n)}"),
+        ]
+    _stop_at_first_failure(checks, problems, rng, state, 2)
     return _result("quartic-root-oracle", problems,
                    f"{n_coeff} reconstructions, {n_branch} branch root checks")
 
@@ -543,8 +625,9 @@ def check_scan_claims() -> CheckResult:
                    "feasible cells require v1 < 0 on both scanned strips")
 
 
-def run_suite(seed: int, trials: int) -> list[CheckResult]:
-    """All checks, each on an independently seeded stream."""
+def run_suite(seed: int, trials: int, divergence: float) -> list[CheckResult]:
+    """All checks, each on an independently seeded stream; divergence is
+    mode_divergence_at_probe(), which the matching check reports."""
     if trials < 1:
         raise ValueError("trials must be positive")
     pairs = max(10, trials // 100)
@@ -554,7 +637,7 @@ def run_suite(seed: int, trials: int) -> list[CheckResult]:
         check_resonance_curves(),
         check_algebraic_identities(random.Random(seed + 1), trials),
         check_unitarity(random.Random(seed + 2), trials),
-        check_matching_equivalence(random.Random(seed + 3), trials),
+        check_matching_equivalence(random.Random(seed + 3), trials, divergence),
         check_double_root_boundary(random.Random(seed + 4), pairs),
         check_lossy_quadrant(random.Random(seed + 5), trials),
         check_region_boundary(),
@@ -567,7 +650,8 @@ def run_suite(seed: int, trials: int) -> list[CheckResult]:
     ]
 
 
-def build_notes() -> list[str]:
+def build_notes(divergence: float) -> list[str]:
+    """The report's notes; divergence is mode_divergence_at_probe()."""
     ratios = small_v1_minus_ratios()
     return [
         ("reference case: the published strength " + REFERENCE_QUOTED_STRENGTH
@@ -582,7 +666,7 @@ def build_notes() -> list[str]:
         (f"junction models: the Conjugate and Continued readings of the "
          f"complex i-channel strength differ; at the fixed probe "
          f"(v1, v2, g2, E) = {MODE_PROBE} the reflection amplitudes differ "
-         f"by |dr| = {mode_divergence_at_probe():.6e}."),
+         f"by |dr| = {divergence:.6e}."),
         ("region scans confirm numerically that feasible cells require "
          "v1 < 0 for v2 < 0 as well as for v2 > 0."),
     ]
@@ -608,6 +692,7 @@ def render_report(seed: int, trials: int, checks: list[CheckResult],
 
 
 def run_and_render(seed: int, trials: int) -> tuple[bool, str]:
-    checks = run_suite(seed, trials)
-    text = render_report(seed, trials, checks, build_notes())
+    divergence = mode_divergence_at_probe()
+    checks = run_suite(seed, trials, divergence)
+    text = render_report(seed, trials, checks, build_notes(divergence))
     return all(c.passed for c in checks), text

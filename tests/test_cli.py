@@ -134,6 +134,15 @@ def test_overflow_exits_3(argv, tmp_path):
     assert "numerical failure: " in proc.stderr
 
 
+def test_physical_overflow_prints_only_the_failure():
+    proc = run_cli("sweep", "--model", "physical", "--v1=1e200", "--v2=-2e200", "--g2=1e300",
+                   "--emin=1", "--emax=2", "--steps=3")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: non-finite amplitudes at E=1 "
+                           "off the singularities\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--v1", "-1e-3", "--v2", "-2E-3", "--g2", "1e-6",
      "--emin", "1e-3", "--emax", "2", "--steps", "3"),

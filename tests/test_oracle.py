@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta import verify
-from qdelta.oracle import (MATCH_SINGULAR_TOL, MatchMode, NumericalError,
-                           matching_arrays, matching_solver, minimize_dsq,
-                           potential_from_ss_pairs, quartic_roots)
+from qdelta.oracle import (CLUSTER_RTOL, MATCH_SINGULAR_TOL, REAL_TAG_RTOL, MatchMode,
+                           NumericalError, matching_arrays, matching_solver, minimize_dsq,
+                           potential_from_ss_pairs, quartic_root_arrays, quartic_roots)
 from qdelta.qalg import Quaternion, symplectic_split
 from qdelta.scatter import DeltaPotential, amplitudes
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
@@ -104,6 +104,97 @@ def test_branch_betas_appear_as_double_roots():
             hits = [z for z, tag in zip(rs.roots, rs.multiplicity_tags)
                     if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6]
             assert hits, (v1, v2, sol)
+
+
+def _scalar_quartic_roots(q):
+    """One quartic's companion eigenvalues, clustered, snapped and checked with
+    Python complex arithmetic: the reference each row of the stacked oracle
+    must reproduce bit for bit. None where the roots fail to reconstruct."""
+    comp = np.array([[0.0, 0.0, 0.0, -q.e], [1.0, 0.0, 0.0, -q.d],
+                     [0.0, 1.0, 0.0, -q.c], [0.0, 0.0, 1.0, -q.b]])
+    clusters = []
+    for z in _sorted(complex(z) for z in np.linalg.eigvals(comp)):
+        for members in clusters:
+            if abs(z - members[0]) <= CLUSTER_RTOL * max(1.0, abs(members[0])):
+                members.append(z)
+                break
+        else:
+            clusters.append([z])
+    tagged = []
+    for members in clusters:
+        z = sum(members) / len(members)
+        if abs(z.imag) <= REAL_TAG_RTOL * max(1.0, abs(z.real)):
+            z = complex(z.real, 0.0)
+        tagged += [(z, len(members))] * len(members)
+    tagged.sort(key=lambda item: (item[0].real, item[0].imag))
+    r1, r2, r3, r4 = roots = tuple(z for z, _ in tagged)
+    expanded = (-(r1 + r2 + r3 + r4),
+                r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4,
+                -(r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4),
+                r1 * r2 * r3 * r4)
+    want = (q.b, q.c, q.d, q.e)
+    scale = max(1.0, *map(abs, want), max(abs(z) for z in roots) ** 4)
+    if any(abs(got - w) > 1e-6 * scale for got, w in zip(expanded, want)):
+        return None
+    return roots, tuple(n for _, n in tagged)
+
+
+def _root_bits(roots):
+    return [(math.copysign(1.0, z.real), z.real.hex(), math.copysign(1.0, z.imag), z.imag.hex())
+            for z in roots]
+
+
+def _branch_quartics(rng, count):
+    """Quartics of the feasible branches at count lossy-quadrant pairs and
+    count pairs from the v2 > 0 band."""
+    pairs = [(-10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())) for _ in range(count)]
+    for _ in range(count):
+        v2 = 0.1 + 9.9 * (1.0 - rng.random())
+        pairs.append((KAPPA * v2 * rng.random(), v2))
+    return [quartic_coeffs(DeltaPotential.from_g_squared(v1, v2, sol.g_squared))
+            for v1, v2 in pairs for sol in ss_closed_form(v1, v2) if sol.feasible]
+
+
+def test_quartic_root_arrays_equal_scalar_roots():
+    rng = random.Random(2024)
+    quartics = [QuarticCoeffs(*(rng.uniform(-20.0, 20.0) for _ in range(4)))
+                for _ in range(2000)]
+    quartics += _branch_quartics(rng, 500)
+    # Four equal roots, a triple root (rounding splits it beyond the cluster
+    # tolerance), and two double roots.
+    quartics += [QuarticCoeffs(0.0, 0.0, 0.0, 0.0), QuarticCoeffs(-4.0, 6.0, -4.0, 1.0),
+                 QuarticCoeffs(-5.0, 9.0, -7.0, 2.0), QuarticCoeffs(0.0, -2.0, 0.0, 1.0)]
+    found = quartic_root_arrays(*np.array([(q.b, q.c, q.d, q.e) for q in quartics]).T)
+    tags_seen = set()
+    for n, q in enumerate(quartics):
+        roots, tags = _scalar_quartic_roots(q)
+        assert bool(found.reconstructs[n])
+        assert _root_bits(found.row(n).roots) == _root_bits(roots)
+        assert found.row(n).multiplicity_tags == tags
+        one = quartic_roots(q)
+        assert (_root_bits(one.roots), one.multiplicity_tags) == (_root_bits(roots), tags)
+        tags_seen.add(tags)
+    assert {(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (4, 4, 4, 4)} <= tags_seen
+
+
+def test_failed_reconstruction_raises(monkeypatch):
+    unpatched = np.linalg.eigvals
+
+    def eigvals(comp):
+        # Scales the roots of the quartic with d = -46.
+        z = unpatched(comp).astype(complex)
+        z[comp[:, 1, 3] == 46.0] *= 1.5
+        return z
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    found = quartic_root_arrays([-10.0, -7.0, 1.0], [35.0, 24.5, 2.0],
+                                [-50.0, -46.0, 3.0], [24.0, 34.0, 4.0])
+    assert found.reconstructs.tolist() == [True, False, True]
+    assert found.row(0).multiplicity_tags == (1, 1, 1, 1)
+    with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):
+        found.row(1)
+    with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):
+        quartic_roots(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
 
 
 def test_quartic_root_oracle_check_at_suite_seed_160():

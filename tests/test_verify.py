@@ -1,5 +1,6 @@
-"""The batched verify checks report the same first failing draw as a draw-by-draw
-loop would, also past the first block."""
+"""The batched verify checks draw the same numbers, report the same first
+failing draw and leave their generator where a draw-by-draw loop would, also
+past the first block."""
 
 import dataclasses
 import math
@@ -8,10 +9,11 @@ import random
 import numpy as np
 import pytest
 
-from qdelta import verify
-from qdelta.oracle import MatchMode
+from qdelta import oracle, verify
+from qdelta.oracle import MatchMode, NumericalError
 from qdelta.scatter import DeltaPotential
-from qdelta.singular import discriminant_bounded, discriminant_expanded, quartic_coeffs
+from qdelta.singular import (KAPPA, discriminant_bounded, discriminant_expanded,
+                             quartic_coeffs)
 
 TRIALS = 3000
 # Two failing draws in the second block; the first must be reported.
@@ -69,9 +71,9 @@ def _draw_where_plain_sum_is_inexact(seed: int) -> tuple[int, float, float, floa
     """(draw, plain sum, fsum, largest monomial) of the discriminant at the
     first draw past the first block where the two sums differ and the
     monomial alone sets the allowed gap."""
-    rng = random.Random(seed)
+    draws = np.transpose(verify._draw_potentials(random.Random(seed), TRIALS)).tolist()
     for n in range(TRIALS):
-        v1, v2, g2, _ = verify._draw_potential(rng)
+        v1, v2, g2, _ = draws[n]
         q = quartic_coeffs(DeltaPotential.from_g_squared(v1, v2, g2))
         plain, exact = discriminant_bounded(q)[0], discriminant_expanded(q)
         monomial = max(abs(q.e) ** 3 * 256.0, 27.0 * q.d ** 4, 27.0 * q.b ** 4 * q.e * q.e)
@@ -103,3 +105,209 @@ def test_discriminant_verdict_follows_the_exact_sum(monkeypatch, exact_passes):
         assert check.passed, check.detail
     else:
         assert check.detail == f"discriminant identity broken at draw {n}: {exact!r} vs {fact!r}"
+
+
+# Draw-by-draw forms of the draw shapes: the reference the block draws must
+# reproduce bit for bit.
+
+def _open_unit(rng):
+    return 1.0 - rng.random()
+
+
+def _scalar_potential(rng):
+    return (rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0),
+            100.0 * _open_unit(rng), 20.0 * _open_unit(rng))
+
+
+def _scalar_at_energy(rng):
+    v1, v2, g2, beta = _scalar_potential(rng)
+    return v1, v2, g2, 0.5 * beta * beta
+
+
+def _scalar_v2_zero(rng):
+    v1 = rng.uniform(-10.0, 10.0)
+    g2 = 100.0 * _open_unit(rng)
+    return v1, 0.0, g2, 0.5 * (20.0 * _open_unit(rng)) ** 2
+
+
+def _scalar_lossy(rng):
+    return -10.0 * _open_unit(rng), -10.0 * _open_unit(rng)
+
+
+def _scalar_axis(rng):
+    v1 = 0.0
+    while abs(v1) < 1e-6:
+        v1 = rng.uniform(-10.0, 10.0)
+    return v1, 0.0
+
+
+def _bits(x):
+    return math.copysign(1.0, x), x.hex()
+
+
+def _advanced(seed, draws):
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    return rng
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1070767975])
+@pytest.mark.parametrize("draw, scalar", [
+    (verify._draw_potentials, _scalar_potential),
+    (verify._draw_at_energy, _scalar_at_energy),
+    (verify._draw_v2_zero, _scalar_v2_zero),
+    (verify._draw_lossy, _scalar_lossy),
+    (verify._draw_axis, _scalar_axis),
+])
+def test_block_draws_equal_scalar_draws(seed, draw, scalar):
+    trials = 2 * verify._BLOCK + 77
+    bulk, one_by_one = random.Random(seed), random.Random(seed)
+    got = [row for _, columns in verify._blocks(bulk, trials, draw)
+           for row in zip(*(np.broadcast_to(c, len(columns[0])).tolist() for c in columns))]
+    want = [scalar(one_by_one) for _ in range(trials)]
+    assert [tuple(map(_bits, row)) for row in got] == [tuple(map(_bits, row)) for row in want]
+    assert bulk.getstate() == one_by_one.getstate()
+    assert bulk.random() == one_by_one.random()
+
+
+def test_randoms_continue_the_stream():
+    rng = random.Random(42)
+    first = verify._randoms(rng, 700)
+    second = verify._randoms(rng, 5)
+    ref = _advanced(42, 0)
+    assert np.concatenate((first, second)).tolist() == [ref.random() for _ in range(705)]
+    assert rng.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+    assert rng.random() == ref.random()
+
+
+def test_axis_draws_skip_rejected_values(monkeypatch):
+    # 0.5 draws v1 = 0 exactly, which is redrawn; the second and last values
+    # of the first request, and the first of the refill, are rejected.
+    stream = [0.1, 0.5, 0.7, 0.5, 0.5, 0.9, 0.3, 0.2]
+    requests = []
+
+    def randoms(rng, n):
+        requests.append(n)
+        block, stream[:n] = stream[:n], []
+        return np.array(block)
+
+    monkeypatch.setattr(verify, "_randoms", randoms)
+    v1, v2 = verify._draw_axis(None, 4)
+    assert v1.tolist() == [verify._uniform(-10.0, 10.0, u) for u in (0.1, 0.7, 0.9, 0.3)]
+    assert v2.tolist() == [0.0] * 4
+    assert requests == [4, 2, 1]
+    assert stream == [0.2]
+
+
+def _change_row(found, n, **fields):
+    arrays = {"roots": found.roots.copy(), "multiplicity_tags": found.multiplicity_tags.copy(),
+              "reconstructs": found.reconstructs.copy()}
+    for name, value in fields.items():
+        arrays[name][n] = value
+    return oracle.RootArrays(**arrays)
+
+
+def _patch_root_calls(monkeypatch, *changes):
+    """Apply changes[k] to the result of the k-th stacked root call."""
+    unpatched, calls = oracle.quartic_root_arrays, []
+
+    def quartic_root_arrays(*coeffs):
+        found = unpatched(*coeffs)
+        change = changes[len(calls)] if len(calls) < len(changes) else None
+        calls.append(found)
+        return found if change is None else change(found)
+
+    monkeypatch.setattr(verify.oracle, "quartic_root_arrays", quartic_root_arrays)
+    return calls
+
+
+def test_quaternion_algebra_resumes_after_a_failure(monkeypatch):
+    bad = 123
+    unpatched = verify.symplectic_join
+
+    def symplectic_join(z1, z2):
+        q = unpatched(z1, z2)
+        w = np.array(q.w, copy=True)
+        w[bad] += 1.0
+        return dataclasses.replace(q, w=w)
+
+    monkeypatch.setattr(verify, "symplectic_join", symplectic_join)
+    rng = random.Random(7)
+    check = verify.check_quaternion_algebra(rng)
+    assert (check.passed, check.detail) == (False, "split/join round trip not exact")
+    # The second identity starts where the first stopped: 12 draws per round.
+    assert rng.getstate() == _advanced(7, 12 * (bad + 1) + 2 * 500).getstate()
+
+
+def test_quaternion_algebra_passes_all_draws():
+    rng = random.Random(7)
+    assert verify.check_quaternion_algebra(rng).passed
+    assert rng.getstate() == _advanced(7, 12 * 500 + 2 * 500).getstate()
+
+
+def test_quartic_oracle_resumes_after_a_reconstruction_failure(monkeypatch):
+    bad = 17
+    roots = _patch_root_calls(monkeypatch, lambda found: _change_row(
+        found, bad, roots=found.roots[bad] + 0.5j))
+    rng = random.Random(9)
+    check = verify.check_quartic_root_oracle(rng, 10000)
+    assert (check.passed, check.detail) == (False, f"root set not conjugate-closed at draw {bad}")
+    # The branch loop stops after its first draw, which had v1 != 0.
+    assert len(roots[1].reconstructs) == 2
+    assert rng.getstate() == _advanced(9, 4 * (bad + 1) + 2).getstate()
+
+
+def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
+    bad = 31
+    _patch_root_calls(monkeypatch, None, lambda found: _change_row(
+        found, bad, multiplicity_tags=1))
+    rng = random.Random(9)
+    check = verify.check_quartic_root_oracle(rng, 10000)
+    ref = _advanced(9, 4 * 300)
+    for _ in range(bad + 1):
+        v2 = 0.1 + 9.9 * _open_unit(ref)
+        v1 = KAPPA * v2 * ref.random()
+    plus, _ = verify.ss_closed_form(v1, v2)
+    assert plus.feasible
+    assert check.detail == f"branch beta {plus.beta!r} missing from roots at ({v1!r},{v2!r})"
+    assert rng.getstate() == ref.getstate()
+
+
+def test_reconstruction_failure_raises_in_draw_order(monkeypatch):
+    # A failing reconstruction at draw 40 raises, unless a draw before it
+    # fails its own check first.
+    _patch_root_calls(monkeypatch, lambda found: _change_row(found, 40, reconstructs=False))
+    with pytest.raises(NumericalError, match="fails to reconstruct"):
+        verify.check_quartic_root_oracle(random.Random(9), 10000)
+    _patch_root_calls(monkeypatch, lambda found: _change_row(
+        _change_row(found, 40, reconstructs=False), 39, roots=found.roots[39] + 0.5j))
+    check = verify.check_quartic_root_oracle(random.Random(9), 10000)
+    assert check.detail == "root set not conjugate-closed at draw 39"
+
+
+def test_double_root_boundary_failures_in_draw_order(monkeypatch):
+    _patch_root_calls(monkeypatch, lambda found: _change_row(found, 5, reconstructs=False))
+    with pytest.raises(NumericalError, match="fails to reconstruct"):
+        verify.check_double_root_boundary(random.Random(46), 100)
+    _patch_root_calls(monkeypatch, lambda found: _change_row(
+        _change_row(found, 5, reconstructs=False), 4, multiplicity_tags=1))
+    check = verify.check_double_root_boundary(random.Random(46), 100)
+    assert check.detail.startswith("no real double root at beta+=")
+    ref = _advanced(46, 2 * 4)
+    v1, v2 = _scalar_lossy(ref)
+    assert check.detail.endswith(f" for ({v1!r},{v2!r})")
+
+
+def test_verify_solves_the_mode_probe_once_per_mode(monkeypatch):
+    unpatched, modes = verify.oracle.matching_solver, []
+
+    def matching_solver(pot, energy, mode):
+        modes.append(mode)
+        return unpatched(pot, energy, mode)
+
+    monkeypatch.setattr(verify.oracle, "matching_solver", matching_solver)
+    passed, text = verify.run_and_render(42, 50)
+    assert passed
+    assert sorted(modes) == sorted(MatchMode)
+    assert text.count(f"|dr| = {verify.mode_divergence_at_probe():.6e}") == 2
