@@ -8,7 +8,6 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -21,7 +20,7 @@ from .oracle import (MatchMode, NumericalError, matching_arrays, quartic_roots,
                      real_double_root)
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
-from .singular import (SSBranchSolution, quartic_coeffs, region_of,
+from .singular import (RegionScan, SSBranchSolution, quartic_coeffs, region_of,
                        scan_region, ss_closed_form)
 from .svgplot import render_curves_svg
 
@@ -369,23 +368,39 @@ def run_ss(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Cell tails "label,E_plus,E_minus" with no energy filled in, indexed by
+# 2 * plus.feasible + minus.feasible; a feasible plus branch leaves its
+# E_plus cell and the comma after it to be appended.
+_SCAN_TAILS = np.array([region_of(plus, minus).value + ("," if plus else ",,")
+                        for plus in (False, True) for minus in (False, True)], dtype=object)
+
+
+def scan_to_csv(scan: RegionScan) -> str:
+    """Scan CSV, joined in one pass from pre-formatted pieces: each v1 and v2
+    value is formatted once, and only feasible energies are formatted."""
+    plus, minus = scan.plus.feasible, scan.minus.feasible
+    tails = _SCAN_TAILS[2 * plus + minus]
+    tails[plus] += np.array([f"{e:.17g}," for e in scan.plus.energy[plus].tolist()],
+                            dtype=object)
+    tails[minus] += np.array([f"{e:.17g}" for e in scan.minus.energy[minus].tolist()],
+                             dtype=object)
+    # Cell (i, j) is the line "\n" + "v1[i]," + "v2[j]," + tail.
+    pieces = np.empty(tails.shape + (3,), dtype=object)
+    pieces[..., 0] = np.array([f"\n{v1:.17g}," for v1 in scan.v1.tolist()], dtype=object)[:, None]
+    pieces[..., 1] = np.array([f"{v2:.17g}," for v2 in scan.v2.tolist()], dtype=object)
+    pieces[..., 2] = tails
+    return "v1,v2,classification,E_plus,E_minus" + "".join(pieces.ravel().tolist()) + "\n"
+
+
 def run_scan(args: argparse.Namespace) -> int:
     _require_finite(**{"v1-min": args.v1_min, "v1-max": args.v1_max,
                        "v2-min": args.v2_min, "v2-max": args.v2_max})
+    for axis, lo, hi in (("v1", args.v1_min, args.v1_max), ("v2", args.v2_min, args.v2_max)):
+        if lo < hi and math.isinf(hi - lo):
+            raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
     scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                        args.n1, args.n2)
-
-    def energies(sol: SSBranchSolution) -> list[str]:
-        return [_fmt(e) if ok else "" for e, ok in
-                zip(sol.energy.ravel().tolist(), sol.feasible.ravel().tolist())]
-
-    cells = zip(itertools.product(map(_fmt, scan.v1.tolist()), map(_fmt, scan.v2.tolist())),
-                (c.value for c in scan.classification.flat),
-                energies(scan.plus), energies(scan.minus))
-    lines = ["v1,v2,classification,E_plus,E_minus"]
-    lines += [f"{v1},{v2},{label},{e_plus},{e_minus}"
-              for (v1, v2), label, e_plus, e_minus in cells]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, scan_to_csv(scan))
     return EXIT_OK
 
 

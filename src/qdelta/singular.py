@@ -178,6 +178,15 @@ class Reason(str, Enum):
     DEGENERATE_SUM = "DegenerateSum"
 
 
+# Indexed by a branch's failed-check bits (1 NonPositiveBeta, 2 NegativeGSquared,
+# 4 ComplexSqrt, 8 DegenerateSum): the highest set bit names the reason, so
+# DegenerateSum takes precedence over ComplexSqrt over NegativeGSquared over
+# NonPositiveBeta.
+_REASONS = np.array([(Reason.OK, Reason.NON_POSITIVE_BETA, Reason.NEGATIVE_G_SQUARED,
+                      Reason.COMPLEX_SQRT, Reason.DEGENERATE_SUM)[code.bit_length()]
+                     for code in range(16)], dtype=object)
+
+
 @dataclass(frozen=True)
 class SSBranchSolution:
     """One closed-form singularity branch; infeasibility is data, not an error.
@@ -205,7 +214,8 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     fabricating a branch; g^2 = 0 itself means no quaternionic j, k part and
     is reported as NegativeGSquared. Both feasibility comparisons carry a
     scaled guard band so that rounding noise exactly on a boundary (e.g.
-    beta = 0 at v1 = 0, v2 < 0) cannot flip the classification.
+    beta = 0 at v1 = 0, v2 < 0) cannot flip the classification. For scalar
+    (v1, v2) the reason is a Reason, not an array.
     """
     v1, v2 = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
     solutions = []
@@ -215,29 +225,22 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
         degenerate = np.abs(s_sum) <= 1e-12 * scale
         disc = s_sum * s_sum + 4.0 * v1 * v2
         undefined = degenerate | (disc < 0.0)
+        shared_code = undefined * np.uint8(4) | degenerate * np.uint8(8)
         root = np.sqrt(disc)
         for branch, sign in ((Branch.PLUS, 1.0), (Branch.MINUS, -1.0)):
             g2 = np.where(undefined, np.nan, -0.5 * s_sum * ((v1 - v2) + sign * root))
             beta = -(v1 - v2) - g2 / s_sum
-            low_g2 = g2 <= 1e-12 * scale * scale
-            low_beta = beta <= 1e-12 * scale
-            # Later assignments take precedence: DegenerateSum over ComplexSqrt
-            # over NegativeGSquared over NonPositiveBeta.
-            reason = np.empty(v1.shape, dtype=object)
-            reason[...] = Reason.OK
-            reason[low_beta] = Reason.NON_POSITIVE_BETA
-            reason[low_g2] = Reason.NEGATIVE_G_SQUARED
-            reason[undefined] = Reason.COMPLEX_SQRT
-            reason[degenerate] = Reason.DEGENERATE_SUM
+            code = (shared_code | (g2 <= 1e-12 * scale * scale) * np.uint8(2)
+                    | (beta <= 1e-12 * scale))
             solutions.append(SSBranchSolution(branch, g2, beta, 0.5 * beta * beta,
-                                              ~(undefined | low_g2 | low_beta), reason))
+                                              code == 0, _REASONS[code]))
     return solutions[0], solutions[1]
 
 
 def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolution]:
     """Both closed-form singularity branches for one strength pair (v1, v2)."""
     plus, minus = (SSBranchSolution(sol.branch, float(sol.g_squared), float(sol.beta),
-                                    float(sol.energy), bool(sol.feasible), sol.reason[()])
+                                    float(sol.energy), bool(sol.feasible), sol.reason)
                    for sol in ss_branches(v1, v2))
     return plus, minus
 

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 from qdelta.cli import SS_REPORT_SCHEMA, main
 from qdelta.scatter import DeltaPotential, ScatteringResult, sweep
+from qdelta.singular import KAPPA, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
 
@@ -125,6 +128,7 @@ def test_sweep_physical_model_matches_closed_form_for_real_strength():
      "--model=physical"),
     ("ss", "--v1=-1e160", "--v2=3e160"),
     ("plot", "--v1=1e200", "--v2=-2e200", "--g2=1e300", "--emin=1", "--emax=2", "--steps=3"),
+    ("scan", "--v1-min=-1e308", "--v1-max=1e308", "--v2-min=-1", "--v2-max=1", "--n1=3", "--n2=2"),
 ])
 def test_overflow_exits_3(argv, tmp_path):
     out = tmp_path / "out"
@@ -132,6 +136,18 @@ def test_overflow_exits_3(argv, tmp_path):
     assert proc.returncode == 3
     assert not out.exists()
     assert "numerical failure: " in proc.stderr
+
+
+@pytest.mark.parametrize("axis, box", [
+    ("v1", ("--v1-min=-1e308", "--v1-max=1e308", "--v2-min=-1", "--v2-max=1")),
+    ("v2", ("--v1-min=-1", "--v1-max=1", "--v2-min=-1.5e308", "--v2-max=1e308")),
+])
+def test_scan_span_overflow_prints_only_the_failure(axis, box):
+    proc = run_cli("scan", *box, "--n1=3", "--n2=2")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (f"numerical failure: the {axis} span --{axis}-max - --{axis}-min "
+                           "overflows\n")
 
 
 def test_physical_overflow_prints_only_the_failure():
@@ -250,6 +266,61 @@ def test_scan_positive_quadrant_all_none():
     for line in lines:
         cells = line.split(",")
         assert cells[2] == "None" and cells[3] == "" and cells[4] == ""
+
+
+def _scan_csv_per_cell(scan):
+    """The scan CSV rendered one cell at a time: the reference for the CLI's
+    assembly from pre-formatted pieces."""
+    def energies(sol):
+        return [f"{e:.17g}" if ok else "" for e, ok in
+                zip(sol.energy.ravel().tolist(), sol.feasible.ravel().tolist())]
+
+    cells = zip(itertools.product(scan.v1.tolist(), scan.v2.tolist()),
+                (c.value for c in scan.classification.flat),
+                energies(scan.plus), energies(scan.minus))
+    lines = ["v1,v2,classification,E_plus,E_minus"]
+    lines += [f"{v1:.17g},{v2:.17g},{label},{e_plus},{e_minus}"
+              for (v1, v2), label, e_plus, e_minus in cells]
+    return "\n".join(lines) + "\n"
+
+
+def _scan_argv(v1_range, v2_range, n1, n2):
+    return ["scan", f"--v1-min={v1_range[0]!r}", f"--v1-max={v1_range[1]!r}",
+            f"--v2-min={v2_range[0]!r}", f"--v2-max={v2_range[1]!r}", f"--n1={n1}", f"--n2={n2}"]
+
+
+def run_cli_bytes(*args):
+    return subprocess.run([sys.executable, "-m", "qdelta", *args], capture_output=True)
+
+
+@pytest.mark.parametrize("grid, labels", [
+    # DegenerateSum cells on the anti-diagonal
+    (((-4.0, 4.0), (-4.0, 4.0), 41, 41), {"None", "PlusOnly", "BothBranches"}),
+    # the v2 > 0 band edge v1 = kappa v2 at the cell (3 kappa, 3)
+    (((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31), {"None", "PlusOnly", "BothBranches"}),
+    # every label a scan reaches, on an n1 != n2 grid
+    (((-2.0, 1.0), (-2.0, 2.0), 13, 17), {"None", "PlusOnly", "BothBranches"}),
+    # a 1e-3-scale box
+    (((-1e-3, 1e-3), (-2e-3, 1e-3), 9, 11), {"None", "PlusOnly"}),
+])
+def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path):
+    expected = _scan_csv_per_cell(scan_region(*grid))
+    assert {line.split(",")[2] for line in expected.splitlines()[1:]} == labels
+    proc = run_cli_bytes(*_scan_argv(*grid))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
+    out = tmp_path / "scan.csv"
+    assert run_cli_bytes(*_scan_argv(*grid), f"--out={out}").stdout == b""
+    assert out.read_bytes() == proc.stdout
+
+
+def test_scan_full_size_output_is_pinned():
+    # 62,500 cells of a box shifted off [-10, 10]^2; the digest is that of the
+    # per-cell rendering that the assembly from pieces replaced.
+    proc = run_cli_bytes(*_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "f81e592fb0fc1f0f7dead95a76fb778b5e895628f29402634ff1bedba38f9919"
 
 
 def test_verify_deterministic_and_small(tmp_path):

@@ -2,6 +2,7 @@ import math
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from qdelta.singular import (KAPPA, Branch, QuarticCoeffs, Reason, RegionClass,
                              RootNature, classify_region,
                              discriminant_expanded, discriminant_factored,
                              pq_classifiers, pq_simplified, quartic_coeffs,
-                             root_nature, scan_region, ss_closed_form)
+                             root_nature, scan_region, ss_branches, ss_closed_form)
 
 FIG_COEFFS = QuarticCoeffs(-7.0, 24.5, -46.0, 34.0)
 
@@ -163,6 +164,24 @@ def test_ss_closed_form_complex_sqrt():
     for sol in ss_closed_form(KAPPA * 3 - 1e-3, 3.0):
         assert not sol.feasible
         assert sol.reason is Reason.COMPLEX_SQRT
+
+
+def test_ss_branches_reason_is_the_first_failed_check():
+    # On this grid every reason occurs, and on the minus branch hundreds of
+    # cells fail both the g^2 and the beta check.
+    v1, v2 = np.meshgrid(np.linspace(-4.0, 4.0, 41), np.linspace(-4.0, 4.0, 41), indexing="ij")
+    scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
+    degenerate = np.abs(v1 + v2) <= 1e-12 * scale
+    complex_sqrt = (v1 + v2) ** 2 + 4.0 * v1 * v2 < 0.0
+    for sol in ss_branches(v1, v2):
+        with np.errstate(invalid="ignore"):
+            checks = [degenerate, complex_sqrt, sol.g_squared <= 1e-12 * scale * scale,
+                      sol.beta <= 1e-12 * scale]
+        want = np.select(checks, ["DegenerateSum", "ComplexSqrt", "NegativeGSquared",
+                                  "NonPositiveBeta"], "OK")
+        assert [r.value for r in sol.reason.flat] == want.ravel().tolist()
+        assert (sol.feasible == (want == "OK")).all()
+    assert (checks[2] & checks[3]).sum() > 100
 
 
 def test_classify_region_examples():
