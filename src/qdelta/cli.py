@@ -400,6 +400,16 @@ def run_scan(args: argparse.Namespace) -> int:
             raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
     scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                        args.n1, args.n2)
+    # A feasible branch whose closed forms overflowed would print a silent nan
+    # or inf energy. E = beta^2 / 2 and beta = -(v1 - v2) - g^2 / (v1 + v2)
+    # are non-finite wherever g^2 is, so E alone shows the overflow.
+    plus, minus = scan.plus, scan.minus
+    overflowed = ((plus.feasible & ~np.isfinite(plus.energy))
+                  | (minus.feasible & ~np.isfinite(minus.energy)))
+    if overflowed.any():
+        i, j = np.argwhere(overflowed)[0]
+        raise NumericalError(f"the closed forms overflow at the feasible cell "
+                             f"(v1, v2) = ({_fmt(scan.v1[i])}, {_fmt(scan.v2[j])})")
     _write_text(args.out, scan_to_csv(scan))
     return EXIT_OK
 

@@ -35,17 +35,9 @@ class Quaternion:
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return qmul(self, other)
-
-    def conjugate(self) -> "Quaternion":
-        return qconj(self)
-
     def norm(self) -> float:
         square = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
         return np.sqrt(square) if isinstance(square, np.ndarray) else math.sqrt(square)
-
-    __abs__ = norm
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -67,11 +59,6 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
 def qconj(q: Quaternion) -> Quaternion:
     """Negate the i, j, k parts; q * qconj(q) equals |q|^2."""
     return Quaternion(q.w, -q.x, -q.y, -q.z)
-
-
-def embed_complex(zc: complex) -> Quaternion:
-    """Embed a complex number in the (1, i) plane."""
-    return Quaternion(zc.real, zc.imag, 0.0, 0.0)
 
 
 def as_complex(re, im):

@@ -45,10 +45,6 @@ class DeltaPotential:
     def g_squared(self) -> float:
         return self.cap_v2 * self.cap_v2 + self.cap_v3 * self.cap_v3
 
-    @property
-    def v1_complex(self) -> complex:
-        return complex(self.v1, self.v2)
-
 
 @dataclass(frozen=True)
 class ScatteringResult:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import functools
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .oracle import MatchMode
-from .qalg import Quaternion, qconj, qmul, symplectic_join, symplectic_split
+from .qalg import (ONE, I, J, K, Quaternion, qconj, qmul, symplectic_join,
+                   symplectic_split)
 from .scatter import (DeltaPotential, amplitude_arrays, amplitudes, denominator,
                       dr_di, sweep)
 from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
@@ -46,10 +47,9 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, problems: list[str], detail: str) -> CheckResult:
-    if problems:
-        return CheckResult(name, False, problems[0])
-    return CheckResult(name, True, detail)
+def _result(name: str, problem: str | None, detail: str) -> CheckResult:
+    """A failing check reports its first problem; a passing one, detail."""
+    return CheckResult(name, problem is None, detail if problem is None else problem)
 
 
 def check_reference_constants() -> CheckResult:
@@ -78,7 +78,7 @@ def check_reference_constants() -> CheckResult:
             problems.append(f"|D| at {sol.branch.value} branch = {absd:.3e} > 1e-12")
     detail = (f"v1={v1:g} v2={v2:g} g2+={plus.g_squared:g} g2-={minus.g_squared:g} "
               f"E+={plus.energy:g} E-={minus.energy:g} max|D|={max_absd:.3e}")
-    return _result("reference-constants", problems, detail)
+    return _result("reference-constants", next(iter(problems), None), detail)
 
 
 def check_resonance_curves() -> CheckResult:
@@ -104,7 +104,7 @@ def check_resonance_curves() -> CheckResult:
                 problems.append(f"R,T=({res.big_r:.3e},{res.big_t:.3e}) "
                                 f"at E={e_probe!r} not > 1e6")
         details.append(f"g2={g2:g}: peak within {max(abs(energies[i_r] - e_ss), abs(energies[i_t] - e_ss)) / h:.2f} step of E={e_ss:g}")
-    return _result("resonance-curves", problems, "; ".join(details))
+    return _result("resonance-curves", next(iter(problems), None), "; ".join(details))
 
 
 @functools.cache
@@ -132,26 +132,12 @@ def _randoms(rng: random.Random, n: int) -> np.ndarray:
     return block
 
 
-def _rewind(rng: random.Random, state: tuple, used: int) -> None:
-    """Leave rng `used` draws past state: where a draw-by-draw loop that
-    stopped there would have left it."""
-    rng.setstate(state)
-    _randoms(rng, used)
-
-
-def _stop_at_first_failure(checks, problems: list[str], rng: random.Random,
-                           state: tuple, width: int) -> None:
-    """Record _first_failure(checks) over draws of width numbers each, taken
-    from rng at state, and leave rng after the failing draw."""
-    problem = _first_failure(checks)
-    if problem is not None:
-        problems.append(problem[1])
-        _rewind(rng, state, width * (problem[0] + 1))
-
-
 # Draw shapes: each maps (rng, n) to columns of n draws, taken from rng in
 # the order a draw-by-draw loop takes them; rng.uniform(a, b) is a + (b - a) u
 # and an open unit (0, 1] is 1 - u, for u = rng.random().
+
+Draw = Callable[[random.Random, int], tuple[np.ndarray, ...]]
+
 
 def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
     return a + (b - a) * u
@@ -194,11 +180,31 @@ def _draw_axis(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
     return v1, np.zeros(n)
 
 
+def _draw_band(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa v2 u, v2) with v2 uniform in (0.1, 10] and u in [0, 1): pairs
+    inside the feasibility band."""
+    u = _randoms(rng, 2 * n).reshape(n, 2)
+    v2 = 0.1 + 9.9 * (1.0 - u[:, 0])
+    return KAPPA * v2 * u[:, 1], v2
+
+
+def _uniform_columns(a: float, b: float, width: int) -> Draw:
+    """The draw shape of width numbers, each uniform in [a, b)."""
+    def draw(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+        return tuple(_uniform(a, b, _randoms(rng, width * n).reshape(n, width)).T)
+    return draw
+
+
+# Three quaternions p, q, r, component by component.
+_draw_quaternions = _uniform_columns(-1e3, 1e3, 12)
+# (x, y) of z = x + y i.
+_draw_complex = _uniform_columns(-1e3, 1e3, 2)
+# Quartic coefficients (b, c, d, e).
+_draw_quartics = _uniform_columns(-20.0, 20.0, 4)
+
 # The batched checks draw and evaluate this many samples at a time, in RNG
 # order, so that their memory does not grow with the trial count.
 _BLOCK = 2048
-
-Draw = Callable[[random.Random, int], tuple[np.ndarray, ...]]
 
 
 def _blocks(rng: random.Random, trials: int, draw: Draw) -> Iterator[tuple[int, tuple]]:
@@ -207,13 +213,25 @@ def _blocks(rng: random.Random, trials: int, draw: Draw) -> Iterator[tuple[int, 
         yield start, draw(rng, min(_BLOCK, trials - start))
 
 
-def _potential_blocks(rng: random.Random, trials: int,
-                      draw: Draw) -> Iterator[tuple[int, DeltaPotential, np.ndarray]]:
-    """(index of the first draw, potentials, beta or E) for consecutive blocks
-    of draws (v1, v2, g^2, beta or E); the potentials are one DeltaPotential
-    of arrays, each entry as from_g_squared builds it."""
-    for start, (v1, v2, g2, last) in _blocks(rng, trials, draw):
-        yield start, DeltaPotential(v1, v2, np.sqrt(g2), 0.0), last
+def _first_failing_draw(rng: random.Random, trials: int, draw: Draw,
+                        evaluate: Callable[..., Sequence]) -> str | None:
+    """The message of the first failing draw among trials draws, or None.
+
+    evaluate(start, *columns) returns one block's (failed, message) pairs for
+    _first_failure, start being the index of its first draw. A failing block
+    ends the draws and leaves rng at its end. A check with several stages
+    chains their calls with `or`, so it stops at its first failing stage.
+    """
+    for start, columns in _blocks(rng, trials, draw):
+        problem = _first_failure(evaluate(start, *columns))
+        if problem is not None:
+            return problem[1]
+    return None
+
+
+def _potential(v1: np.ndarray, v2: np.ndarray, g2: np.ndarray) -> DeltaPotential:
+    """One DeltaPotential of arrays, each entry as from_g_squared builds it."""
+    return DeltaPotential(v1, v2, np.sqrt(g2), 0.0)
 
 
 def _maximum(*values):
@@ -266,8 +284,8 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
 def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
     """|D|^2 = Dr^2 + Di^2 = quartic(beta); discriminant = 64 A B; P, Q raw
     versus reduced; A >= 0 and B >= 0 throughout."""
-    problems: list[str] = []
-    for start, pot, beta in _potential_blocks(rng, trials, _draw_potentials):
+    def identities(start, v1, v2, g2, beta):
+        pot = _potential(v1, v2, g2)
         d = denominator(pot, beta)
         dsq = d.real * d.real + d.imag * d.imag
         d_r, d_i = dr_di(pot, beta)
@@ -283,7 +301,7 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
         p_scale = _maximum(1.0, 8.0 * np.abs(c), 3.0 * b * b)
         q_scale = _maximum(1.0, 64.0 * np.abs(e), 16.0 * c * c, 3.0 * np.float_power(b, 4),
                            16.0 * np.abs(b * dd), 16.0 * b * b * np.abs(c))
-        problem = _first_failure((
+        return (
             ((np.abs(dsq - split_sq) > tol) | (np.abs(dsq - quartic_val) > tol),
              lambda n: f"|D|^2 identity broken at draw {start + n}: {dsq[n].item()!r} "
                        f"vs {split_sq[n].item()!r} vs {quartic_val[n].item()!r}"),
@@ -297,29 +315,25 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
             ((a_factor < 0.0) | (b_factor < 0.0),
              lambda n: f"negative discriminant factor at draw {start + n}: "
                        f"A={a_factor[n].item()!r} B={b_factor[n].item()!r}"),
-        ))
-        if problem is not None:
-            problems.append(problem[1])
-            break
-    return _result("algebraic-identities", problems,
+        )
+    return _result("algebraic-identities",
+                   _first_failing_draw(rng, trials, _draw_potentials, identities),
                    f"{trials} draws, all identities hold")
 
 
 def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
     """R + T = 1 for every draw with v2 = 0 (probability-conserving family)."""
-    problems: list[str] = []
     worst = 0.0
-    for start, pot, energy in _potential_blocks(rng, trials, _draw_v2_zero):
+
+    def unitarity(start, v1, v2, g2, energy):
+        nonlocal worst
+        pot = _potential(v1, v2, g2)
         res = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
         err = np.abs(res.big_r + res.big_t - 1.0)
-        bad = np.flatnonzero(err > 1e-10)
-        if bad.size:
-            n = int(bad[0])
-            problems.append(f"|R+T-1| = {err[n]:.3e} at draw {start + n}")
-            break
         worst = max(worst, float(err.max()))
-    return _result("unitarity-v2-zero", problems,
-                   f"{trials} draws, worst |R+T-1| = {worst:.3e}")
+        return ((err > 1e-10, lambda n: f"|R+T-1| = {err[n]:.3e} at draw {start + n}"),)
+    problem = _first_failing_draw(rng, trials, _draw_v2_zero, unitarity)
+    return _result("unitarity-v2-zero", problem, f"{trials} draws, worst |R+T-1| = {worst:.3e}")
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -327,40 +341,36 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _first_oracle_mismatch(rng: random.Random, trials: int, draw,
-                           mode: MatchMode) -> int | None:
-    """First (potential, energy) draw off the singularities where the matching
-    oracle in this mode disagrees with the closed forms, or None."""
-    for start, pot, energy in _potential_blocks(rng, trials, draw):
+def _oracle_agreement(mode: MatchMode, message: str):
+    """The check of (v1, v2, g^2, E) draws that fails, with message, where the
+    matching oracle in this mode disagrees with the closed forms off the
+    singularities."""
+    def agreement(start, v1, v2, g2, energy):
+        pot = _potential(v1, v2, g2)
         closed = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
         m = oracle.matching_arrays(pot.v1, pot.v2, pot.cap_v2, pot.cap_v3, energy, mode)
         agree = np.ones(energy.shape, dtype=bool)
         for got, want in ((m.r, closed.r), (m.t, closed.t)):
             agree &= _modulus(got - want) <= 1e-9 * _maximum(1.0, _modulus(got), _modulus(want))
-        bad = np.flatnonzero(~closed.at_singularity & (m.singular_system | ~agree))
-        if bad.size:
-            return start + int(bad[0])
-    return None
+        return ((~closed.at_singularity & (m.singular_system | ~agree),
+                 lambda n: f"{message} at draw {start + n}"),)
+    return agreement
 
 
 def check_matching_equivalence(rng: random.Random, trials: int,
-                               divergence: float | None = None) -> CheckResult:
+                               divergence: float) -> CheckResult:
     """Continued-mode matching equals the closed forms everywhere; Conjugate
     mode equals them on the v2 = 0 subfamily; the two modes must differ at the
-    fixed probe, whose magnitude is reported (mode_divergence_at_probe, solved
-    here unless given)."""
-    problems: list[str] = []
-    n = _first_oracle_mismatch(rng, trials, _draw_at_energy, MatchMode.CONTINUED)
-    if n is not None:
-        problems.append(f"Continued mode disagrees with closed form at draw {n}")
-    n = _first_oracle_mismatch(rng, trials, _draw_v2_zero, MatchMode.CONJUGATE)
-    if n is not None:
-        problems.append(f"Conjugate mode disagrees on v2=0 at draw {n}")
-    if divergence is None:
-        divergence = mode_divergence_at_probe()
-    if divergence <= 1e-12:
-        problems.append(f"junction models coincide at probe: |dr| = {divergence:.3e}")
-    return _result("matching-equivalence", problems,
+    fixed probe, whose magnitude divergence (mode_divergence_at_probe()) is
+    reported."""
+    problem = (
+        _first_failing_draw(rng, trials, _draw_at_energy, _oracle_agreement(
+            MatchMode.CONTINUED, "Continued mode disagrees with closed form"))
+        or _first_failing_draw(rng, trials, _draw_v2_zero, _oracle_agreement(
+            MatchMode.CONJUGATE, "Conjugate mode disagrees on v2=0"))
+        or (f"junction models coincide at probe: |dr| = {divergence:.3e}"
+            if divergence <= 1e-12 else None))
+    return _result("matching-equivalence", problem,
                    f"2x{trials} draws agree; model divergence at probe |dr| = {divergence:.6e}")
 
 
@@ -390,8 +400,7 @@ def _branch_roots(v1: np.ndarray, v2: np.ndarray,
 def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
     """Plus-branch singularities in the lossy quadrant are genuine double
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
-    problems: list[str] = []
-    for _, (v1, v2) in _blocks(rng, pairs, _draw_lossy):
+    def double_roots(start, v1, v2):
         plus, _ = ss_branches(v1, v2)
         pot, coeffs, found = _branch_roots(v1, v2, (plus,))
         a_factor, _, _ = discriminant_factored(pot)
@@ -399,7 +408,7 @@ def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
         off_boundary = np.array([root_nature(_coeffs_at(coeffs, n))
                                  is not RootNature.BOUNDARY_DOUBLE_ROOT
                                  for n in range(len(v1))])
-        problem = _first_failure((
+        return (
             (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
             # found.row raises NumericalError, as quartic_roots does.
             (~found.reconstructs, found.row),
@@ -408,32 +417,29 @@ def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
                        f"{_pair_at(v1, v2, n)}"),
             (a_large, lambda n: f"A = {a_factor[n]:.3e} not ~0 at {_pair_at(v1, v2, n)}"),
             (off_boundary, lambda n: f"verdict is not the boundary at {_pair_at(v1, v2, n)}"),
-        ))
-        if problem is not None:
-            problems.append(problem[1])
-            break
-    return _result("double-root-boundary", problems,
+        )
+    return _result("double-root-boundary",
+                   _first_failing_draw(rng, pairs, _draw_lossy, double_roots),
                    f"{pairs} lossy-quadrant pairs confirmed")
 
 
-def _first_region_failure(rng: random.Random, trials: int, draw: Draw, failed):
-    """The first drawn (v1, v2) pair where failed(plus, minus) holds for its
-    branches, with its region label; None if there is none."""
-    for _, (v1, v2) in _blocks(rng, trials, draw):
+def _regions(failed, name):
+    """The check of (v1, v2) draws that fails where failed(plus, minus) holds
+    for the pair's branches; name(v1, v2, n) names the pair in the message."""
+    def regions(start, v1, v2):
         plus, minus = ss_branches(v1, v2)
-        bad = np.flatnonzero(failed(plus, minus))
-        if bad.size:
-            n = int(bad[0])
-            return (v1[n].item(), v2[n].item()), region_of(plus.feasible[n], minus.feasible[n])
-    return None
+        return ((failed(plus, minus),
+                 lambda n: f"{name(v1, v2, n)} classified "
+                           f"{region_of(plus.feasible[n], minus.feasible[n]).value}"),)
+    return regions
 
 
 def check_lossy_quadrant(rng: random.Random, trials: int) -> CheckResult:
     """Every strictly lossy pair (v1 < 0, v2 < 0) supports a singularity."""
     # PlusOnly or BothBranches exactly where the plus branch is feasible.
-    hit = _first_region_failure(rng, trials, _draw_lossy, lambda plus, _: ~plus.feasible)
-    problems = [] if hit is None else [f"({hit[0][0]!r},{hit[0][1]!r}) classified {hit[1].value}"]
-    return _result("lossy-quadrant", problems,
+    problem = _first_failing_draw(rng, trials, _draw_lossy,
+                                  _regions(lambda plus, _: ~plus.feasible, _pair_at))
+    return _result("lossy-quadrant", problem,
                    f"{trials} draws, no region without a singularity")
 
 
@@ -451,7 +457,7 @@ def check_region_boundary() -> CheckResult:
     plus_out, minus_out = ss_closed_form(outside, v2)
     if not (plus_out.reason is Reason.COMPLEX_SQRT and minus_out.reason is Reason.COMPLEX_SQRT):
         problems.append("outside point does not report a complex square root")
-    return _result("region-boundary", problems,
+    return _result("region-boundary", next(iter(problems), None),
                    f"band edge at v1 = kappa*3 = {KAPPA * 3:.12g} confirmed")
 
 
@@ -484,17 +490,17 @@ def check_small_v1_limits() -> CheckResult:
     for v1, ratio in zip(v1s, ratios):
         if not (0.99 <= ratio <= 1.01):
             problems.append(f"E-/(2 v1^2) = {ratio:.6f} at v1={v1}")
-    return _result("small-v1-limits", problems,
+    return _result("small-v1-limits", next(iter(problems), None),
                    "E+ -> v2^2/2; E-/(2 v1^2) = "
                    + ", ".join(f"{r:.6f}" for r in ratios))
 
 
 def check_no_ss_anti_hermitian(rng: random.Random, trials: int) -> CheckResult:
     """No singularity anywhere on the v2 = 0 axis."""
-    hit = _first_region_failure(rng, trials, _draw_axis,
-                                lambda plus, minus: plus.feasible | minus.feasible)
-    problems = [] if hit is None else [f"v1={hit[0][0]!r}, v2=0 classified {hit[1].value}"]
-    return _result("no-ss-anti-hermitian", problems,
+    problem = _first_failing_draw(rng, trials, _draw_axis, _regions(
+        lambda plus, minus: plus.feasible | minus.feasible,
+        lambda v1, _, n: f"v1={v1[n].item()!r}, v2=0"))
+    return _result("no-ss-anti-hermitian", problem,
                    f"{trials} draws on the v2=0 axis, none singular")
 
 
@@ -503,60 +509,53 @@ def _differs(p: Quaternion, q: Quaternion) -> np.ndarray:
     return (p.w != q.w) | (p.x != q.x) | (p.y != q.y) | (p.z != q.z)
 
 
+_UNIT_TABLE = {
+    (I, I): -ONE, (J, J): -ONE, (K, K): -ONE,
+    (I, J): K, (J, I): -K, (J, K): I, (K, J): -I, (K, I): J, (I, K): -J,
+}
+
+
 def check_quaternion_algebra(rng: random.Random) -> CheckResult:
     """Unit table, norm multiplicativity, associativity, conjugation and the
     exact split/join round trip."""
-    problems: list[str] = []
-    one = Quaternion(1, 0, 0, 0)
-    i = Quaternion(0, 1, 0, 0)
-    j = Quaternion(0, 0, 1, 0)
-    k = Quaternion(0, 0, 0, 1)
-    table = {
-        (i, i): -one, (j, j): -one, (k, k): -one,
-        (i, j): k, (j, i): -k, (j, k): i, (k, j): -i, (k, i): j, (i, k): -j,
-    }
-    for (p, q), want in table.items():
-        if qmul(p, q) != want:
-            problems.append("unit multiplication table violated")
-            break
-    # 500 draws of three quaternions, each four uniforms in [-1e3, 1e3).
-    state = rng.getstate()
-    u = _uniform(-1e3, 1e3, _randoms(rng, 500 * 12).reshape(500, 3, 4))
-    p, q, r = (Quaternion(*u[:, n].T) for n in range(3))
-    pn, qn = p.norm(), q.norm()
-    _stop_at_first_failure((
-        (np.abs(qmul(p, q).norm() - pn * qn) > 1e-12 * np.maximum(1.0, pn * qn),
-         lambda _: "norm not multiplicative"),
-        ((qmul(qmul(p, q), r) - qmul(p, qmul(q, r))).norm()
-         > 1e-12 * np.maximum(1.0, pn * qn * r.norm()),
-         lambda _: "product not associative"),
-        (_differs(qconj(qconj(p)), p), lambda _: "conjugation not an involution"),
-        (_differs(symplectic_join(*symplectic_split(p)), p),
-         lambda _: "split/join round trip not exact"),
-    ), problems, rng, state, 12)
-    # 500 draws of z = x + y i, x and y uniform in [-1e3, 1e3).
-    state = rng.getstate()
-    x, y = _uniform(-1e3, 1e3, _randoms(rng, 500 * 2).reshape(500, 2)).T
-    lhs = qmul(j, Quaternion(x, y, 0.0, 0.0))
-    rhs = qmul(Quaternion(x, -y, 0.0, 0.0), j)
-    _stop_at_first_failure(((_differs(lhs, rhs), lambda _: "j z != conj(z) j"),),
-                           problems, rng, state, 2)
-    return _result("quaternion-algebra", problems, "500 draws per identity")
+    def identities(start, *components):
+        p, q, r = (Quaternion(*components[k:k + 4]) for k in (0, 4, 8))
+        pn, qn = p.norm(), q.norm()
+        return (
+            (np.abs(qmul(p, q).norm() - pn * qn) > 1e-12 * np.maximum(1.0, pn * qn),
+             lambda _: "norm not multiplicative"),
+            ((qmul(qmul(p, q), r) - qmul(p, qmul(q, r))).norm()
+             > 1e-12 * np.maximum(1.0, pn * qn * r.norm()),
+             lambda _: "product not associative"),
+            (_differs(qconj(qconj(p)), p), lambda _: "conjugation not an involution"),
+            (_differs(symplectic_join(*symplectic_split(p)), p),
+             lambda _: "split/join round trip not exact"),
+        )
+
+    def j_conjugates(start, x, y):
+        lhs = qmul(J, Quaternion(x, y, 0.0, 0.0))
+        rhs = qmul(Quaternion(x, -y, 0.0, 0.0), J)
+        return ((_differs(lhs, rhs), lambda _: "j z != conj(z) j"),)
+    problem = (
+        ("unit multiplication table violated"
+         if any(qmul(p, q) != want for (p, q), want in _UNIT_TABLE.items()) else None)
+        or _first_failing_draw(rng, 500, _draw_quaternions, identities)
+        or _first_failing_draw(rng, 500, _draw_complex, j_conjugates))
+    return _result("quaternion-algebra", problem, "500 draws per identity")
 
 
 def check_decomposition_identity(rng: random.Random, trials: int) -> CheckResult:
     """Complex denominator equals Dr + i Di to 1e-12 absolute on the draw box."""
-    problems: list[str] = []
-    for start, pot, beta in _potential_blocks(rng, trials, _draw_potentials):
+    def decomposition(start, v1, v2, g2, beta):
+        pot = _potential(v1, v2, g2)
         d = denominator(pot, beta)
         d_r, d_i = dr_di(pot, beta)
         off = np.hypot(d.real - d_r, d.imag - d_i)
-        problem = _first_failure(((off > 1e-12, lambda n: f"decomposition off by {off[n]:.3e} "
-                                                          f"at draw {start + n}"),))
-        if problem is not None:
-            problems.append(problem[1])
-            break
-    return _result("decomposition-identity", problems, f"{trials} draws within 1e-12")
+        return ((off > 1e-12, lambda n: f"decomposition off by {off[n]:.3e} "
+                                        f"at draw {start + n}"),)
+    return _result("decomposition-identity",
+                   _first_failing_draw(rng, trials, _draw_potentials, decomposition),
+                   f"{trials} draws within 1e-12")
 
 
 def _ascending(z: np.ndarray) -> np.ndarray:
@@ -567,43 +566,34 @@ def _ascending(z: np.ndarray) -> np.ndarray:
 def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
     """Random quartics reconstruct from their roots; every feasible branch
     beta appears among the roots with multiplicity 2."""
-    problems: list[str] = []
-    n_coeff = min(trials, 300)
-    state = rng.getstate()
-    found = oracle.quartic_root_arrays(
-        *_uniform(-20.0, 20.0, _randoms(rng, 4 * n_coeff).reshape(n_coeff, 4)).T)
-    _stop_at_first_failure((
-        # found.row raises NumericalError, as quartic_roots does.
-        (~found.reconstructs, found.row),
-        (np.any(_ascending(found.roots.conj()) != _ascending(found.roots), axis=1),
-         lambda n: f"root set not conjugate-closed at draw {n}"),
-    ), problems, rng, state, 4)
-    n_branch = min(trials, 100)
-    state = rng.getstate()
-    u = _randoms(rng, 2 * n_branch).reshape(n_branch, 2)
-    v2 = 0.1 + 9.9 * (1.0 - u[:, 0])
-    v1 = KAPPA * v2 * u[:, 1]
-    drawn = v1 != 0.0
-    if problems:
-        # A loop over the draws stops after its first draw with v1 != 0.
-        last = int(np.argmax(drawn)) if drawn.any() else n_branch - 1
-        v1, v2, drawn = v1[:last + 1], v2[:last + 1], drawn[:last + 1]
-        _rewind(rng, state, 2 * (last + 1))
-    sols = ss_branches(v1, v2)
-    _, _, found = _branch_roots(v1, v2, sols)
-    has_double_root = found.has_double_root(np.concatenate([sol.beta for sol in sols]))
-    checks = []
-    for offset, sol in zip((0, len(v1)), sols):
-        rows = slice(offset, offset + len(v1))
-        examined = drawn & sol.feasible
-        checks += [
-            (examined & ~found.reconstructs[rows], lambda n, k=offset: found.row(k + n)),
-            (examined & ~has_double_root[rows],
-             lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
-                                f"at {_pair_at(v1, v2, n)}"),
-        ]
-    _stop_at_first_failure(checks, problems, rng, state, 2)
-    return _result("quartic-root-oracle", problems,
+    n_coeff, n_branch = min(trials, 300), min(trials, 100)
+
+    def reconstruction(start, *coeffs):
+        found = oracle.quartic_root_arrays(*coeffs)
+        return (
+            # found.row raises NumericalError, as quartic_roots does.
+            (~found.reconstructs, found.row),
+            (np.any(_ascending(found.roots.conj()) != _ascending(found.roots), axis=1),
+             lambda n: f"root set not conjugate-closed at draw {start + n}"),
+        )
+
+    def branch_roots(start, v1, v2):
+        sols = ss_branches(v1, v2)
+        _, _, found = _branch_roots(v1, v2, sols)
+        has_double_root = found.has_double_root(np.concatenate([sol.beta for sol in sols]))
+        checks = []
+        for offset, sol in zip((0, len(v1)), sols):
+            rows = slice(offset, offset + len(v1))
+            checks += [
+                (sol.feasible & ~found.reconstructs[rows], lambda n, k=offset: found.row(k + n)),
+                (sol.feasible & ~has_double_root[rows],
+                 lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
+                                    f"at {_pair_at(v1, v2, n)}"),
+            ]
+        return checks
+    problem = (_first_failing_draw(rng, n_coeff, _draw_quartics, reconstruction)
+               or _first_failing_draw(rng, n_branch, _draw_band, branch_roots))
+    return _result("quartic-root-oracle", problem,
                    f"{n_coeff} reconstructions, {n_branch} branch root checks")
 
 
@@ -621,7 +611,7 @@ def check_scan_claims() -> CheckResult:
     pos = scan_region((0.1, 1.0), (0.1, 1.0), 5, 5)
     if (pos.plus.feasible | pos.minus.feasible).any():
         problems.append("feasible cell in the strictly positive quadrant")
-    return _result("region-scan-claims", problems,
+    return _result("region-scan-claims", next(iter(problems), None),
                    "feasible cells require v1 < 0 on both scanned strips")
 
 

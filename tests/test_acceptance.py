@@ -73,7 +73,8 @@ def test_c04_unitarity_of_real_strength_family():
 
 
 def test_c05_matching_oracle_equivalence():
-    check = verify.check_matching_equivalence(random.Random(SEED + 3), TRIALS)
+    check = verify.check_matching_equivalence(random.Random(SEED + 3), TRIALS,
+                                              verify.mode_divergence_at_probe())
     assert _report(5, "matching equivalence", check.passed), check.detail
     assert verify.mode_divergence_at_probe() > 1e-12
 

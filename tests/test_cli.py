@@ -150,6 +150,23 @@ def test_scan_span_overflow_prints_only_the_failure(axis, box):
                            "overflows\n")
 
 
+@pytest.mark.parametrize("box, cell", [
+    # The branch discriminant is inf - inf = nan at the cell, which no
+    # feasibility test rejects: both branches read feasible, with nan energies.
+    (("--v1-min=-2e200", "--v1-max=-1e200", "--v2-min=-2e200", "--v2-max=1e200", "--n1=2",
+      "--n2=3"), "(-1.9999999999999999e+200, 9.9999999999999997e+199)"),
+    # g+^2, beta+ and E+ overflow to inf at the cell, which passes g^2 > 0, beta > 0.
+    (("--v1-min=-1e160", "--v1-max=-5e159", "--v2-min=-1e160", "--v2-max=3e160", "--n1=3",
+      "--n2=3"), "(-1e+160, -1e+160)"),
+])
+def test_scan_overflowing_closed_forms_print_only_the_failure(box, cell):
+    proc = run_cli("scan", *box)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("numerical failure: the closed forms overflow at the feasible cell "
+                           f"(v1, v2) = {cell}\n")
+
+
 def test_physical_overflow_prints_only_the_failure():
     proc = run_cli("sweep", "--model", "physical", "--v1=1e200", "--v2=-2e200", "--g2=1e300",
                    "--emin=1", "--emax=2", "--steps=3")
@@ -321,6 +338,18 @@ def test_scan_full_size_output_is_pinned():
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         "f81e592fb0fc1f0f7dead95a76fb778b5e895628f29402634ff1bedba38f9919"
+
+
+@pytest.mark.parametrize("seed, returncode, digest", [
+    (42, 0, "76fcff6276925278e0030b20dbdefa70fdaf67ddb3fcf82746b8427e36cf44b8"),
+    (7, 0, "0195c6d4e45534e4773d35f13b0d5328fba648209b290b46a669553e99cc0b76"),
+    # Fails double-root-boundary: the report pins that check's first failure.
+    (1070767975, 3, "87390acc93c1c8fed93a759cee1912e911f1fbc8acab1e86b8ccea8159bf61ed"),
+])
+def test_verify_report_is_pinned(seed, returncode, digest):
+    proc = run_cli_bytes("verify", f"--seed={seed}", "--trials=10000")
+    assert proc.returncode == returncode, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_verify_deterministic_and_small(tmp_path):

@@ -20,7 +20,6 @@ def test_potential_construction():
     p = DeltaPotential.from_g_squared(1.0, -2.0, 9.0)
     assert p.cap_v2 == 3.0 and p.cap_v3 == 0.0
     assert p.g_squared == 9.0
-    assert p.v1_complex == 1 - 2j
     with pytest.raises(ValueError):
         DeltaPotential.from_g_squared(0.0, 0.0, -1.0)
 

@@ -1,6 +1,6 @@
-"""The batched verify checks draw the same numbers, report the same first
-failing draw and leave their generator where a draw-by-draw loop would, also
-past the first block."""
+"""The batched verify checks draw the same numbers and report the same first
+failing draw as a draw-by-draw loop, also past the first block; a failing
+check stops at the end of the failing block, before its later stages."""
 
 import dataclasses
 import math
@@ -42,6 +42,8 @@ class _ChangeAt:
     (MatchMode.CONJUGATE, f"Conjugate mode disagrees on v2=0 at draw {BAD_DRAW}"),
 ])
 def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
+    # Solved before the patch, whose draw count the probe would advance.
+    divergence = verify.mode_divergence_at_probe()
     unpatched, perturb = verify.oracle.matching_arrays, _ChangeAt(BAD_DRAWS)
 
     def solve(*args):
@@ -49,7 +51,7 @@ def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
         return dataclasses.replace(m, r=perturb(m.r)) if m.mode is mode else m
 
     monkeypatch.setattr(verify.oracle, "matching_arrays", solve)
-    check = verify.check_matching_equivalence(random.Random(45), TRIALS)
+    check = verify.check_matching_equivalence(random.Random(45), TRIALS, divergence)
     assert not check.passed
     assert check.detail == detail
 
@@ -141,6 +143,23 @@ def _scalar_axis(rng):
     return v1, 0.0
 
 
+def _scalar_quaternions(rng):
+    return tuple(rng.uniform(-1e3, 1e3) for _ in range(12))
+
+
+def _scalar_complex(rng):
+    return rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+
+
+def _scalar_quartic(rng):
+    return tuple(rng.uniform(-20.0, 20.0) for _ in range(4))
+
+
+def _scalar_band(rng):
+    v2 = 0.1 + 9.9 * _open_unit(rng)
+    return KAPPA * v2 * rng.random(), v2
+
+
 def _bits(x):
     return math.copysign(1.0, x), x.hex()
 
@@ -159,6 +178,10 @@ def _advanced(seed, draws):
     (verify._draw_v2_zero, _scalar_v2_zero),
     (verify._draw_lossy, _scalar_lossy),
     (verify._draw_axis, _scalar_axis),
+    (verify._draw_quaternions, _scalar_quaternions),
+    (verify._draw_complex, _scalar_complex),
+    (verify._draw_quartics, _scalar_quartic),
+    (verify._draw_band, _scalar_band),
 ])
 def test_block_draws_equal_scalar_draws(seed, draw, scalar):
     trials = 2 * verify._BLOCK + 77
@@ -236,8 +259,9 @@ def test_quaternion_algebra_resumes_after_a_failure(monkeypatch):
     rng = random.Random(7)
     check = verify.check_quaternion_algebra(rng)
     assert (check.passed, check.detail) == (False, "split/join round trip not exact")
-    # The second identity starts where the first stopped: 12 draws per round.
-    assert rng.getstate() == _advanced(7, 12 * (bad + 1) + 2 * 500).getstate()
+    # The j z identity does not run: the generator ends after the first
+    # stage's one block of 500 draws of 12 numbers.
+    assert rng.getstate() == _advanced(7, 12 * 500).getstate()
 
 
 def test_quaternion_algebra_passes_all_draws():
@@ -253,9 +277,10 @@ def test_quartic_oracle_resumes_after_a_reconstruction_failure(monkeypatch):
     rng = random.Random(9)
     check = verify.check_quartic_root_oracle(rng, 10000)
     assert (check.passed, check.detail) == (False, f"root set not conjugate-closed at draw {bad}")
-    # The branch loop stops after its first draw, which had v1 != 0.
-    assert len(roots[1].reconstructs) == 2
-    assert rng.getstate() == _advanced(9, 4 * (bad + 1) + 2).getstate()
+    # The branch stage does not run: one stacked root call, and the generator
+    # ends after the first stage's one block of 300 quartics.
+    assert len(roots) == 1
+    assert rng.getstate() == _advanced(9, 4 * 300).getstate()
 
 
 def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
@@ -271,7 +296,8 @@ def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
     plus, _ = verify.ss_closed_form(v1, v2)
     assert plus.feasible
     assert check.detail == f"branch beta {plus.beta!r} missing from roots at ({v1!r},{v2!r})"
-    assert rng.getstate() == ref.getstate()
+    # The generator ends after the branch stage's one block of 100 pairs.
+    assert rng.getstate() == _advanced(9, 4 * 300 + 2 * 100).getstate()
 
 
 def test_reconstruction_failure_raises_in_draw_order(monkeypatch):
