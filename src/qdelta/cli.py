@@ -18,6 +18,7 @@ import numpy as np
 from . import verify
 from .oracle import (MatchMode, NumericalError, matching_arrays, quartic_roots,
                      real_double_root)
+from .qalg import modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, quartic_coeffs, region_of,
@@ -229,9 +230,8 @@ def _physical_sweep(p: DeltaPotential, energies: np.ndarray) -> ScatteringResult
     """Conjugate-mode matching over the energy grid; d_value holds the
     junction-system determinant magnitude, which plays the role of |D| here."""
     m = matching_arrays(p.v1, p.v2, p.cap_v2, p.cap_v3, energies, MatchMode.CONJUGATE)
-    # |r|^2 as abs(r) ** 2 takes it, as amplitude_arrays does.
     big_r, big_t = (np.where(m.singular_system, np.inf,
-                             np.float_power(np.hypot(z.real, z.imag), 2.0)) for z in (m.r, m.t))
+                             power(modulus(z), 2.0)) for z in (m.r, m.t))
     return ScatteringResult(energies, np.sqrt(2.0 * energies), m.r, m.t, big_r, big_t,
                             m.det_mag, m.singular_system)
 
@@ -252,7 +252,7 @@ def _columns(res: ScatteringResult) -> list[list[float]]:
     d = res.d_value
     return [col.tolist() for col in (
         res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-        res.big_r, res.big_t, np.hypot(np.real(d), np.imag(d)))]
+        res.big_r, res.big_t, modulus(d))]
 
 
 # Row templates in _fmt's format; one % operation per row.

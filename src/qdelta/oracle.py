@@ -13,15 +13,14 @@ and quartic_roots and matching_solver are their one-row forms.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .qalg import as_complex
-from .scatter import DeltaPotential, cmul, denominator
+from .qalg import cmul, cprod, maximum, modulus, power
+from .scatter import DeltaPotential, denominator
 from .singular import QuarticCoeffs
 
 
@@ -98,10 +97,10 @@ def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     as CPython's sum() and complex division do, so it has their bits.
     """
     rows = np.arange(len(z))[:, None]
-    tol = CLUSTER_RTOL * np.maximum(1.0, np.hypot(z.real, z.imag))
+    tol = CLUSTER_RTOL * np.maximum(1.0, modulus(z))
     diff = z[:, None, :] - z[:, :, None]
     # close[n, i, j]: root j lies within the tolerance of root i (so of itself).
-    close = np.hypot(diff.real, diff.imag) <= tol[:, :, None]
+    close = modulus(diff) <= tol[:, :, None]
     head = np.zeros(z.shape, dtype=int)
     is_head = np.ones(z.shape, dtype=bool)
     for j in range(1, 4):
@@ -119,11 +118,6 @@ def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return head, centroid, count
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, rounded as CPython's complex type rounds it."""
-    return as_complex(*cmul((a.real, a.imag), (b.real, b.imag)))
-
-
 def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per row, whether the roots re-expand to the quartic within the guard.
 
@@ -132,16 +126,15 @@ def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     numpy too, run left to right.
     """
     i, j = _PAIRS
-    pair = _product(z[:, i], z[:, j])
+    pair = cprod(z[:, i], z[:, j])
     k, m = _TRIPLES
-    triple = _product(pair[:, k], z[:, m])
+    triple = cprod(pair[:, k], z[:, m])
     got = np.stack((-np.add.accumulate(z, axis=1)[:, -1],
                     np.add.accumulate(pair, axis=1)[:, -1],
                     -np.add.accumulate(triple, axis=1)[:, -1],
-                    _product(triple[:, 0], z[:, 3])), axis=1)
-    scale = functools.reduce(np.maximum, (
-        1.0, np.abs(coeffs).max(axis=1), np.float_power(np.hypot(z.real, z.imag).max(axis=1), 4.0)))
-    off = np.hypot(got.real - coeffs, got.imag) > _RECONSTRUCT_GUARD * scale[:, None]
+                    cprod(triple[:, 0], z[:, 3])), axis=1)
+    scale = maximum(1.0, np.abs(coeffs).max(axis=1), power(modulus(z).max(axis=1), 4.0))
+    off = modulus(got - coeffs) > _RECONSTRUCT_GUARD * scale[:, None]
     return ~off.any(axis=1)
 
 
@@ -202,13 +195,14 @@ def minimize_dsq(p: DeltaPotential, beta_max: float | None = None) -> tuple[floa
     if beta_max <= 0.0:
         raise ValueError("beta_max must be positive")
 
-    def dsq(beta: float) -> float:
+    def dsq(beta):
         d = denominator(p, beta)
         return d.real * d.real + d.imag * d.imag
 
-    xs = [beta_max * (i + 1) / _GRID_POINTS for i in range(_GRID_POINTS)]
-    vals = [dsq(x) for x in xs]
-    k = min(range(_GRID_POINTS), key=vals.__getitem__)
+    grid = beta_max * np.arange(1.0, _GRID_POINTS + 1.0) / _GRID_POINTS
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan, as on floats
+        vals = dsq(grid)
+    k, xs, vals = int(np.argmin(vals)), grid.tolist(), vals.tolist()
     lo = xs[k - 1] if k > 0 else xs[0] / 2.0
     hi = xs[k + 1] if k + 1 < _GRID_POINTS else beta_max
     x1 = hi - _INV_PHI * (hi - lo)
@@ -310,7 +304,7 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
     # warnings about them would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         det = np.linalg.det(system)
-        det_mag = np.hypot(det.real, det.imag)
+        det_mag = modulus(det)
         singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
         # A stacked solve raises on any exactly singular system; those rows
         # are reported as nan instead.

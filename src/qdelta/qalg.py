@@ -4,11 +4,13 @@ The decomposition convention is fixed once here and used everywhere else:
 q = z1 + j*z2 with z1 = w + x*i and z2 = y - z*i.
 
 The components may also be numpy arrays: qmul, qconj, norm and the split and
-join then act entry by entry, with the bits of the float evaluation.
+join then act entry by entry, with the bits of the float evaluation. The module
+ends with the array arithmetic, rounded as CPython's scalars, that all modules use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +63,20 @@ def qconj(q: Quaternion) -> Quaternion:
     return Quaternion(q.w, -q.x, -q.y, -q.z)
 
 
+def symplectic_split(q: Quaternion) -> tuple[complex, complex]:
+    """Split q into (z1, z2) with q = z1 + j*z2, z1 = w + x*i, z2 = y - z*i."""
+    return as_complex(q.w, q.x), as_complex(q.y, -q.z)
+
+
+def symplectic_join(z1: complex, z2: complex) -> Quaternion:
+    """Exact inverse of symplectic_split: z1 + j*z2 as a quaternion."""
+    return Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
+
+
+# Array arithmetic rounded entry by entry as CPython's float and complex scalars
+# round it, where numpy's own complex product, quotient, modulus and power may not.
+# cmul and cdiv take (re, im) pairs; a float x takes part as (x, 0.0), as in CPython.
+
 def as_complex(re, im):
     """re + i im with both parts kept bit for bit: a complex number, or a
     complex array when re is an array."""
@@ -71,11 +87,41 @@ def as_complex(re, im):
     return z
 
 
-def symplectic_split(q: Quaternion) -> tuple[complex, complex]:
-    """Split q into (z1, z2) with q = z1 + j*z2, z1 = w + x*i, z2 = y - z*i."""
-    return as_complex(q.w, q.x), as_complex(q.y, -q.z)
+def cmul(a, b):
+    """The product a * b of (re, im) pairs."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def symplectic_join(z1: complex, z2: complex) -> Quaternion:
-    """Exact inverse of symplectic_split: z1 + j*z2 as a quaternion."""
-    return Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
+def cdiv(a, b):
+    """The quotient a / b of (re, im) pairs, both scaled by the larger part of b."""
+    (ar, ai), (br, bi) = a, b
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def cprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays."""
+    return as_complex(*cmul((a.real, a.imag), (b.real, b.imag)))
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| for a complex array, as abs() takes it."""
+    return np.hypot(z.real, z.imag)
+
+
+def power(x, n):
+    """x ** n through libm pow, a float for a float x; where float ** raises on
+    overflow, inf, or -inf for odd n and negative x, as for arrays."""
+    try:
+        return np.float_power(x, n) if isinstance(x, np.ndarray) else x ** n
+    except OverflowError:
+        return -math.inf if x < 0.0 and n % 2 else math.inf
+
+
+def maximum(*values):
+    """The entrywise maximum of values, as nested np.maximum from the left."""
+    return functools.reduce(np.maximum, values)

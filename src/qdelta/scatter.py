@@ -3,7 +3,8 @@
 The interaction strength has a complex i channel v1 + i*v2 plus real j and k
 channels (cap_v2, cap_v3); the amplitudes depend on the latter two only
 through g^2 = cap_v2^2 + cap_v3^2. Natural units hbar = m = 1 throughout, so
-beta = sqrt(2 E) and E = beta^2 / 2.
+beta = sqrt(2 E) and E = beta^2 / 2. The array forms run the complex closed forms
+on (re, im) pairs through qalg's helpers, with the bits of the scalar evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qalg import as_complex
+from .qalg import as_complex, cdiv, cmul, power
 
 
 # |D| below TOL_SINGULAR * max(1, beta^2) flags a spectral singularity instead
@@ -79,26 +80,6 @@ def dr_di(p: DeltaPotential, beta: float) -> tuple[float, float]:
     return d_r, d_i
 
 
-# Complex arithmetic on (re, im) pairs of floats or arrays, in the operation
-# order of CPython's complex type; a float x takes part as (x, 0.0), as it
-# does there. numpy's own complex product and modulus may round differently.
-
-def cmul(a, b):
-    """The product a * b of (re, im) pairs, rounded as CPython's complex type does."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _cdiv(a, b):
-    """CPython's quotient: numerator and denominator scaled by the larger part of b."""
-    (ar, ai), (br, bi) = a, b
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
-
-
 def _denominator_parts(v1, v2, g2, beta):
     """beta (beta + V1), N = V1^2 + g^2 + V1 beta and D = beta (beta + V1) + i N,
     as (re, im) pairs, evaluated as the complex expressions would be."""
@@ -114,9 +95,8 @@ def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
     """Reflection and transmission from the closed forms, broadcast over arrays
     of (v1, v2, g^2, E).
 
-    Every entry equals the scalar complex evaluation bit for bit: the complex
-    arithmetic runs on real parts in CPython's order, and |r|^2 is taken with
-    libm pow, as abs(r) ** 2 is.
+    Every entry equals the scalar complex evaluation bit for bit; |r|^2 is
+    taken as abs(r) ** 2 is.
     """
     v1, v2, g2, energy = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (v1, v2, g_squared, energy)))
@@ -126,10 +106,10 @@ def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bb, numer, d = _denominator_parts(v1, v2, g2, beta)
         singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
-        r = _cdiv(cmul((-0.0, -1.0), numer), d)             # -i numer / D
-        t = _cdiv(bb, d)
+        r = cdiv(cmul((-0.0, -1.0), numer), d)              # -i numer / D
+        t = cdiv(bb, d)
         r, t = ([np.where(singular, np.nan, part) for part in z] for z in (r, t))
-        big_r, big_t = (np.where(singular, np.inf, np.float_power(np.hypot(*z), 2.0))
+        big_r, big_t = (np.where(singular, np.inf, power(np.hypot(*z), 2.0))
                         for z in (r, t))
     return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
                             as_complex(*d), singular)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import oracle
 from .oracle import MatchMode
-from .qalg import (ONE, I, J, K, Quaternion, qconj, qmul, symplectic_join,
-                   symplectic_split)
+from .qalg import (ONE, I, J, K, Quaternion, as_complex, maximum, modulus,
+                   power, qconj, qmul, symplectic_join, symplectic_split)
 from .scatter import (DeltaPotential, amplitude_arrays, amplitudes, denominator,
                       dr_di, sweep)
 from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
@@ -160,9 +160,8 @@ def _draw_v2_zero(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
     """(v1, 0, g^2, E): potentials of the probability-conserving v2 = 0
     family, and energies."""
     u = _randoms(rng, 3 * n).reshape(n, 3)
-    # np.float_power rounds as ** on floats does; numpy's power may not.
     return (_uniform(-10.0, 10.0, u[:, 0]), np.zeros(n), 100.0 * (1.0 - u[:, 1]),
-            0.5 * np.float_power(20.0 * (1.0 - u[:, 2]), 2.0))
+            0.5 * power(20.0 * (1.0 - u[:, 2]), 2.0))
 
 
 def _draw_lossy(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,10 +233,6 @@ def _potential(v1: np.ndarray, v2: np.ndarray, g2: np.ndarray) -> DeltaPotential
     return DeltaPotential(v1, v2, np.sqrt(g2), 0.0)
 
 
-def _maximum(*values):
-    return functools.reduce(np.maximum, values)
-
-
 def _first_failure(checks) -> tuple[int, str] | None:
     """For (failed, message) pairs over one block, the first draw n where any
     check fails and message(n) of the first check failing there; None if
@@ -261,12 +256,11 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
     discriminant_expanded's fsum wherever the plain sum's error could flip
     the verdict."""
     b, c, dd, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
-    # np.float_power rounds as ** on floats does; numpy's power may not.
-    monomials = _maximum(np.float_power(np.abs(e), 3) * 256.0, 27.0 * np.float_power(dd, 4),
-                         27.0 * np.float_power(b, 4) * e * e)
+    monomials = maximum(power(np.abs(e), 3) * 256.0, 27.0 * power(dd, 4),
+                        27.0 * power(b, 4) * e * e)
 
     def gaps(delta_exp):
-        term_scale = _maximum(monomials, np.abs(delta_exp), np.abs(delta_fact))
+        term_scale = maximum(monomials, np.abs(delta_exp), np.abs(delta_fact))
         return np.abs(delta_exp - delta_fact), np.maximum(1e-8, 1e-6 * term_scale)
 
     delta_exp, bound = discriminant_bounded(coeffs)
@@ -292,15 +286,15 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
         split_sq = d_r * d_r + d_i * d_i
         coeffs = quartic_coeffs(pot)
         quartic_val = coeffs.value_at(beta)
-        tol = 1e-9 * _maximum(1.0, dsq, split_sq, np.abs(quartic_val))
+        tol = 1e-9 * maximum(1.0, dsq, split_sq, np.abs(quartic_val))
         a_factor, b_factor, delta_fact = discriminant_factored(pot)
         disc_gap, disc_allowed = _discriminant_gaps(coeffs, delta_fact)
         p_raw, q_raw = pq_classifiers(coeffs)
         p_simple, q_simple = pq_simplified(pot)
         b, c, dd, e = coeffs.b, coeffs.c, coeffs.d, coeffs.e
-        p_scale = _maximum(1.0, 8.0 * np.abs(c), 3.0 * b * b)
-        q_scale = _maximum(1.0, 64.0 * np.abs(e), 16.0 * c * c, 3.0 * np.float_power(b, 4),
-                           16.0 * np.abs(b * dd), 16.0 * b * b * np.abs(c))
+        p_scale = maximum(1.0, 8.0 * np.abs(c), 3.0 * b * b)
+        q_scale = maximum(1.0, 64.0 * np.abs(e), 16.0 * c * c, 3.0 * power(b, 4),
+                          16.0 * np.abs(b * dd), 16.0 * b * b * np.abs(c))
         return (
             ((np.abs(dsq - split_sq) > tol) | (np.abs(dsq - quartic_val) > tol),
              lambda n: f"|D|^2 identity broken at draw {start + n}: {dsq[n].item()!r} "
@@ -336,11 +330,6 @@ def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
     return _result("unitarity-v2-zero", problem, f"{trials} draws, worst |R+T-1| = {worst:.3e}")
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| as abs() takes it for a complex number; numpy's abs may round otherwise."""
-    return np.hypot(z.real, z.imag)
-
-
 def _oracle_agreement(mode: MatchMode, message: str):
     """The check of (v1, v2, g^2, E) draws that fails, with message, where the
     matching oracle in this mode disagrees with the closed forms off the
@@ -351,7 +340,7 @@ def _oracle_agreement(mode: MatchMode, message: str):
         m = oracle.matching_arrays(pot.v1, pot.v2, pot.cap_v2, pot.cap_v3, energy, mode)
         agree = np.ones(energy.shape, dtype=bool)
         for got, want in ((m.r, closed.r), (m.t, closed.t)):
-            agree &= _modulus(got - want) <= 1e-9 * _maximum(1.0, _modulus(got), _modulus(want))
+            agree &= modulus(got - want) <= 1e-9 * maximum(1.0, modulus(got), modulus(want))
         return ((~closed.at_singularity & (m.singular_system | ~agree),
                  lambda n: f"{message} at draw {start + n}"),)
     return agreement
@@ -404,7 +393,7 @@ def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
         plus, _ = ss_branches(v1, v2)
         pot, coeffs, found = _branch_roots(v1, v2, (plus,))
         a_factor, _, _ = discriminant_factored(pot)
-        a_large = a_factor > 1e-8 * np.maximum(1.0, np.float_power(plus.g_squared, 2.0))
+        a_large = a_factor > 1e-8 * np.maximum(1.0, power(plus.g_squared, 2.0))
         off_boundary = np.array([root_nature(_coeffs_at(coeffs, n))
                                  is not RootNature.BOUNDARY_DOUBLE_ROOT
                                  for n in range(len(v1))])
@@ -550,7 +539,7 @@ def check_decomposition_identity(rng: random.Random, trials: int) -> CheckResult
         pot = _potential(v1, v2, g2)
         d = denominator(pot, beta)
         d_r, d_i = dr_di(pot, beta)
-        off = np.hypot(d.real - d_r, d.imag - d_i)
+        off = modulus(d - as_complex(d_r, d_i))
         return ((off > 1e-12, lambda n: f"decomposition off by {off[n]:.3e} "
                                         f"at draw {start + n}"),)
     return _result("decomposition-identity",

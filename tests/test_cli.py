@@ -167,6 +167,15 @@ def test_scan_overflowing_closed_forms_print_only_the_failure(box, cell):
                            f"(v1, v2) = {cell}\n")
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_ss_overflowing_quartic_prints_only_the_failure(extra):
+    # (v1^2 + v2^2)^2 overflows in the plus branch's quartic coefficient e.
+    proc = run_cli("ss", "--v1=-1e80", "--v2=-1e80", *extra)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "numerical failure: the quartic of the plus branch overflows\n"
+
+
 def test_physical_overflow_prints_only_the_failure():
     proc = run_cli("sweep", "--model", "physical", "--v1=1e200", "--v2=-2e200", "--g2=1e300",
                    "--emin=1", "--emax=2", "--steps=3")

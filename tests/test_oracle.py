@@ -224,6 +224,17 @@ def test_minimize_dsq_default_bound_and_validation():
         minimize_dsq(p, -1.0)
 
 
+@pytest.mark.parametrize("g2, want", [
+    (3.75, (2.0, 0.0)),
+    (5.0, (1.5, 7.888609052210118e-31)),
+    (1.0, (2.7754499604680136, 1.6365447484455091)),
+])
+def test_minimize_dsq_pinned_bitwise(g2, want):
+    got = minimize_dsq(DeltaPotential.from_g_squared(-0.5, 3.0, g2))
+    assert [type(x) for x in got] == [float, float]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_matching_real_strength_hand_value():
     p = DeltaPotential(1.0, 0.0, 1.0, 0.0)
     for mode in (MatchMode.CONJUGATE, MatchMode.CONTINUED):

@@ -1,10 +1,13 @@
+import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdelta.qalg import (I, J, K, ONE, Quaternion, qconj, qmul, symplectic_join,
-                         symplectic_split)
+from qdelta.qalg import (I, J, K, ONE, Quaternion, as_complex, cdiv, cmul, cprod, maximum,
+                         modulus, power, qconj, qmul, symplectic_join, symplectic_split)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                    allow_infinity=False)
@@ -97,3 +100,83 @@ def test_join_is_z1_plus_j_z2():
         z2 = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         assert symplectic_join(z1, z2) == (Quaternion(z1.real, z1.imag, 0.0, 0.0)
                                            + qmul(J, Quaternion(z2.real, z2.imag, 0.0, 0.0)))
+
+
+def _floats(seed: int) -> list[float]:
+    """Seeded floats of both signs with magnitudes from 1e-300 to 1e300, with
+    signed zeros and subnormals among them."""
+    rng = random.Random(seed)
+    xs = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2000)]
+    xs += [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315] * 20
+    rng.shuffle(xs)
+    return xs
+
+
+def _hex(values) -> list[str]:
+    """float.hex of each value: the sign and every bit."""
+    return [float(x).hex() for x in values]
+
+
+@pytest.fixture(scope="module")
+def parts():
+    """(re, im) pairs a and b, as lists of floats and as arrays; every fifth b
+    has parts of equal magnitude, where cdiv's choice of scaling part ties."""
+    ar, ai, br, bi = (_floats(seed) for seed in range(4))
+    bi[::5] = [x * (-1.0) ** k for k, x in enumerate(br[::5])]
+    return (ar, ai), (br, bi), (np.array(ar), np.array(ai)), (np.array(br), np.array(bi))
+
+
+def test_cmul_and_cprod_round_as_complex_product(parts):
+    (ar, ai), (br, bi), a_arr, b_arr = parts
+    want = [complex(*a) * complex(*b) for a, b in zip(zip(ar, ai), zip(br, bi))]
+    with np.errstate(all="ignore"):
+        got = cmul(a_arr, b_arr)
+        product = cprod(as_complex(*a_arr), as_complex(*b_arr))
+    assert _hex(got[0]) == _hex(z.real for z in want)
+    assert _hex(got[1]) == _hex(z.imag for z in want)
+    assert _hex(product.real) == _hex(z.real for z in want)
+    assert _hex(product.imag) == _hex(z.imag for z in want)
+
+
+def test_cdiv_rounds_as_complex_quotient(parts):
+    (ar, ai), (br, bi), a_arr, b_arr = parts
+    nonzero = [k for k, b in enumerate(zip(br, bi)) if b != (0.0, 0.0)]
+    want = [complex(ar[k], ai[k]) / complex(br[k], bi[k]) for k in nonzero]
+    with np.errstate(all="ignore"):
+        got = cdiv(a_arr, b_arr)
+    assert _hex(got[0][nonzero]) == _hex(z.real for z in want)
+    assert _hex(got[1][nonzero]) == _hex(z.imag for z in want)
+
+
+def test_modulus_rounds_as_abs(parts):
+    (ar, ai), _, a_arr, _ = parts
+    assert _hex(modulus(as_complex(*a_arr))) == _hex(abs(complex(x, y)) for x, y in zip(ar, ai))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_power_rounds_as_float_power_operator(n):
+    xs = _floats(4)
+    with np.errstate(over="ignore"):
+        on_array = power(np.array(xs), n)
+    for x, from_array in zip(xs, on_array.tolist()):
+        got = power(x, n)
+        assert type(got) is float
+        try:
+            want = x ** n
+        except OverflowError:
+            want = -math.inf if x < 0.0 and n % 2 else math.inf
+        assert got.hex() == want.hex() == from_array.hex()
+
+
+def test_power_overflows_to_signed_infinity():
+    assert power(-1e200, 3) == -math.inf
+    assert power(1e200, 2) == math.inf
+    assert power(1e200, 4) == math.inf
+    assert power(-1e200, 4) == math.inf
+
+
+def test_maximum_folds_from_the_left():
+    a, b = np.array([1.0, np.nan, 3.0]), np.array([2.0, 0.0, np.nan])
+    got = maximum(0.5, a, b)
+    assert _hex(got) == _hex(np.maximum(np.maximum(0.5, a), b))
+    assert got[0] == 2.0 and np.isnan(got[1:]).all()
