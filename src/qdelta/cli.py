@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=int, default=42,
+                          help="drawn check k draws the numbers of random.Random(SEED + k)")
     p_verify.add_argument("--trials", type=int, default=10000)
     p_verify.add_argument("--out", default=None)
 

@@ -3,13 +3,12 @@
 Every closed form is checked against an independent numerical oracle, every
 algebraic identity against seeded random draws, and the report always states
 the two documented inconsistencies in the published reference values for this
-model. Reports are byte-identical for equal seeds.
+model. Reports are byte-identical for equal seeds: drawn check k draws from
+stream(seed + k), which yields the numbers of random.Random(seed + k).
 """
 
 from __future__ import annotations
 
-import functools
-import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -107,90 +106,73 @@ def check_resonance_curves() -> CheckResult:
     return _result("resonance-curves", next(iter(problems), None), "; ".join(details))
 
 
-@functools.cache
-def _mt19937() -> np.random.RandomState:
-    """One generator for every block: seeding a new one costs more than a
-    block of draws, and each use first sets its whole state, so no call sees
-    another's. Built on first use, since importing numpy.random costs the
-    commands that draw nothing about 10 ms and 6 MB."""
-    return np.random.RandomState(0)
-
-
-def _randoms(rng: random.Random, n: int) -> np.ndarray:
-    """The next n values of rng.random(), bit for bit, leaving rng after them.
-
-    random.Random and numpy's legacy RandomState run the same MT19937 and
-    build a double from two 32-bit outputs the same way (genrand_res53), so
-    the block is drawn in numpy from rng's state, which is then handed back.
-    """
-    version, internal, gauss_next = rng.getstate()
-    mt = _mt19937()
-    mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0))
-    block = mt.random_sample(n)
-    _, keys, pos, _, _ = mt.get_state()
-    rng.setstate((version, (*keys.tolist(), int(pos)), gauss_next))
-    return block
+def stream(seed: int) -> np.random.RandomState:
+    """numpy's MT19937 seeded as random.Random(seed) seeds it, so it draws the
+    same doubles: init_by_array on the 32-bit words of |seed|, low word first
+    (a list: numpy seeds one int otherwise). numpy.random loads on first use."""
+    n = abs(seed)
+    return np.random.RandomState([n >> k & 0xFFFFFFFF for k in range(0, n.bit_length() or 1, 32)])
 
 
 # Draw shapes: each maps (rng, n) to columns of n draws, taken from rng in
-# the order a draw-by-draw loop takes them; rng.uniform(a, b) is a + (b - a) u
-# and an open unit (0, 1] is 1 - u, for u = rng.random().
+# the order a draw-by-draw loop takes them. For u = rng.random_sample(),
+# rng.uniform(a, b) is a + (b - a) u, as in random, and 1 - u is in (0, 1].
 
-Draw = Callable[[random.Random, int], tuple[np.ndarray, ...]]
+Draw = Callable[["np.random.RandomState", int], tuple[np.ndarray, ...]]
 
 
 def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
     return a + (b - a) * u
 
 
-def _draw_potentials(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+def _draw_potentials(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, ...]:
     """(v1, v2, g^2, beta) on the draw box."""
-    u = _randoms(rng, 4 * n).reshape(n, 4)
+    u = rng.random_sample(4 * n).reshape(n, 4)
     return (_uniform(-10.0, 10.0, u[:, 0]), _uniform(-10.0, 10.0, u[:, 1]),
             100.0 * (1.0 - u[:, 2]), 20.0 * (1.0 - u[:, 3]))
 
 
-def _draw_at_energy(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+def _draw_at_energy(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, ...]:
     """(v1, v2, g^2, E) on the draw box, E = beta^2 / 2."""
     v1, v2, g2, beta = _draw_potentials(rng, n)
     return v1, v2, g2, 0.5 * beta * beta
 
 
-def _draw_v2_zero(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
+def _draw_v2_zero(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, ...]:
     """(v1, 0, g^2, E): potentials of the probability-conserving v2 = 0
     family, and energies."""
-    u = _randoms(rng, 3 * n).reshape(n, 3)
+    u = rng.random_sample(3 * n).reshape(n, 3)
     return (_uniform(-10.0, 10.0, u[:, 0]), np.zeros(n), 100.0 * (1.0 - u[:, 1]),
             0.5 * power(20.0 * (1.0 - u[:, 2]), 2.0))
 
 
-def _draw_lossy(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_lossy(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(v1, v2), both uniform in [-10, 0)."""
-    u = _randoms(rng, 2 * n).reshape(n, 2)
+    u = rng.random_sample(2 * n).reshape(n, 2)
     return -10.0 * (1.0 - u[:, 0]), -10.0 * (1.0 - u[:, 1])
 
 
-def _draw_axis(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_axis(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(v1, 0) with |v1| >= 1e-6: a draw below is skipped, as if redrawn."""
     v1 = np.empty(0)
     while v1.size < n:
-        more = _uniform(-10.0, 10.0, _randoms(rng, n - v1.size))
+        more = rng.uniform(-10.0, 10.0, n - v1.size)
         v1 = np.concatenate((v1, more[np.abs(more) >= 1e-6]))
     return v1, np.zeros(n)
 
 
-def _draw_band(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw_band(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(kappa v2 u, v2) with v2 uniform in (0.1, 10] and u in [0, 1): pairs
     inside the feasibility band."""
-    u = _randoms(rng, 2 * n).reshape(n, 2)
+    u = rng.random_sample(2 * n).reshape(n, 2)
     v2 = 0.1 + 9.9 * (1.0 - u[:, 0])
     return KAPPA * v2 * u[:, 1], v2
 
 
 def _uniform_columns(a: float, b: float, width: int) -> Draw:
     """The draw shape of width numbers, each uniform in [a, b)."""
-    def draw(rng: random.Random, n: int) -> tuple[np.ndarray, ...]:
-        return tuple(_uniform(a, b, _randoms(rng, width * n).reshape(n, width)).T)
+    def draw(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, ...]:
+        return tuple(rng.uniform(a, b, (n, width)).T)
     return draw
 
 
@@ -206,13 +188,13 @@ _draw_quartics = _uniform_columns(-20.0, 20.0, 4)
 _BLOCK = 2048
 
 
-def _blocks(rng: random.Random, trials: int, draw: Draw) -> Iterator[tuple[int, tuple]]:
+def _blocks(rng: np.random.RandomState, trials: int, draw: Draw) -> Iterator[tuple[int, tuple]]:
     """(index of the first draw, columns) for consecutive blocks of draws."""
     for start in range(0, trials, _BLOCK):
         yield start, draw(rng, min(_BLOCK, trials - start))
 
 
-def _first_failing_draw(rng: random.Random, trials: int, draw: Draw,
+def _first_failing_draw(rng: np.random.RandomState, trials: int, draw: Draw,
                         evaluate: Callable[..., Sequence]) -> str | None:
     """The message of the first failing draw among trials draws, or None.
 
@@ -275,7 +257,7 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
     return gap, allowed
 
 
-def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
+def check_algebraic_identities(rng: np.random.RandomState, trials: int) -> CheckResult:
     """|D|^2 = Dr^2 + Di^2 = quartic(beta); discriminant = 64 A B; P, Q raw
     versus reduced; A >= 0 and B >= 0 throughout."""
     def identities(start, v1, v2, g2, beta):
@@ -315,7 +297,7 @@ def check_algebraic_identities(rng: random.Random, trials: int) -> CheckResult:
                    f"{trials} draws, all identities hold")
 
 
-def check_unitarity(rng: random.Random, trials: int) -> CheckResult:
+def check_unitarity(rng: np.random.RandomState, trials: int) -> CheckResult:
     """R + T = 1 for every draw with v2 = 0 (probability-conserving family)."""
     worst = 0.0
 
@@ -346,7 +328,7 @@ def _oracle_agreement(mode: MatchMode, message: str):
     return agreement
 
 
-def check_matching_equivalence(rng: random.Random, trials: int,
+def check_matching_equivalence(rng: np.random.RandomState, trials: int,
                                divergence: float) -> CheckResult:
     """Continued-mode matching equals the closed forms everywhere; Conjugate
     mode equals them on the v2 = 0 subfamily; the two modes must differ at the
@@ -386,7 +368,7 @@ def _branch_roots(v1: np.ndarray, v2: np.ndarray,
     return pot, coeffs, oracle.quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
 
 
-def check_double_root_boundary(rng: random.Random, pairs: int) -> CheckResult:
+def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckResult:
     """Plus-branch singularities in the lossy quadrant are genuine double
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
     def double_roots(start, v1, v2):
@@ -423,7 +405,7 @@ def _regions(failed, name):
     return regions
 
 
-def check_lossy_quadrant(rng: random.Random, trials: int) -> CheckResult:
+def check_lossy_quadrant(rng: np.random.RandomState, trials: int) -> CheckResult:
     """Every strictly lossy pair (v1 < 0, v2 < 0) supports a singularity."""
     # PlusOnly or BothBranches exactly where the plus branch is feasible.
     problem = _first_failing_draw(rng, trials, _draw_lossy,
@@ -484,7 +466,7 @@ def check_small_v1_limits() -> CheckResult:
                    + ", ".join(f"{r:.6f}" for r in ratios))
 
 
-def check_no_ss_anti_hermitian(rng: random.Random, trials: int) -> CheckResult:
+def check_no_ss_anti_hermitian(rng: np.random.RandomState, trials: int) -> CheckResult:
     """No singularity anywhere on the v2 = 0 axis."""
     problem = _first_failing_draw(rng, trials, _draw_axis, _regions(
         lambda plus, minus: plus.feasible | minus.feasible,
@@ -504,7 +486,7 @@ _UNIT_TABLE = {
 }
 
 
-def check_quaternion_algebra(rng: random.Random) -> CheckResult:
+def check_quaternion_algebra(rng: np.random.RandomState) -> CheckResult:
     """Unit table, norm multiplicativity, associativity, conjugation and the
     exact split/join round trip."""
     def identities(start, *components):
@@ -533,7 +515,7 @@ def check_quaternion_algebra(rng: random.Random) -> CheckResult:
     return _result("quaternion-algebra", problem, "500 draws per identity")
 
 
-def check_decomposition_identity(rng: random.Random, trials: int) -> CheckResult:
+def check_decomposition_identity(rng: np.random.RandomState, trials: int) -> CheckResult:
     """Complex denominator equals Dr + i Di to 1e-12 absolute on the draw box."""
     def decomposition(start, v1, v2, g2, beta):
         pot = _potential(v1, v2, g2)
@@ -552,7 +534,7 @@ def _ascending(z: np.ndarray) -> np.ndarray:
     return np.take_along_axis(z, np.lexsort((z.imag, z.real)), axis=1)
 
 
-def check_quartic_root_oracle(rng: random.Random, trials: int) -> CheckResult:
+def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckResult:
     """Random quartics reconstruct from their roots; every feasible branch
     beta appears among the roots with multiplicity 2."""
     n_coeff, n_branch = min(trials, 300), min(trials, 100)
@@ -614,17 +596,17 @@ def run_suite(seed: int, trials: int, divergence: float) -> list[CheckResult]:
     return [
         check_reference_constants(),
         check_resonance_curves(),
-        check_algebraic_identities(random.Random(seed + 1), trials),
-        check_unitarity(random.Random(seed + 2), trials),
-        check_matching_equivalence(random.Random(seed + 3), trials, divergence),
-        check_double_root_boundary(random.Random(seed + 4), pairs),
-        check_lossy_quadrant(random.Random(seed + 5), trials),
+        check_algebraic_identities(stream(seed + 1), trials),
+        check_unitarity(stream(seed + 2), trials),
+        check_matching_equivalence(stream(seed + 3), trials, divergence),
+        check_double_root_boundary(stream(seed + 4), pairs),
+        check_lossy_quadrant(stream(seed + 5), trials),
         check_region_boundary(),
         check_small_v1_limits(),
-        check_no_ss_anti_hermitian(random.Random(seed + 6), axis_trials),
-        check_quaternion_algebra(random.Random(seed + 7)),
-        check_decomposition_identity(random.Random(seed + 8), min(trials, 2000)),
-        check_quartic_root_oracle(random.Random(seed + 9), trials),
+        check_no_ss_anti_hermitian(stream(seed + 6), axis_trials),
+        check_quaternion_algebra(stream(seed + 7)),
+        check_decomposition_identity(stream(seed + 8), min(trials, 2000)),
+        check_quartic_root_oracle(stream(seed + 9), trials),
         check_scan_claims(),
     ]
 

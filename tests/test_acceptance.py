@@ -4,7 +4,6 @@ the verify command runs; this module drives them at full scale and enforces
 the runtime budgets."""
 
 import json
-import random
 import subprocess
 import sys
 import time
@@ -63,29 +62,29 @@ def test_c02_resonance_curves():
 
 
 def test_c03_algebraic_identity_suite():
-    check = verify.check_algebraic_identities(random.Random(SEED + 1), TRIALS)
+    check = verify.check_algebraic_identities(verify.stream(SEED + 1), TRIALS)
     assert _report(3, "algebraic identities", check.passed), check.detail
 
 
 def test_c04_unitarity_of_real_strength_family():
-    check = verify.check_unitarity(random.Random(SEED + 2), TRIALS)
+    check = verify.check_unitarity(verify.stream(SEED + 2), TRIALS)
     assert _report(4, "unitarity at v2=0", check.passed), check.detail
 
 
 def test_c05_matching_oracle_equivalence():
-    check = verify.check_matching_equivalence(random.Random(SEED + 3), TRIALS,
+    check = verify.check_matching_equivalence(verify.stream(SEED + 3), TRIALS,
                                               verify.mode_divergence_at_probe())
     assert _report(5, "matching equivalence", check.passed), check.detail
     assert verify.mode_divergence_at_probe() > 1e-12
 
 
 def test_c06_double_root_boundary():
-    check = verify.check_double_root_boundary(random.Random(SEED + 4), 100)
+    check = verify.check_double_root_boundary(verify.stream(SEED + 4), 100)
     assert _report(6, "double-root boundary", check.passed), check.detail
 
 
 def test_c07_lossy_quadrant_always_singular():
-    check = verify.check_lossy_quadrant(random.Random(SEED + 5), TRIALS)
+    check = verify.check_lossy_quadrant(verify.stream(SEED + 5), TRIALS)
     assert _report(7, "lossy quadrant", check.passed), check.detail
 
 
@@ -100,7 +99,7 @@ def test_c09_small_v1_limits():
 
 
 def test_c10_no_singularity_on_v2_zero_axis():
-    check = verify.check_no_ss_anti_hermitian(random.Random(SEED + 6), 1000)
+    check = verify.check_no_ss_anti_hermitian(verify.stream(SEED + 6), 1000)
     assert _report(10, "no SS at v2=0", check.passed), check.detail
 
 

@@ -354,6 +354,11 @@ def test_scan_full_size_output_is_pinned():
     (7, 0, "0195c6d4e45534e4773d35f13b0d5328fba648209b290b46a669553e99cc0b76"),
     # Fails double-root-boundary: the report pins that check's first failure.
     (1070767975, 3, "87390acc93c1c8fed93a759cee1912e911f1fbc8acab1e86b8ccea8159bf61ed"),
+    # The check seeds run from -4 to 4, across 0.
+    (-5, 0, "d4fa6856db86f172d6a809ef0282a26fd3875e71a1c33614aae91e3715dc2ed5"),
+    (0, 0, "171faced0947306cf75778cba67b6c5af04aea94c0897b69d43912407663881a"),
+    # 2^40 + 7: every check seed is a two-word key.
+    (1099511627783, 0, "e4dc286408540c1f80b09fcc2ab0a08944bea19f14f18d7c1e137708bd87125e"),
 ])
 def test_verify_report_is_pinned(seed, returncode, digest):
     proc = run_cli_bytes("verify", f"--seed={seed}", "--trials=10000")

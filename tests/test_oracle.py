@@ -198,8 +198,8 @@ def test_failed_reconstruction_raises(monkeypatch):
 
 
 def test_quartic_root_oracle_check_at_suite_seed_160():
-    # verify --seed 160 runs this check with Random(160 + 9).
-    assert verify.check_quartic_root_oracle(random.Random(169), 10000).passed
+    # verify --seed 160 runs this check with stream(160 + 9).
+    assert verify.check_quartic_root_oracle(verify.stream(169), 10000).passed
 
 
 def test_minimize_dsq_finds_both_branches():

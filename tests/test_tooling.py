@@ -1,9 +1,12 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic may
-live, and that the benchmark's traced functions exist."""
+live, that the benchmark's traced functions exist, and which commands load
+numpy.random."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,28 @@ def test_traced_functions_resolve():
     missing = [f"{mod}.{name}" for mod, name in pairs + [constants["FALLBACK"]]
                if not callable(getattr(importlib.import_module(f"qdelta.{mod}"), name, None))]
     assert missing == []
+
+
+# Loading numpy.random costs a command about 10 ms and 6 MB, so only the
+# commands that draw random numbers may load it.
+_LOADS_NUMPY_RANDOM = """
+import sys
+from qdelta import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["ss", "--v1=-0.5", "--v2=3"], False),
+    (["scan", "--v1-min=-1", "--v1-max=1", "--v2-min=-1", "--v2-max=1", "--n1=3", "--n2=3"],
+     False),
+    (["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3"], False),
+    (["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--out={tmp}/curves.svg"], False),
+    (["verify", "--trials=20"], True),
+])
+def test_only_verify_loads_numpy_random(argv, loads, tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_RANDOM,
+                           *(arg.format(tmp=tmp_path) for arg in argv)],
+                          capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == f"0 {loads}", proc.stderr

@@ -5,6 +5,7 @@ check stops at the end of the failing block, before its later stages."""
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
         return dataclasses.replace(m, r=perturb(m.r)) if m.mode is mode else m
 
     monkeypatch.setattr(verify.oracle, "matching_arrays", solve)
-    check = verify.check_matching_equivalence(random.Random(45), TRIALS, divergence)
+    check = verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence)
     assert not check.passed
     assert check.detail == detail
 
@@ -64,7 +65,7 @@ def test_algebraic_identity_failure_names_the_draw(monkeypatch):
         return perturb(d_r), d_i
 
     monkeypatch.setattr(verify, "dr_di", dr_di)
-    check = verify.check_algebraic_identities(random.Random(43), TRIALS)
+    check = verify.check_algebraic_identities(verify.stream(43), TRIALS)
     assert not check.passed
     assert check.detail.startswith(f"|D|^2 identity broken at draw {BAD_DRAW}: ")
 
@@ -73,7 +74,7 @@ def _draw_where_plain_sum_is_inexact(seed: int) -> tuple[int, float, float, floa
     """(draw, plain sum, fsum, largest monomial) of the discriminant at the
     first draw past the first block where the two sums differ and the
     monomial alone sets the allowed gap."""
-    draws = np.transpose(verify._draw_potentials(random.Random(seed), TRIALS)).tolist()
+    draws = np.transpose(verify._draw_potentials(verify.stream(seed), TRIALS)).tolist()
     for n in range(TRIALS):
         v1, v2, g2, _ = draws[n]
         q = quartic_coeffs(DeltaPotential.from_g_squared(v1, v2, g2))
@@ -102,7 +103,7 @@ def test_discriminant_verdict_follows_the_exact_sum(monkeypatch, exact_passes):
         return a_factor, b_factor, change(delta)
 
     monkeypatch.setattr(verify, "discriminant_factored", discriminant_factored)
-    check = verify.check_algebraic_identities(random.Random(43), TRIALS)
+    check = verify.check_algebraic_identities(verify.stream(43), TRIALS)
     if exact_passes:
         assert check.passed, check.detail
     else:
@@ -171,6 +172,23 @@ def _advanced(seed, draws):
     return rng
 
 
+def _state(rng):
+    """The key words and position of a numpy MT19937, listed as in
+    random.Random.getstate()[1]."""
+    _, keys, pos, _, _ = rng.get_state()
+    return (*keys.tolist(), pos)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**70 + 3,
+                                  -1, -5, -2**35])
+def test_stream_is_seeded_as_python_random(seed):
+    # Seeding with the integer, the high word first or a signed seed each
+    # draws other numbers, or raises.
+    ref = random.Random(seed)
+    got = verify.stream(seed).random_sample(5000).tolist()
+    assert list(map(_bits, got)) == [_bits(ref.random()) for _ in range(5000)]
+
+
 @pytest.mark.parametrize("seed", [0, 42, 1070767975])
 @pytest.mark.parametrize("draw, scalar", [
     (verify._draw_potentials, _scalar_potential),
@@ -185,38 +203,27 @@ def _advanced(seed, draws):
 ])
 def test_block_draws_equal_scalar_draws(seed, draw, scalar):
     trials = 2 * verify._BLOCK + 77
-    bulk, one_by_one = random.Random(seed), random.Random(seed)
+    bulk, one_by_one = verify.stream(seed), random.Random(seed)
     got = [row for _, columns in verify._blocks(bulk, trials, draw)
            for row in zip(*(np.broadcast_to(c, len(columns[0])).tolist() for c in columns))]
     want = [scalar(one_by_one) for _ in range(trials)]
     assert [tuple(map(_bits, row)) for row in got] == [tuple(map(_bits, row)) for row in want]
-    assert bulk.getstate() == one_by_one.getstate()
-    assert bulk.random() == one_by_one.random()
+    assert _state(bulk) == one_by_one.getstate()[1]
+    assert bulk.random_sample() == one_by_one.random()
 
 
-def test_randoms_continue_the_stream():
-    rng = random.Random(42)
-    first = verify._randoms(rng, 700)
-    second = verify._randoms(rng, 5)
-    ref = _advanced(42, 0)
-    assert np.concatenate((first, second)).tolist() == [ref.random() for _ in range(705)]
-    assert rng.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
-    assert rng.random() == ref.random()
-
-
-def test_axis_draws_skip_rejected_values(monkeypatch):
+def test_axis_draws_skip_rejected_values():
     # 0.5 draws v1 = 0 exactly, which is redrawn; the second and last values
     # of the first request, and the first of the refill, are rejected.
     stream = [0.1, 0.5, 0.7, 0.5, 0.5, 0.9, 0.3, 0.2]
     requests = []
 
-    def randoms(rng, n):
+    def uniform(a, b, n):
         requests.append(n)
         block, stream[:n] = stream[:n], []
-        return np.array(block)
+        return verify._uniform(a, b, np.array(block))
 
-    monkeypatch.setattr(verify, "_randoms", randoms)
-    v1, v2 = verify._draw_axis(None, 4)
+    v1, v2 = verify._draw_axis(SimpleNamespace(uniform=uniform), 4)
     assert v1.tolist() == [verify._uniform(-10.0, 10.0, u) for u in (0.1, 0.7, 0.9, 0.3)]
     assert v2.tolist() == [0.0] * 4
     assert requests == [4, 2, 1]
@@ -256,38 +263,38 @@ def test_quaternion_algebra_resumes_after_a_failure(monkeypatch):
         return dataclasses.replace(q, w=w)
 
     monkeypatch.setattr(verify, "symplectic_join", symplectic_join)
-    rng = random.Random(7)
+    rng = verify.stream(7)
     check = verify.check_quaternion_algebra(rng)
     assert (check.passed, check.detail) == (False, "split/join round trip not exact")
     # The j z identity does not run: the generator ends after the first
     # stage's one block of 500 draws of 12 numbers.
-    assert rng.getstate() == _advanced(7, 12 * 500).getstate()
+    assert _state(rng) == _advanced(7, 12 * 500).getstate()[1]
 
 
 def test_quaternion_algebra_passes_all_draws():
-    rng = random.Random(7)
+    rng = verify.stream(7)
     assert verify.check_quaternion_algebra(rng).passed
-    assert rng.getstate() == _advanced(7, 12 * 500 + 2 * 500).getstate()
+    assert _state(rng) == _advanced(7, 12 * 500 + 2 * 500).getstate()[1]
 
 
 def test_quartic_oracle_resumes_after_a_reconstruction_failure(monkeypatch):
     bad = 17
     roots = _patch_root_calls(monkeypatch, lambda found: _change_row(
         found, bad, roots=found.roots[bad] + 0.5j))
-    rng = random.Random(9)
+    rng = verify.stream(9)
     check = verify.check_quartic_root_oracle(rng, 10000)
     assert (check.passed, check.detail) == (False, f"root set not conjugate-closed at draw {bad}")
     # The branch stage does not run: one stacked root call, and the generator
     # ends after the first stage's one block of 300 quartics.
     assert len(roots) == 1
-    assert rng.getstate() == _advanced(9, 4 * 300).getstate()
+    assert _state(rng) == _advanced(9, 4 * 300).getstate()[1]
 
 
 def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
     bad = 31
     _patch_root_calls(monkeypatch, None, lambda found: _change_row(
         found, bad, multiplicity_tags=1))
-    rng = random.Random(9)
+    rng = verify.stream(9)
     check = verify.check_quartic_root_oracle(rng, 10000)
     ref = _advanced(9, 4 * 300)
     for _ in range(bad + 1):
@@ -297,7 +304,7 @@ def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
     assert plus.feasible
     assert check.detail == f"branch beta {plus.beta!r} missing from roots at ({v1!r},{v2!r})"
     # The generator ends after the branch stage's one block of 100 pairs.
-    assert rng.getstate() == _advanced(9, 4 * 300 + 2 * 100).getstate()
+    assert _state(rng) == _advanced(9, 4 * 300 + 2 * 100).getstate()[1]
 
 
 def test_reconstruction_failure_raises_in_draw_order(monkeypatch):
@@ -305,20 +312,20 @@ def test_reconstruction_failure_raises_in_draw_order(monkeypatch):
     # fails its own check first.
     _patch_root_calls(monkeypatch, lambda found: _change_row(found, 40, reconstructs=False))
     with pytest.raises(NumericalError, match="fails to reconstruct"):
-        verify.check_quartic_root_oracle(random.Random(9), 10000)
+        verify.check_quartic_root_oracle(verify.stream(9), 10000)
     _patch_root_calls(monkeypatch, lambda found: _change_row(
         _change_row(found, 40, reconstructs=False), 39, roots=found.roots[39] + 0.5j))
-    check = verify.check_quartic_root_oracle(random.Random(9), 10000)
+    check = verify.check_quartic_root_oracle(verify.stream(9), 10000)
     assert check.detail == "root set not conjugate-closed at draw 39"
 
 
 def test_double_root_boundary_failures_in_draw_order(monkeypatch):
     _patch_root_calls(monkeypatch, lambda found: _change_row(found, 5, reconstructs=False))
     with pytest.raises(NumericalError, match="fails to reconstruct"):
-        verify.check_double_root_boundary(random.Random(46), 100)
+        verify.check_double_root_boundary(verify.stream(46), 100)
     _patch_root_calls(monkeypatch, lambda found: _change_row(
         _change_row(found, 5, reconstructs=False), 4, multiplicity_tags=1))
-    check = verify.check_double_root_boundary(random.Random(46), 100)
+    check = verify.check_double_root_boundary(verify.stream(46), 100)
     assert check.detail.startswith("no real double root at beta+=")
     ref = _advanced(46, 2 * 4)
     v1, v2 = _scalar_lossy(ref)
