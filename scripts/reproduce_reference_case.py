@@ -10,8 +10,7 @@ import argparse
 from pathlib import Path
 
 from qdelta.cli import rows_to_csv
-from qdelta.oracle import (minimize_dsq, potential_from_ss_pairs, quartic_roots,
-                           real_double_root)
+from qdelta.oracle import minimize_dsq, potential_from_ss_pairs, quartic_root_arrays
 from qdelta.scatter import DeltaPotential, denominator, sweep
 from qdelta.singular import classify_region, quartic_coeffs, ss_closed_form
 from qdelta.svgplot import render_curves_svg
@@ -38,7 +37,10 @@ def main() -> None:
     for sol in (plus, minus):
         pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
         beta_star, dsq = minimize_dsq(pot)
-        double = real_double_root(quartic_roots(quartic_coeffs(pot)), sol.beta)
+        coeffs = quartic_coeffs(pot)
+        found = quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
+        found.row(0)   # raises NumericalError, as quartic_roots does
+        double = [x[0] for x in found.double_root([sol.beta])]
         print(f"{sol.branch.value:>5} branch: g2={sol.g_squared:.12g} "
               f"beta={sol.beta:.12g} E={sol.energy:.12g}")
         print(f"       |D(beta)| = {abs(denominator(pot, sol.beta)):.3e}, "

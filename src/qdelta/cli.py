@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .oracle import (MatchMode, NumericalError, matching_arrays, quartic_roots,
-                     real_double_root)
+from .oracle import MatchMode, NumericalError, matching_arrays, quartic_root_arrays
 from .qalg import modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
@@ -305,10 +304,11 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
     coeffs = quartic_coeffs(pot)
     if not all(math.isfinite(x) for x in (coeffs.b, coeffs.c, coeffs.d, coeffs.e)):
         raise NumericalError(f"the quartic of the {sol.branch.value} branch overflows")
-    double_beta, double_mult = (real_double_root(quartic_roots(coeffs), sol.beta)
-                                or (None, None))
-    return {"abs_denominator": absd, "double_root_beta": double_beta,
-            "double_root_multiplicity": double_mult}
+    found = quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
+    found.row(0)   # raises NumericalError, as quartic_roots does
+    value, mult = (x.item() for x in found.double_root([sol.beta]))
+    return {"abs_denominator": absd, "double_root_beta": value if mult else None,
+            "double_root_multiplicity": mult or None}
 
 
 def _branch_record(sol: SSBranchSolution) -> dict:

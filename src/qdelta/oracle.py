@@ -61,14 +61,14 @@ class RootArrays:
             raise NumericalError("root set fails to reconstruct the quartic")
         return RootSet(tuple(self.roots[n].tolist()), tuple(self.multiplicity_tags[n].tolist()))
 
-    def has_double_root(self, beta) -> np.ndarray:
-        """Per row: whether a real root of multiplicity >= 2 lies within 1e-6 of beta[n]."""
-        return np.any(_double_root_near(self.roots.real, self.roots.imag,
-                                        self.multiplicity_tags, np.asarray(beta)[:, None]), axis=1)
-
-
-def _double_root_near(re, im, tag, beta):
-    return (im == 0.0) & (tag >= 2) & (abs(re - beta) <= 1e-6)
+    def double_root(self, beta) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the value and multiplicity of the first real root of
+        multiplicity >= 2 within 1e-6 of beta[n]; nan and 0 where there is none."""
+        near = ((self.roots.imag == 0.0) & (self.multiplicity_tags >= 2)
+                & (abs(self.roots.real - np.asarray(beta)[:, None]) <= 1e-6))
+        rows, first = np.arange(len(near)), near.argmax(axis=1)
+        return (np.where(near[rows, first], self.roots.real[rows, first], math.nan),
+                np.where(near[rows, first], self.multiplicity_tags[rows, first], 0))
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -167,15 +167,6 @@ def quartic_roots(q: QuarticCoeffs) -> RootSet:
     """quartic_root_arrays for one quartic; raises NumericalError if its
     roots fail to reconstruct it."""
     return quartic_root_arrays(q.b, q.c, q.d, q.e).row(0)
-
-
-def real_double_root(roots: RootSet, beta: float) -> tuple[float, int] | None:
-    """(value, multiplicity) of the first real root of multiplicity >= 2 within
-    1e-6 of beta, or None."""
-    for z, tag in zip(roots.roots, roots.multiplicity_tags):
-        if _double_root_near(z.real, z.imag, tag, beta):
-            return z.real, tag
-    return None
 
 
 _GRID_POINTS = 10_000

@@ -35,8 +35,8 @@ class QuarticCoeffs:
     """Coefficients of the monic quartic beta^4 + b beta^3 + c beta^2 + d beta + e.
 
     Fields are floats, or arrays from a DeltaPotential of arrays. value_at,
-    discriminant_bounded and the P/Q forms take either, entry for entry with
-    the bits of the float evaluation.
+    both discriminant sums, the P/Q forms and root_nature take either, entry
+    for entry with the bits of the float evaluation.
     """
 
     b: float
@@ -49,14 +49,13 @@ class QuarticCoeffs:
 
 
 def quartic_coeffs(p: DeltaPotential) -> QuarticCoeffs:
-    """|D(beta)|^2 as a monic quartic in beta."""
+    """|D(beta)|^2 = Dr^2 + Di^2 as a monic quartic in beta, from Dr = beta^2 +
+    a beta + dr0 and Di = s beta + di0, so that e = dr0^2 + di0^2 cannot cancel."""
     v1, v2, g2 = p.v1, p.v2, p.g_squared
-    diff = v1 - v2
-    b = 2.0 * diff
-    c = 2.0 * (diff * diff)
-    d = 2.0 * (g2 * (v1 + v2) + diff * (v1 * v1 + v2 * v2))
-    e = g2 * g2 + 2.0 * g2 * (v1 * v1 - v2 * v2) + power(v1 * v1 + v2 * v2, 2)
-    return QuarticCoeffs(b, c, d, e)
+    a, s, dr0 = v1 - v2, v1 + v2, -2.0 * v1 * v2
+    di0 = g2 + a * s
+    return QuarticCoeffs(2.0 * a, 2.0 * (a * a), 2.0 * (a * dr0 + s * di0),
+                         dr0 * dr0 + di0 * di0)
 
 
 def _discriminant_terms(q: QuarticCoeffs) -> tuple[float, ...]:
@@ -85,9 +84,16 @@ def _discriminant_terms(q: QuarticCoeffs) -> tuple[float, ...]:
     )
 
 
-def discriminant_expanded(q: QuarticCoeffs) -> float:
-    """Quartic discriminant evaluated literally from its 16-term expansion."""
-    return math.fsum(_discriminant_terms(q))
+def discriminant_expanded(q: QuarticCoeffs) -> float | np.ndarray:
+    """Quartic discriminant evaluated literally from its 16-term expansion and
+    summed exactly; array coefficients give one sum per entry."""
+    return _exact_sum(np.broadcast_arrays(*_discriminant_terms(q)))
+
+
+def _exact_sum(terms: list[np.ndarray]) -> float | np.ndarray:
+    """math.fsum of the terms, entry by entry; a float for 0-d terms."""
+    sums = [math.fsum(row) for row in np.stack(terms, axis=-1).reshape(-1, len(terms)).tolist()]
+    return sums[0] if terms[0].ndim == 0 else np.reshape(sums, terms[0].shape)
 
 
 def discriminant_bounded(q: QuarticCoeffs) -> tuple[float, float]:
@@ -141,23 +147,24 @@ class RootNature(str, Enum):
     BOUNDARY_DOUBLE_ROOT = "BoundaryDoubleRoot"
 
 
-def root_nature(q: QuarticCoeffs) -> RootNature:
-    """Classify the real-root content of the quartic from its discriminant.
+# Indexed by a quartic's verdict bits (1 P < 0 and Q < 0, 2 delta < 0,
+# 4 delta ~ 0): the highest set bit names the verdict.
+_NATURES = np.array([(RootNature.NO_REAL, RootNature.ALL_FOUR_REAL, RootNature.TWO_DISTINCT_REAL,
+                      RootNature.BOUNDARY_DOUBLE_ROOT)[code.bit_length()]
+                     for code in range(8)], dtype=object)
 
-    The boundary verdict fires when the discriminant vanishes relative to its
-    largest monomial; a non-negative quartic then has a real double root.
-    """
-    terms = _discriminant_terms(q)
-    delta = math.fsum(terms)
-    scale = max(1.0, max(abs(t) for t in terms))
-    if abs(delta) <= BOUNDARY_DELTA_RTOL * scale:
-        return RootNature.BOUNDARY_DOUBLE_ROOT
-    if delta < 0.0:
-        return RootNature.TWO_DISTINCT_REAL
+
+def root_nature(q: QuarticCoeffs) -> RootNature | np.ndarray:
+    """Classify the real-root content of the quartic from its discriminant, an
+    object array of verdicts for array coefficients. The boundary verdict fires
+    when the discriminant vanishes relative to its largest monomial, at any
+    scale; a non-negative quartic then has a real double root."""
+    terms = np.broadcast_arrays(*_discriminant_terms(q))
+    delta = _exact_sum(terms)
     p_val, q_val = pq_classifiers(q)
-    if p_val < 0.0 and q_val < 0.0:
-        return RootNature.ALL_FOUR_REAL
-    return RootNature.NO_REAL
+    code = ((p_val < 0.0) & (q_val < 0.0) | (delta < 0.0) * np.uint8(2)
+            | (abs(delta) <= BOUNDARY_DELTA_RTOL * np.max(np.abs(terms), axis=0)) * np.uint8(4))
+    return _NATURES[code]
 
 
 class Branch(str, Enum):

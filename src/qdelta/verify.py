@@ -227,11 +227,6 @@ def _first_failure(checks) -> tuple[int, str] | None:
     return n, next(message(n) for failed, message in checks if failed[n])
 
 
-def _coeffs_at(coeffs: QuarticCoeffs, n: int) -> QuarticCoeffs:
-    """Row n of array coefficients."""
-    return QuarticCoeffs(*(x[n].item() for x in (coeffs.b, coeffs.c, coeffs.d, coeffs.e)))
-
-
 def _discriminant_gaps(coeffs: QuarticCoeffs,
                        delta_fact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|delta_exp - delta_fact| and the gap allowed, per row; delta_exp is
@@ -250,11 +245,8 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
     # The verdict gap > allowed moves by at most (1 + 1e-6) |delta_exp - fsum|,
     # plus the rounding of gap and allowed themselves.
     unsure = np.flatnonzero(np.abs(gap - allowed) <= 2.0 * (bound + _EPS * allowed))
-    for n in unsure.tolist():
-        delta_exp[n] = discriminant_expanded(_coeffs_at(coeffs, n))
-    if unsure.size:
-        gap, allowed = gaps(delta_exp)
-    return gap, allowed
+    delta_exp[unsure] = discriminant_expanded(QuarticCoeffs(*(x[unsure] for x in (b, c, dd, e))))
+    return gaps(delta_exp)
 
 
 def check_algebraic_identities(rng: np.random.RandomState, trials: int) -> CheckResult:
@@ -283,7 +275,7 @@ def check_algebraic_identities(rng: np.random.RandomState, trials: int) -> Check
                        f"vs {split_sq[n].item()!r} vs {quartic_val[n].item()!r}"),
             (disc_gap > disc_allowed,
              lambda n: f"discriminant identity broken at draw {start + n}: "
-                       f"{discriminant_expanded(_coeffs_at(coeffs, n))!r} vs "
+                       f"{discriminant_expanded(coeffs)[n].item()!r} vs "
                        f"{delta_fact[n].item()!r}"),
             ((np.abs(p_raw - p_simple) > 1e-10 * p_scale)
              | (np.abs(q_raw - q_simple) > 1e-10 * q_scale),
@@ -376,14 +368,13 @@ def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckR
         pot, coeffs, found = _branch_roots(v1, v2, (plus,))
         a_factor, _, _ = discriminant_factored(pot)
         a_large = a_factor > 1e-8 * np.maximum(1.0, power(plus.g_squared, 2.0))
-        off_boundary = np.array([root_nature(_coeffs_at(coeffs, n))
-                                 is not RootNature.BOUNDARY_DOUBLE_ROOT
-                                 for n in range(len(v1))])
+        # numpy compares a bare str member as a string, unequal to every verdict.
+        off_boundary = root_nature(coeffs) != np.array(RootNature.BOUNDARY_DOUBLE_ROOT, object)
         return (
             (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
             # found.row raises NumericalError, as quartic_roots does.
             (~found.reconstructs, found.row),
-            (~found.has_double_root(plus.beta),
+            (found.double_root(plus.beta)[1] == 0,
              lambda n: f"no real double root at beta+={plus.beta[n].item()!r} for "
                        f"{_pair_at(v1, v2, n)}"),
             (a_large, lambda n: f"A = {a_factor[n]:.3e} not ~0 at {_pair_at(v1, v2, n)}"),
@@ -551,13 +542,13 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
     def branch_roots(start, v1, v2):
         sols = ss_branches(v1, v2)
         _, _, found = _branch_roots(v1, v2, sols)
-        has_double_root = found.has_double_root(np.concatenate([sol.beta for sol in sols]))
+        found_beta = found.double_root(np.concatenate([sol.beta for sol in sols]))[1] > 0
         checks = []
         for offset, sol in zip((0, len(v1)), sols):
             rows = slice(offset, offset + len(v1))
             checks += [
                 (sol.feasible & ~found.reconstructs[rows], lambda n, k=offset: found.row(k + n)),
-                (sol.feasible & ~has_double_root[rows],
+                (sol.feasible & ~found_beta[rows],
                  lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
                                     f"at {_pair_at(v1, v2, n)}"),
             ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -104,6 +105,17 @@ def test_branch_betas_appear_as_double_roots():
             hits = [z for z, tag in zip(rs.roots, rs.multiplicity_tags)
                     if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6]
             assert hits, (v1, v2, sol)
+
+
+def test_double_root_per_row():
+    # The figure quartic has a double root at 2 and a complex pair; the
+    # quartic with roots 1-4 has no double root; 2.1 is too far from 2.
+    found = quartic_root_arrays([-7.0, -10.0, -7.0], [24.5, 35.0, 24.5],
+                                [-46.0, -50.0, -46.0], [34.0, 24.0, 34.0])
+    value, mult = found.double_root([2.0, 2.0, 2.1])
+    first = next(z.real for z, tag in zip(*dataclasses.astuple(found.row(0))) if tag >= 2)
+    assert (value[0], mult[0]) == (first, 2)
+    assert np.isnan(value[1:]).all() and mult[1:].tolist() == [0, 0]
 
 
 def _scalar_quartic_roots(q):

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta.scatter import DeltaPotential, denominator, dr_di
-from qdelta.singular import (KAPPA, Branch, QuarticCoeffs, Reason, RegionClass,
-                             RootNature, classify_region,
+from qdelta.singular import (BOUNDARY_DELTA_RTOL, KAPPA, Branch, QuarticCoeffs, Reason,
+                             RegionClass, RootNature, _discriminant_terms, classify_region,
                              discriminant_expanded, discriminant_factored,
                              pq_classifiers, pq_simplified, quartic_coeffs,
                              root_nature, scan_region, ss_branches, ss_closed_form)
@@ -97,6 +97,80 @@ def test_root_nature_examples():
     assert root_nature(QuarticCoeffs(0.0, -5.0, 0.0, 4.0)) is RootNature.ALL_FOUR_REAL
     # (x^2+1)(x^2-1): delta < 0
     assert root_nature(QuarticCoeffs(0.0, 0.0, 0.0, -1.0)) is RootNature.TWO_DISTINCT_REAL
+    # (x-0.1)(x-0.2)(x-0.3)(x-0.4): delta = 1.44e-10 is far above the rounding
+    # of its largest monomial, so no absolute floor may call it a boundary.
+    assert root_nature(QuarticCoeffs(-1.0, 0.35, -0.05, 0.0024)) is RootNature.ALL_FOUR_REAL
+
+
+EXAMPLE_QUARTICS = (FIG_COEFFS, QuarticCoeffs(-10.0, 35.0, -50.0, 24.0),
+                    QuarticCoeffs(2.0, 2.0, 4.0, 4.0), QuarticCoeffs(0.0, -5.0, 0.0, 4.0),
+                    QuarticCoeffs(0.0, 0.0, 0.0, -1.0))
+
+
+@pytest.mark.parametrize("k", range(-20, 21))
+def test_root_nature_ignores_power_of_two_scaling(k):
+    # beta -> 2^k beta scales every discriminant monomial by 2^(12k) exactly.
+    for q in EXAMPLE_QUARTICS:
+        scaled = QuarticCoeffs(math.ldexp(q.b, k), math.ldexp(q.c, 2 * k),
+                               math.ldexp(q.d, 3 * k), math.ldexp(q.e, 4 * k))
+        assert root_nature(scaled) is root_nature(q)
+
+
+def _drawn_branch_quartics(n):
+    """The n quartics of both branches of n / 2 drawn pairs on [-10, 10]^2,
+    with a drawn g^2 in (0, 100] where a branch is infeasible."""
+    rng = np.random.default_rng(2048)
+    v1, v2 = rng.uniform(-10.0, 10.0, (2, n // 2))
+    g2 = [np.where(sol.feasible, sol.g_squared, 100.0 * (1.0 - rng.random(n // 2)))
+          for sol in ss_branches(v1, v2)]
+    pot = DeltaPotential(np.tile(v1, 2), np.tile(v2, 2), np.sqrt(np.concatenate(g2)), 0.0)
+    return quartic_coeffs(pot)
+
+
+def _quartic_rows(q):
+    return [QuarticCoeffs(*row) for row in zip(q.b.tolist(), q.c.tolist(), q.d.tolist(),
+                                               q.e.tolist())]
+
+
+def _root_nature_reference(q):
+    """The verdicts as a chain of tests on one quartic of floats."""
+    terms = _discriminant_terms(q)
+    delta = math.fsum(terms)
+    if abs(delta) <= BOUNDARY_DELTA_RTOL * max(abs(t) for t in terms):
+        return RootNature.BOUNDARY_DOUBLE_ROOT
+    if delta < 0.0:
+        return RootNature.TWO_DISTINCT_REAL
+    p_val, q_val = pq_classifiers(q)
+    return RootNature.ALL_FOUR_REAL if p_val < 0.0 and q_val < 0.0 else RootNature.NO_REAL
+
+
+def _drawn_quartics(n):
+    """n quartics with coefficients uniform in [-20, 20]: every verdict but
+    the boundary, which the branch quartics give."""
+    return QuarticCoeffs(*np.random.default_rng(4096).uniform(-20.0, 20.0, (4, n)))
+
+
+@pytest.mark.parametrize("quartics, verdicts", [
+    (_drawn_branch_quartics, {RootNature.BOUNDARY_DOUBLE_ROOT, RootNature.NO_REAL}),
+    (_drawn_quartics, {RootNature.TWO_DISTINCT_REAL, RootNature.ALL_FOUR_REAL,
+                       RootNature.NO_REAL}),
+])
+def test_root_nature_arrays_equal_rows(quartics, verdicts):
+    q = quartics(2048)
+    labels = root_nature(q)
+    assert labels.dtype == object and labels.shape == (2048,)
+    rows = _quartic_rows(q)
+    assert labels.tolist() == [root_nature(row) for row in rows]
+    assert labels.tolist() == [_root_nature_reference(row) for row in rows]
+    assert set(labels.tolist()) == verdicts
+
+
+def test_discriminant_expanded_arrays_equal_rows():
+    q = _drawn_branch_quartics(2048)
+    got = discriminant_expanded(q)
+    assert [x.hex() for x in got.tolist()] == \
+        [math.fsum(_discriminant_terms(row)).hex() for row in _quartic_rows(q)]
+    assert discriminant_expanded(FIG_COEFFS) == math.fsum(_discriminant_terms(FIG_COEFFS))
 
 
 def test_quartic_invariants_unitary_case():
@@ -328,3 +402,16 @@ def test_boundary_double_root_seeded_ensemble():
         assert plus.feasible
         p = DeltaPotential.from_g_squared(v1, v2, plus.g_squared)
         assert root_nature(quartic_coeffs(p)) is RootNature.BOUNDARY_DOUBLE_ROOT
+
+
+def test_boundary_double_root_on_log_uniform_lossy_pairs():
+    # |v| from 1e-8 to 10: where the double root is small next to the other
+    # roots, e must not cancel, or the boundary verdict is missed.
+    rng = np.random.default_rng(20191)
+    v1, v2 = -np.power(10.0, rng.uniform(-8.0, 1.0, (2, 20000)))
+    plus, _ = ss_branches(v1, v2)
+    ok = plus.feasible
+    assert ok.sum() > 18000
+    q = quartic_coeffs(DeltaPotential(v1[ok], v2[ok], np.sqrt(plus.g_squared[ok]), 0.0))
+    labels = root_nature(q)
+    assert all(label is RootNature.BOUNDARY_DOUBLE_ROOT for label in labels)

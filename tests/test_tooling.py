@@ -1,6 +1,6 @@
-"""Checks on the source tree itself: where the scalar-rounding arithmetic may
-live, that the benchmark's traced functions exist, and which commands load
-numpy.random."""
+"""Checks on the source tree itself: where the scalar-rounding arithmetic and
+the exact sums may live, which scalar helpers stay deleted, that the
+benchmark's traced functions exist, and which commands load numpy.random."""
 
 import ast
 import importlib
@@ -34,6 +34,23 @@ def test_rounding_helpers_live_in_qalg(pattern, allowed):
     found = [f"{path.name}:{n}" for path in SOURCES if path.name not in allowed
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if re.search(pattern, line)]
+    assert found == []
+
+
+def test_exact_sums_live_in_singular():
+    found = [f"{path.name}:{n}" for path in SOURCES if path.name != "singular.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if "math.fsum" in line]
+    assert found == []
+
+
+def test_scalar_double_root_helpers_are_gone():
+    # RootArrays.double_root and the array root_nature replaced them.
+    names = re.compile(r"\b(_coeffs_at|has_double_root|_double_root_near|real_double_root)\b")
+    paths = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
+    found = [f"{path.name}:{n}" for path in paths
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if names.search(line)]
     assert found == []
 
 

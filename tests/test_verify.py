@@ -332,6 +332,20 @@ def test_double_root_boundary_failures_in_draw_order(monkeypatch):
     assert check.detail.endswith(f" for ({v1!r},{v2!r})")
 
 
+# Suite seeds whose double-root-boundary check failed while the quartic's
+# e was summed with cancellation.
+@pytest.mark.parametrize("seed", [93, 202, 209, 539, 611, 663, 1070767975])
+def test_double_root_boundary_passes_where_e_cancelled(seed):
+    check = verify.check_double_root_boundary(verify.stream(seed + 4), 100)
+    assert check.passed, check.detail
+
+
+def test_double_root_boundary_census():
+    failing = [seed for seed in range(1, 1501)
+               if not verify.check_double_root_boundary(verify.stream(seed + 4), 100).passed]
+    assert failing == []
+
+
 def test_verify_solves_the_mode_probe_once_per_mode(monkeypatch):
     unpatched, modes = verify.oracle.matching_solver, []
 
