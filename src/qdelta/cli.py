@@ -2,12 +2,14 @@
 the verification suite, and CSV/JSON/SVG emission.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid arguments, 3 numerical or
-assertion failure.
+assertion failure. main returns the code for every outcome, argparse's
+rejections, --help and --version included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -15,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import verify
+from . import __version__, verify
 from .oracle import MatchMode, NumericalError, matching_arrays, quartic_root_arrays
 from .qalg import modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
@@ -110,11 +112,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process and shared
+    by every call of main; callers must not change the returned parser."""
     parser = _Parser(
         prog="qdelta",
         description="Scattering and spectral singularities of a quaternionic "
                     "point interaction with a complex i-channel strength.")
+    parser.add_argument("--version", action="version", version=f"qdelta {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_potential(p: argparse.ArgumentParser, with_branch: bool = False) -> None:
@@ -449,8 +455,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a rejection, --help or --version
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:

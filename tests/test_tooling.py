@@ -1,6 +1,7 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
 the exact sums may live, which scalar helpers stay deleted, that the
-benchmark's traced functions exist, and which commands load numpy.random."""
+benchmark's traced functions exist, which commands load numpy.random, and
+that the package and its metadata agree on the version."""
 
 import ast
 import importlib
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import qdelta
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "qdelta").glob("*.py"))
@@ -86,3 +89,10 @@ def test_only_verify_loads_numpy_random(argv, loads, tmp_path):
                            *(arg.format(tmp=tmp_path) for arg in argv)],
                           capture_output=True, text=True)
     assert proc.stderr.splitlines()[-1] == f"0 {loads}", proc.stderr
+
+
+def test_package_version_matches_pyproject():
+    # `qdelta --version` prints qdelta.__version__.
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert meta["project"]["version"] == qdelta.__version__
