@@ -33,6 +33,9 @@ EXIT_NUMERICAL = 3
 
 CSV_COLUMNS = ("E", "beta", "re_r", "im_r", "re_t", "im_t", "R", "T", "absD")
 
+# The least normal float: a feasible branch's g^2 or E below it underflowed.
+_TINY = float(np.finfo(float).tiny)
+
 _NUM_OR_NULL = {"type": ["number", "null"]}
 _BRANCH_SCHEMA = {
     "type": "object",
@@ -305,6 +308,8 @@ def run_sweep(args: argparse.Namespace) -> int:
 def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | None:
     if not sol.feasible:
         return None
+    if not (sol.g_squared >= _TINY and sol.energy >= _TINY):
+        raise NumericalError(f"the closed forms of the {sol.branch.value} branch underflow")
     pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
     absd = abs(denominator(pot, sol.beta))
     coeffs = quartic_coeffs(pot)
@@ -407,16 +412,16 @@ def run_scan(args: argparse.Namespace) -> int:
             raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
     scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                        args.n1, args.n2)
-    # A feasible branch whose closed forms overflowed would print a silent nan
-    # or inf energy. E = beta^2 / 2 and beta = -(v1 - v2) - g^2 / (v1 + v2)
-    # are non-finite wherever g^2 is, so E alone shows the overflow.
+    # A feasible branch's g^2 or E that overflowed would print as a silent inf
+    # energy, and one that underflowed to 0 or a subnormal as a wrong one.
     plus, minus = scan.plus, scan.minus
-    overflowed = ((plus.feasible & ~np.isfinite(plus.energy))
-                  | (minus.feasible & ~np.isfinite(minus.energy)))
-    if overflowed.any():
-        i, j = np.argwhere(overflowed)[0]
-        raise NumericalError(f"the closed forms overflow at the feasible cell "
-                             f"(v1, v2) = ({_fmt(scan.v1[i])}, {_fmt(scan.v2[j])})")
+    for how, outside in (("overflow", np.isinf), ("underflow", lambda x: x < _TINY)):
+        failed = (plus.feasible & (outside(plus.g_squared) | outside(plus.energy))
+                  | minus.feasible & (outside(minus.g_squared) | outside(minus.energy)))
+        if failed.any():
+            i, j = np.argwhere(failed)[0]
+            raise NumericalError(f"the closed forms {how} at the feasible cell "
+                                 f"(v1, v2) = ({_fmt(scan.v1[i])}, {_fmt(scan.v2[j])})")
     _write_text(args.out, scan_to_csv(scan))
     return EXIT_OK
 

@@ -208,34 +208,35 @@ class SSBranchSolution:
 def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     """Both closed-form singularity branches, broadcast over arrays of (v1, v2).
 
-    For s in {+1, -1}:
-        g_s^2  = -(v1 + v2) ((v1 - v2) + s sqrt((v1 + v2)^2 + 4 v1 v2)) / 2
-        beta_s = -(v1 - v2) - g_s^2 / (v1 + v2),    E_s = beta_s^2 / 2
-    and the branch is feasible iff g_s^2 > 0 and beta_s > 0. A vanishing
-    v1 + v2 forces g = 0 and is reported as DegenerateSum rather than
-    fabricating a branch; g^2 = 0 itself means no quaternionic j, k part and
-    is reported as NegativeGSquared. Both feasibility comparisons carry a
-    scaled guard band so that rounding noise exactly on a boundary (e.g.
-    beta = 0 at v1 = 0, v2 < 0) cannot flip the classification. For scalar
-    (v1, v2) the reason is a Reason, not an array.
+    With a = v1 - v2, s = v1 + v2 and h_+- = (a +- sqrt(s^2 + 4 v1 v2)) / 2,
+    the roots of h^2 - a h - 2 v1 v2, branch t in {+, -} has
+        g_t^2 = -s h_t,    beta_t = -h_(-t),    E_t = beta_t^2 / 2:
+    beta_t is a root of Dr, and g_t^2 makes Di vanish there. It is feasible
+    iff g_t^2 > 0 and beta_t > 0; s == 0 is DegenerateSum and a negative
+    s^2 + 4 v1 v2 ComplexSqrt. Of h_+-, the one whose sum would cancel comes
+    from their product -2 v1 v2. The verdict is taken on (v1, v2) scaled by a
+    power of two to max(|v1|, |v2|) in [0.5, 1), so it does not depend on the
+    units; g^2 and beta are scaled back exactly unless they under- or
+    overflow. For scalar (v1, v2) the reason is a Reason, not an array.
     """
-    v1, v2 = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
-    solutions = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
-        s_sum = v1 + v2
-        degenerate = np.abs(s_sum) <= 1e-12 * scale
-        disc = s_sum * s_sum + 4.0 * v1 * v2
-        undefined = degenerate | (disc < 0.0)
-        shared_code = undefined * np.uint8(4) | degenerate * np.uint8(8)
-        root = np.sqrt(disc)
-        for branch, sign in ((Branch.PLUS, 1.0), (Branch.MINUS, -1.0)):
-            g2 = np.where(undefined, np.nan, -0.5 * s_sum * ((v1 - v2) + sign * root))
-            beta = -(v1 - v2) - g2 / s_sum
-            code = (shared_code | (g2 <= 1e-12 * scale * scale) * np.uint8(2)
-                    | (beta <= 1e-12 * scale))
-            solutions.append(SSBranchSolution(branch, g2, beta, 0.5 * beta * beta,
-                                              code == 0, _REASONS[code]))
+    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
+    v1, v2 = np.ldexp(v1, -k), np.ldexp(v2, -k)
+    a, s, q = v1 - v2, v1 + v2, -2.0 * v1 * v2
+    disc = s * s - 2.0 * q
+    shared_code = (disc < 0.0) * np.uint8(4) | (s == 0.0) * np.uint8(12)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        root = np.sqrt(np.where(s == 0.0, np.nan, disc))
+        far = 0.5 * (a + np.copysign(root, a))
+        near = np.where(a == 0.0, -far, q / far)
+        h_plus, h_minus = np.where(a < 0.0, near, far), np.where(a < 0.0, far, near)
+        del v1, v2, a, q, disc, root, far, near   # bounds the peak memory of a scan
+        solutions = []
+        for branch, h, h_other in ((Branch.PLUS, h_plus, h_minus),
+                                   (Branch.MINUS, h_minus, h_plus)):
+            code = shared_code | (s * h >= 0.0) * np.uint8(2) | (h_other >= 0.0)
+            beta = np.ldexp(-h_other, k)
+            solutions.append(SSBranchSolution(branch, np.ldexp(-s * h, 2 * k), beta,
+                                              0.5 * beta * beta, code == 0, _REASONS[code]))
     return solutions[0], solutions[1]
 
 

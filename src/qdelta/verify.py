@@ -54,36 +54,37 @@ def _result(name: str, problem: str | None, detail: str) -> CheckResult:
 def check_reference_constants() -> CheckResult:
     """Re-derive the reference strengths from the published singularity pairs,
     then confirm every branch constant and a vanishing denominator."""
-    problems: list[str] = []
+    name = "reference-constants"
     v1, v2 = oracle.potential_from_ss_pairs(*REFERENCE_PAIRS)
     if abs(v1 + 0.5) > 1e-12 or abs(v2 - 3.0) > 1e-12:
-        problems.append(f"recovered strengths ({v1!r},{v2!r}) != (-0.5,3)")
+        return CheckResult(name, False, f"recovered strengths ({v1!r},{v2!r}) != (-0.5,3)")
     plus, minus = ss_closed_form(v1, v2)
     expected = ((plus.g_squared, 3.75), (minus.g_squared, 5.0),
                 (plus.energy, 2.0), (minus.energy, 1.125),
                 (plus.beta, 2.0), (minus.beta, 1.5))
     for got, want in expected:
         if abs(got - want) > 1e-12:
-            problems.append(f"branch constant {got!r} != {want}")
+            return CheckResult(name, False, f"branch constant {got!r} != {want}")
     max_absd = 0.0
     for sol in (plus, minus):
         if not sol.feasible:
-            problems.append(f"{sol.branch.value} branch infeasible: {sol.reason.value}")
-            continue
+            return CheckResult(name, False,
+                               f"{sol.branch.value} branch infeasible: {sol.reason.value}")
         pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
         absd = abs(denominator(pot, sol.beta))
         max_absd = max(max_absd, absd)
         if absd > 1e-12:
-            problems.append(f"|D| at {sol.branch.value} branch = {absd:.3e} > 1e-12")
-    detail = (f"v1={v1:g} v2={v2:g} g2+={plus.g_squared:g} g2-={minus.g_squared:g} "
-              f"E+={plus.energy:g} E-={minus.energy:g} max|D|={max_absd:.3e}")
-    return _result("reference-constants", next(iter(problems), None), detail)
+            return CheckResult(name, False,
+                               f"|D| at {sol.branch.value} branch = {absd:.3e} > 1e-12")
+    return CheckResult(name, True,
+                       f"v1={v1:g} v2={v2:g} g2+={plus.g_squared:g} g2-={minus.g_squared:g} "
+                       f"E+={plus.energy:g} E-={minus.energy:g} max|D|={max_absd:.3e}")
 
 
 def check_resonance_curves() -> CheckResult:
     """Both branch sweeps must peak at the predicted energies and diverge
     beyond 1e6 within 1e-7 of them."""
-    problems: list[str] = []
+    name = "resonance-curves"
     details = []
     e_min, e_max, steps = 0.05, 4.0, 4000
     h = (e_max - e_min) / (steps - 1)
@@ -95,15 +96,15 @@ def check_resonance_curves() -> CheckResult:
         for label, idx in (("R", i_r), ("T", i_t)):
             off = abs(energies[idx] - e_ss)
             if off > h + 1e-12:
-                problems.append(f"{label} peak at E={energies[idx]:.6f}, "
-                                f"{off / h:.1f} grid steps from {e_ss}")
+                return CheckResult(name, False, f"{label} peak at E={energies[idx]:.6f}, "
+                                                f"{off / h:.1f} grid steps from {e_ss}")
         for e_probe in (e_ss - 1e-7, e_ss + 1e-7):
             res = amplitudes(pot, e_probe)
             if not (res.big_r > 1e6 and res.big_t > 1e6):
-                problems.append(f"R,T=({res.big_r:.3e},{res.big_t:.3e}) "
-                                f"at E={e_probe!r} not > 1e6")
+                return CheckResult(name, False, f"R,T=({res.big_r:.3e},{res.big_t:.3e}) "
+                                                f"at E={e_probe!r} not > 1e6")
         details.append(f"g2={g2:g}: peak within {max(abs(energies[i_r] - e_ss), abs(energies[i_t] - e_ss)) / h:.2f} step of E={e_ss:g}")
-    return _result("resonance-curves", next(iter(problems), None), "; ".join(details))
+    return CheckResult(name, True, "; ".join(details))
 
 
 def stream(seed: int) -> np.random.RandomState:
@@ -153,12 +154,8 @@ def _draw_lossy(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndar
 
 
 def _draw_axis(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v1, 0) with |v1| >= 1e-6: a draw below is skipped, as if redrawn."""
-    v1 = np.empty(0)
-    while v1.size < n:
-        more = rng.uniform(-10.0, 10.0, n - v1.size)
-        v1 = np.concatenate((v1, more[np.abs(more) >= 1e-6]))
-    return v1, np.zeros(n)
+    """(v1, 0) with v1 uniform in [-10, 10)."""
+    return rng.uniform(-10.0, 10.0, n), np.zeros(n)
 
 
 def _draw_band(rng: np.random.RandomState, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -407,20 +404,18 @@ def check_lossy_quadrant(rng: np.random.RandomState, trials: int) -> CheckResult
 
 def check_region_boundary() -> CheckResult:
     """The feasibility band at v2 = 3 ends exactly at v1 = kappa*v2."""
-    problems: list[str] = []
+    name = "region-boundary"
     v2 = 3.0
-    inside = KAPPA * v2 + 1e-9
-    outside = KAPPA * v2 - 1e-3
+    inside, outside = KAPPA * v2 + 1e-9, KAPPA * v2 - 1e-3
     plus_in, minus_in = ss_closed_form(inside, v2)
     if plus_in.reason is Reason.COMPLEX_SQRT or minus_in.reason is Reason.COMPLEX_SQRT:
-        problems.append("branch square root not real just inside the band")
+        return CheckResult(name, False, "branch square root not real just inside the band")
     if classify_region(inside, v2) is not RegionClass.BOTH_BRANCHES:
-        problems.append("inside point does not support both branches")
+        return CheckResult(name, False, "inside point does not support both branches")
     plus_out, minus_out = ss_closed_form(outside, v2)
     if not (plus_out.reason is Reason.COMPLEX_SQRT and minus_out.reason is Reason.COMPLEX_SQRT):
-        problems.append("outside point does not report a complex square root")
-    return _result("region-boundary", next(iter(problems), None),
-                   f"band edge at v1 = kappa*3 = {KAPPA * 3:.12g} confirmed")
+        return CheckResult(name, False, "outside point does not report a complex square root")
+    return CheckResult(name, True, f"band edge at v1 = kappa*3 = {KAPPA * 3:.12g} confirmed")
 
 
 def small_v1_minus_ratios(v2: float = 3.0,
@@ -436,25 +431,23 @@ def small_v1_minus_ratios(v2: float = 3.0,
 def check_small_v1_limits() -> CheckResult:
     """As v1 -> 0- at v2 = 3: E+ -> v2^2/2 linearly in |v1| and E- tracks
     2 v1^2 (not the often-quoted v1^2/2)."""
-    problems: list[str] = []
-    v2 = 3.0
-    v1s = (-1e-3, -1e-4, -1e-5)
+    name = "small-v1-limits"
+    v2, v1s = 3.0, (-1e-3, -1e-4, -1e-5)
     errs = []
     for v1 in v1s:
         plus, _ = ss_closed_form(v1, v2)
         err = abs(plus.energy - 0.5 * v2 * v2)
         errs.append(err)
         if err > 10.0 * abs(v1):
-            problems.append(f"|E+ - v2^2/2| = {err:.3e} > 10|v1| at v1={v1}")
+            return CheckResult(name, False, f"|E+ - v2^2/2| = {err:.3e} > 10|v1| at v1={v1}")
     if not (errs[0] > errs[1] > errs[2]):
-        problems.append(f"plus-branch limit error not decreasing: {errs}")
+        return CheckResult(name, False, f"plus-branch limit error not decreasing: {errs}")
     ratios = small_v1_minus_ratios(v2, v1s)
     for v1, ratio in zip(v1s, ratios):
         if not (0.99 <= ratio <= 1.01):
-            problems.append(f"E-/(2 v1^2) = {ratio:.6f} at v1={v1}")
-    return _result("small-v1-limits", next(iter(problems), None),
-                   "E+ -> v2^2/2; E-/(2 v1^2) = "
-                   + ", ".join(f"{r:.6f}" for r in ratios))
+            return CheckResult(name, False, f"E-/(2 v1^2) = {ratio:.6f} at v1={v1}")
+    return CheckResult(name, True,
+                       "E+ -> v2^2/2; E-/(2 v1^2) = " + ", ".join(f"{r:.6f}" for r in ratios))
 
 
 def check_no_ss_anti_hermitian(rng: np.random.RandomState, trials: int) -> CheckResult:
@@ -562,19 +555,18 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
 def check_scan_claims() -> CheckResult:
     """Numerical confirmation of the feasibility-region claims: every feasible
     cell has v1 < 0, and the strictly positive quadrant is empty."""
-    problems: list[str] = []
+    name = "region-scan-claims"
     scan = scan_region((-10.0, 10.0), (-10.0, -0.25), 41, 20)
     # A cell's label is not None exactly where a branch is feasible.
     bad = np.argwhere((scan.plus.feasible | scan.minus.feasible) & (scan.v1[:, None] >= 0.0))
     if bad.size:
         i, j = bad[0]
-        problems.append(f"feasible cell with v1 = {float(scan.v1[i])!r} >= 0 "
-                        f"at v2 = {float(scan.v2[j])!r}")
+        return CheckResult(name, False, f"feasible cell with v1 = {float(scan.v1[i])!r} >= 0 "
+                                        f"at v2 = {float(scan.v2[j])!r}")
     pos = scan_region((0.1, 1.0), (0.1, 1.0), 5, 5)
     if (pos.plus.feasible | pos.minus.feasible).any():
-        problems.append("feasible cell in the strictly positive quadrant")
-    return _result("region-scan-claims", next(iter(problems), None),
-                   "feasible cells require v1 < 0 on both scanned strips")
+        return CheckResult(name, False, "feasible cell in the strictly positive quadrant")
+    return CheckResult(name, True, "feasible cells require v1 < 0 on both scanned strips")
 
 
 def run_suite(seed: int, trials: int, divergence: float) -> list[CheckResult]:

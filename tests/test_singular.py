@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,13 +245,11 @@ def test_ss_branches_reason_is_the_first_failed_check():
     # On this grid every reason occurs, and on the minus branch hundreds of
     # cells fail both the g^2 and the beta check.
     v1, v2 = np.meshgrid(np.linspace(-4.0, 4.0, 41), np.linspace(-4.0, 4.0, 41), indexing="ij")
-    scale = np.maximum(1.0, np.maximum(np.abs(v1), np.abs(v2)))
-    degenerate = np.abs(v1 + v2) <= 1e-12 * scale
+    degenerate = v1 + v2 == 0.0
     complex_sqrt = (v1 + v2) ** 2 + 4.0 * v1 * v2 < 0.0
     for sol in ss_branches(v1, v2):
         with np.errstate(invalid="ignore"):
-            checks = [degenerate, complex_sqrt, sol.g_squared <= 1e-12 * scale * scale,
-                      sol.beta <= 1e-12 * scale]
+            checks = [degenerate, complex_sqrt, sol.g_squared <= 0.0, sol.beta <= 0.0]
         want = np.select(checks, ["DegenerateSum", "ComplexSqrt", "NegativeGSquared",
                                   "NonPositiveBeta"], "OK")
         assert [r.value for r in sol.reason.flat] == want.ravel().tolist()
@@ -275,8 +274,7 @@ def test_lossy_quadrant_always_supports_ss(v1, v2):
                                        RegionClass.BOTH_BRANCHES)
 
 
-@given(st.floats(min_value=-10, max_value=10, allow_nan=False).filter(
-    lambda x: abs(x) > 1e-6))
+@given(strengths)
 def test_no_ss_on_v2_zero_axis(v1):
     assert classify_region(v1, 0.0) is RegionClass.NONE
 
@@ -317,6 +315,78 @@ def test_branch_betas_are_quadratic_roots(v1, v2):
     for sol, sign in ((plus, 1.0), (minus, -1.0)):
         expected = 0.5 * (-(v1 - v2) + sign * root)
         assert abs(sol.beta - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+def test_small_strengths_keep_their_regions():
+    assert classify_region(-0.7e-6, -0.4e-6) is RegionClass.PLUS_ONLY
+    assert classify_region(-0.5e-7, 3e-7) is RegionClass.BOTH_BRANCHES
+
+
+# Strengths whose multiples 2^k v, |k| <= 400, are all exact: zero or normal.
+scalable = strengths.filter(lambda x: x == 0.0 or abs(x) >= 1e-150)
+
+
+def _normal(x):
+    return math.isfinite(x) and abs(x) >= np.finfo(float).tiny
+
+
+@given(scalable, scalable, st.integers(min_value=-400, max_value=400))
+def test_branches_scale_exactly_with_the_strengths(v1, v2, k):
+    # The model is homogeneous: v -> 2^k v takes g^2 -> 4^k g^2, beta -> 2^k beta
+    # and E -> 4^k E, and leaves every verdict as it is.
+    scaled = ss_closed_form(math.ldexp(v1, k), math.ldexp(v2, k))
+    for sol, got in zip(ss_closed_form(v1, v2), scaled):
+        assert got.reason is sol.reason
+        for value, base, power in ((got.g_squared, sol.g_squared, 2), (got.beta, sol.beta, 1),
+                                   (got.energy, sol.energy, 2)):
+            with np.errstate(over="ignore", under="ignore"):
+                want = float(np.ldexp(base, power * k))
+            if math.isnan(base):
+                assert math.isnan(value)
+            elif _normal(base) and _normal(want):
+                assert value == want
+
+
+def test_every_lossy_pair_has_a_feasible_plus_branch_at_any_scale():
+    # A spectral singularity is a real zero of D, a definition with no scale.
+    rng = np.random.default_rng(150)
+    v1, v2 = -np.power(10.0, rng.uniform(-150.0, 150.0, (2, 100_000)))
+    plus, _ = ss_branches(v1, v2)
+    assert plus.feasible.all()
+
+
+def _exact_branches(v1, v2):
+    """(g^2, beta, E) of the plus and the minus branch, from the exact values
+    of the float strengths, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d1, d2 = Decimal(v1), Decimal(v2)
+        a, s = d1 - d2, d1 + d2
+        root = (s * s + 4 * d1 * d2).sqrt()
+        h_plus, h_minus = (a + root) / 2, (a - root) / 2
+        return [(-s * h, -h_other, h_other * h_other / 2)
+                for h, h_other in ((h_plus, h_minus), (h_minus, h_plus))]
+
+
+def _ulps(got, exact):
+    return abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact)))
+
+
+def test_branches_are_within_a_few_ulps_of_the_exact_values():
+    # Lossy pairs with |v| log-uniform, so |v1 v2| << max(v1^2, v2^2) on many,
+    # and v2 > 0 band pairs up to halfway to the band edge, where the
+    # discriminant s^2 + 4 v1 v2 does not cancel.
+    rng = np.random.default_rng(60)
+    lossy = -np.power(10.0, rng.uniform(-8.0, 1.0, (2, 1000)))
+    v2 = np.power(10.0, rng.uniform(-8.0, 1.0, 1000))
+    u = np.concatenate([rng.uniform(0.0, 0.5, 500), np.power(10.0, rng.uniform(-8.0, -0.3, 500))])
+    v1, v2 = np.concatenate([lossy[0], KAPPA * v2 * u]), np.concatenate([lossy[1], v2])
+    sols = ss_branches(v1, v2)
+    for n, pair in enumerate(zip(v1.tolist(), v2.tolist())):
+        for sol, (g2, beta, energy) in zip(sols, _exact_branches(*pair)):
+            assert _ulps(sol.g_squared[n].item(), g2) <= 4, pair
+            assert _ulps(sol.beta[n].item(), beta) <= 4, pair
+            assert _ulps(sol.energy[n].item(), energy) <= 8, pair
 
 
 def _rows(scan):
@@ -386,7 +456,10 @@ def test_scan_region_matches_scalar_loop(grid):
 
 def test_scan_region_equivalence_grids_hold_the_edge_cases():
     diagonal = scan_region((-4.0, 4.0), (-4.0, 4.0), 41, 41)
-    assert sum(r is Reason.DEGENERATE_SUM for r in diagonal.plus.reason.flat) >= 39
+    # Of the 41 nodes on the anti-diagonal, 25 have v1 + v2 == 0 exactly.
+    degenerate = [r is Reason.DEGENERATE_SUM for r in diagonal.plus.reason.flat]
+    assert degenerate == (diagonal.v1[:, None] + diagonal.v2 == 0.0).ravel().tolist()
+    assert sum(degenerate) == 25
     assert any(c is RegionClass.PLUS_ONLY for c in diagonal.classification.flat)
     edge = scan_region((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31)
     assert (edge.v1[-1], edge.v2[-1]) == (3 * KAPPA, 3.0)

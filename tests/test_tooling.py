@@ -1,7 +1,8 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
-the exact sums may live, which scalar helpers stay deleted, that the
-benchmark's traced functions exist, which commands load numpy.random, and
-that the package and its metadata agree on the version."""
+the exact sums may live, that the branch verdicts keep no guard floors, which
+scalar helpers stay deleted, that the benchmark's traced functions exist,
+which commands load numpy.random, and that the package and its metadata agree
+on the version."""
 
 import ast
 import importlib
@@ -45,6 +46,13 @@ def test_exact_sums_live_in_singular():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if "math.fsum" in line]
     assert found == []
+
+
+def test_singular_has_no_guard_floors():
+    # Feasibility is g^2 > 0 and beta > 0, on strengths normalised by a power
+    # of two; a floor with a unit in it would make a verdict depend on scale.
+    text = (ROOT / "src" / "qdelta" / "singular.py").read_text(encoding="utf-8")
+    assert "1e-12" not in text and "maximum(1.0" not in text
 
 
 def test_scalar_double_root_helpers_are_gone():
