@@ -217,7 +217,13 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
     if not sol.feasible:
         raise UsageError(f"the {branch} branch is infeasible here "
                          f"({sol.reason.value}); give --g2 or --V2 explicitly")
+    _require_normal(sol)
     return DeltaPotential.from_g_squared(args.v1, args.v2, sol.g_squared)
+
+
+def _require_normal(sol: SSBranchSolution) -> None:
+    if not (sol.g_squared >= _TINY and sol.energy >= _TINY):
+        raise NumericalError(f"the closed forms of the {sol.branch.value} branch underflow")
 
 
 def _check_grid(args: argparse.Namespace) -> None:
@@ -308,8 +314,7 @@ def run_sweep(args: argparse.Namespace) -> int:
 def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | None:
     if not sol.feasible:
         return None
-    if not (sol.g_squared >= _TINY and sol.energy >= _TINY):
-        raise NumericalError(f"the closed forms of the {sol.branch.value} branch underflow")
+    _require_normal(sol)
     pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
     absd = abs(denominator(pot, sol.beta))
     coeffs = quartic_coeffs(pot)

@@ -2,13 +2,12 @@
 
 Three oracles, none of which reuses the closed-form amplitude or branch
 expressions: a general quartic root solver, a direct minimiser of |D(beta)|^2,
-and a first-principles matching-condition solver that assembles the junction
-conditions as a 4x4 complex linear system via the complex-pair split of the
-wave function. The root and matching solvers work on arrays:
-quartic_root_arrays stacks one companion matrix per quartic and takes one
-eigenvalue solve over the stack, matching_arrays stacks one system per
-(potential, energy) and takes one determinant and one solve over the stack,
-and quartic_roots and matching_solver are their one-row forms.
+and a first-principles solver of the junction conditions, a 4x4 complex linear
+system from the complex-pair split of the wave function. The root and matching
+solvers work on arrays: quartic_root_arrays takes one eigenvalue solve over a
+stack of companion matrices, and matching_arrays solves each junction system by
+exact elimination and Cramer's rule. quartic_roots and matching_solver are
+their one-row forms.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import cmul, cprod, maximum, modulus, power
+from .qalg import as_complex, cdiv, cmul, cprod, maximum, modulus, power
 from .scatter import DeltaPotential, denominator
 from .singular import QuarticCoeffs
 
@@ -250,25 +249,34 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
         psi2 = rt exp(beta x)                    (x < 0),   tt exp(-beta x)   (x > 0)
 
     (the j channel carries the opposite effective energy, hence evanescent).
-    Continuity of both channels plus the derivative-jump conditions
+    Continuity of both channels and the derivative-jump conditions
 
-        (1/2) d psi1' = V1 psi1(0) - (V3 - i V2) psi2(0)
+        (1/2) d psi1' = V1 psi1(0) - (V3 - i V2) psi2(0),   V1 = v1 + i v2,
         (1/2) d psi2' = cj psi2(0) + (V3 + i V2) psi1(0)
 
-    close a 4x4 complex linear system over (r, t, rt, tt), assembled and
-    solved numerically. Conjugate mode takes cj = conj(V1), the literal
-    real-quaternion interaction; Continued mode takes cj = V1, the analytic
-    continuation that the closed-form amplitudes solve exactly.
+    close a 4x4 complex linear system over x = (r, t, rt, tt). Conjugate mode
+    takes cj = conj(V1), the literal real-quaternion interaction; Continued
+    mode takes cj = V1, the analytic continuation that the closed forms solve.
 
-    The entries are formed as CPython's complex arithmetic forms them, so
-    each row equals the solve of that one system bit for bit.
+        [ 1         -1              0        0           ]       [ -1       ]
+        [ 0          0              1       -1           ] x  =  [  0       ]
+        [ i beta/2   i beta/2 - V1  0        V3 - i V2   ]       [ i beta/2 ]
+        [ 0          V3 + i V2      beta/2   beta/2 + cj ]       [  0       ]
+
+    The continuity rows give t = 1 + r and tt = rt exactly. The 2x2 system left,
+
+        [ i beta - V1   V3 - i V2 ] (r, rt) = (V1, -(V3 + i V2)),
+        [ V3 + i V2     beta + cj ]
+
+    has determinant det2 = -det4, so det_mag = |det2|, and Cramer's rule gives
+    each amplitude its own numerator. All of it rounds as CPython's complex
+    arithmetic does, so each row equals its one system's evaluation bit for bit.
     """
     v1, v2, cap_v2, cap_v3, energy = (np.ravel(x) for x in np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (v1, v2, cap_v2, cap_v3, energy))))
     if np.any(energy <= 0.0):
         raise ValueError("energy must be positive")
     beta = np.sqrt(2.0 * energy)
-    half_b = 0.5 * beta
     # The real-quaternion strength is i (v1 + i v2) + cap_v2 j + cap_v3 k
     # = -v2 + v1 i + cap_v2 j + cap_v3 k; (a_ch, b_ch) is its qalg.symplectic_split.
     a_ch, b_ch = (-v2, v1), (cap_v2, -cap_v3)
@@ -276,33 +284,20 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
     c12 = cmul((-0.0, -1.0), (b_ch[0], -b_ch[1]))  # j-wave drive felt by the i channel: V3 - i V2
     c21 = cmul((0.0, 1.0), b_ch)                   # i-wave drive felt by the j channel: V3 + i V2
     cj = (v1c[0], -v1c[1]) if mode is MatchMode.CONJUGATE else v1c
-    i_half_b = cmul((0.0, 1.0), (half_b, 0.0))
-    system = np.zeros((beta.size, 4, 4), dtype=complex)
-    system[:, 0, :2] = 1.0, -1.0
-    system[:, 1, 2:] = 1.0, -1.0
-    rhs = np.zeros((beta.size, 4), dtype=complex)
-    rhs[:, 0] = -1.0
-    for entry, (re, im) in (
-            (system[:, 2, 0], i_half_b),
-            (system[:, 2, 1], (i_half_b[0] - v1c[0], i_half_b[1] - v1c[1])),
-            (system[:, 2, 3], c12),
-            (system[:, 3, 1], c21),
-            (system[:, 3, 2], (half_b, 0.0)),
-            (system[:, 3, 3], (half_b + cj[0], 0.0 + cj[1])),
-            (rhs[:, 2], i_half_b)):
-        entry.real, entry.imag = re, im
-    # Overflowing entries give inf and nan rows, which callers report; numpy's
-    # warnings about them would only repeat that on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(system)
-        det_mag = modulus(det)
+    # Overflowing entries give inf and nan rows, and singular rows divide by
+    # zero; callers report both, so numpy's warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        i_beta = cmul((0.0, 1.0), (beta, 0.0))
+        lead = (i_beta[0] - v1c[0], i_beta[1] - v1c[1])   # i beta - V1
+        diag = (beta + cj[0], 0.0 + cj[1])                # beta + cj
+        (lr, li), (vr, vi), (cr, ci) = cmul(lead, diag), cmul(v1c, diag), cmul(c12, c21)
+        det = (lr - cr, li - ci)
+        det_mag = modulus(as_complex(*det))
         singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
-        # A stacked solve raises on any exactly singular system; those rows
-        # are reported as nan instead.
-        system[singular] = np.eye(4)
-        sol = np.linalg.solve(system, rhs[..., None])[..., 0]
-    sol[singular] = complex(math.nan, math.nan)
-    return MatchingAmplitudes(*sol.T, mode, singular, det_mag)
+        r, t, rt = (np.where(singular, complex(math.nan, math.nan), as_complex(*cdiv(num, det)))
+                    for num in ((vr + cr, vi + ci), cmul(i_beta, diag),
+                                cmul((-i_beta[0], -i_beta[1]), c21)))
+    return MatchingAmplitudes(r, t, rt, rt.copy(), mode, singular, det_mag)
 
 
 def matching_solver(p: DeltaPotential, energy: float, mode: MatchMode) -> MatchingAmplitudes:

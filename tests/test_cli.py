@@ -199,6 +199,18 @@ def test_ss_out_of_range_prints_only_the_failure(pair, failure, extra):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"numerical failure: {failure}\n")
 
 
+@pytest.mark.parametrize("pair", [("--v1=-1e-200", "--v2=-2e-200"), ("--v1=-1e-160", "--v2=-1")],
+                         ids=["zero", "subnormal"])
+def test_plot_of_an_underflowing_branch_prints_only_the_failure(pair, tmp_path):
+    # ss reports the same branch as a numerical failure; plot must not draw
+    # the potential with g^2 = 0 or at a subnormal energy.
+    out = tmp_path / "curves.svg"
+    proc = run_cli("plot", *pair, "--branch=plus", f"--out={out}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "numerical failure: the closed forms of the plus branch underflow\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [(), ("--json",)])
 def test_ss_overflowing_quartic_prints_only_the_failure(extra):
     # (v1^2 + v2^2)^2 overflows in the plus branch's quartic coefficient e.

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,16 +338,21 @@ def test_potential_recovery_rejects_inconsistent_pairs():
         potential_from_ss_pairs((1.0, 1.0), (1.0, 2.0))
 
 
-def _scalar_matching(p, energy, mode):
-    """One junction system assembled with Python complex arithmetic and solved
-    on its own: the reference the stacked solve must reproduce bit for bit."""
+def _channels(p, energy, mode):
+    """beta and the channel strengths V1, V3 - i V2, V3 + i V2 and cj of one
+    junction system, from the quaternion split in Python complex arithmetic."""
     beta = math.sqrt(2.0 * energy)
     # i (v1 + i v2) + cap_v2 j + cap_v3 k, split into complex channels.
     a_ch, b_ch = symplectic_split(Quaternion(-p.v2, p.v1, p.cap_v2, p.cap_v3))
     v1c = -1j * a_ch
-    c12 = -1j * b_ch.conjugate()
-    c21 = 1j * b_ch
     cj = v1c.conjugate() if mode is MatchMode.CONJUGATE else v1c
+    return beta, v1c, -1j * b_ch.conjugate(), 1j * b_ch, cj
+
+
+def _junction_system(p, energy, mode):
+    """The 4x4 junction system over (r, t, rt, tt) as a complex matrix and
+    right-hand side, and beta."""
+    beta, v1c, c12, c21, cj = _channels(p, energy, mode)
     half_b = 0.5 * beta
     system = np.array([
         [1.0, -1.0, 0.0, 0.0],
@@ -354,11 +360,32 @@ def _scalar_matching(p, energy, mode):
         [1j * half_b, 1j * half_b - v1c, 0.0, c12],
         [0.0, c21, half_b, half_b + cj],
     ], dtype=complex)
-    rhs = np.array([-1.0, 0.0, 1j * half_b, 0.0], dtype=complex)
+    return system, np.array([-1.0, 0.0, 1j * half_b, 0.0], dtype=complex), beta
+
+
+def _scalar_matching(p, energy, mode):
+    """One junction system solved on its own by LAPACK: a determinant and a
+    solve of the 4x4 system, an independent cross-check of the oracle."""
+    system, rhs, beta = _junction_system(p, energy, mode)
     det_mag = abs(np.linalg.det(system))
     if det_mag < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
         return (None,) * 4, True, det_mag
     return tuple(complex(z) for z in np.linalg.solve(system, rhs)), False, det_mag
+
+
+def _reduced_matching(p, energy, mode):
+    """One junction system in Python complex arithmetic: the continuity rows
+    eliminated, the 2x2 system left solved by Cramer's rule. The reference
+    each stacked row must reproduce bit for bit."""
+    beta, v1c, c12, c21, cj = _channels(p, energy, mode)
+    i_beta = 1j * beta
+    diag = complex(beta, 0.0) + cj
+    coupling = c12 * c21
+    det = (i_beta - v1c) * diag - coupling
+    if abs(det) < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
+        return (None,) * 4, True, abs(det)
+    rt = -i_beta * c21 / det
+    return ((v1c * diag + coupling) / det, i_beta * diag / det, rt, rt), False, abs(det)
 
 
 def _bits(z):
@@ -366,31 +393,122 @@ def _bits(z):
                                    math.copysign(1.0, z.imag), z.imag.hex())
 
 
-@pytest.mark.parametrize("mode", list(MatchMode))
-def test_matching_arrays_equal_scalar_solves(mode):
-    rng = random.Random(2024)
+def _matching_rows(seed, count):
+    """count seeded (v1, v2, cap_v2, cap_v3, E) rows, with v2 = 0 and
+    cap_v3 = 0 among them, then rows singular in Continued mode (the
+    reference branch point) and in Conjugate mode (beta = v2 - v1,
+    g^2 = -2 v1 v2), and the free particle."""
+    rng = random.Random(seed)
     rows = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0) if rng.random() < 0.7 else 0.0,
              rng.uniform(0.0, 10.0), rng.uniform(-5.0, 5.0) if rng.random() < 0.5 else 0.0,
-             0.5 * (20.0 * (1.0 - rng.random())) ** 2) for _ in range(2000)]
-    # Singular in Continued mode (the reference branch point) and in Conjugate
-    # mode (beta = v2 - v1, g^2 = -2 v1 v2), and the free particle.
-    rows += [(-0.5, 3.0, math.sqrt(3.75), 0.0, 2.0), (-1.0, 2.0, 2.0, 0.0, 4.5),
-             (0.0, 0.0, 0.0, 0.0, 1.7)]
+             0.5 * (20.0 * (1.0 - rng.random())) ** 2) for _ in range(count)]
+    return rows + [(-0.5, 3.0, math.sqrt(3.75), 0.0, 2.0), (-1.0, 2.0, 2.0, 0.0, 4.5),
+                   (0.0, 0.0, 0.0, 0.0, 1.7)]
+
+
+def _amplitudes(m):
+    return m.r, m.t, m.r_tilde, m.t_tilde
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_matching_arrays_equal_scalar_solves(mode):
+    rows = _matching_rows(2024, 2000)
     stacked = matching_arrays(*np.array(rows).T, mode)
     singular_rows = 0
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
         pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
-        amps, singular, det_mag = _scalar_matching(pot, energy, mode)
+        amps, singular, det_mag = _reduced_matching(pot, energy, mode)
         one = matching_solver(pot, energy, mode)
         singular_rows += singular
         assert (one.singular_system, one.det_mag) == (singular, det_mag)
         assert (bool(stacked.singular_system[n]), stacked.det_mag[n]) == (singular, det_mag)
-        for got_one, got_row, want in zip((one.r, one.t, one.r_tilde, one.t_tilde),
-                                          (stacked.r, stacked.t, stacked.r_tilde, stacked.t_tilde),
-                                          amps):
+        for got_one, got_row, want in zip(_amplitudes(one), _amplitudes(stacked), amps):
             assert _bits(got_one) == _bits(want)
             if singular:
                 assert np.isnan(got_row[n].real) and np.isnan(got_row[n].imag)
             else:
                 assert _bits(complex(got_row[n])) == _bits(want)
     assert singular_rows == 1
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_matching_arrays_agree_with_lapack(mode):
+    rows = _matching_rows(2024, 2000)
+    stacked = matching_arrays(*np.array(rows).T, mode)
+    for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
+        amps, singular, det_mag = _scalar_matching(DeltaPotential(v1, v2, cap_v2, cap_v3),
+                                                   energy, mode)
+        assert bool(stacked.singular_system[n]) == singular
+        if singular:
+            continue
+        assert abs(stacked.det_mag[n] - det_mag) <= 1e-13 * det_mag
+        for got, want in zip(_amplitudes(stacked), amps):
+            assert abs(got[n] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def _exact_solve(system, rhs):
+    """The exact solution of a complex linear system with float entries, by
+    Gauss-Jordan elimination over pairs of Fractions (re, im)."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def div(a, b):
+        norm = b[0] * b[0] + b[1] * b[1]
+        return (a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
+
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in (*row, b)]
+            for row, b in zip(system.tolist(), rhs.tolist())]
+    for col in range(len(rows)):
+        pivot = next(k for k in range(col, len(rows)) if rows[k][col] != (0, 0))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [div(x, rows[col][col]) for x in rows[col]]
+        for k, row in enumerate(rows):
+            if k != col and row[col] != (0, 0):
+                factor = row[col]
+                rows[k] = [(x[0] - y[0], x[1] - y[1])
+                           for x, y in zip(row, (mul(factor, z) for z in rows[col]))]
+    return [row[-1] for row in rows]
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
+    # t and rt = tt are products over det2, so they stay within 32 ulps of
+    # their own modulus; LAPACK's 4x4 solve of the same systems is off by up
+    # to about 90 ulps here. r's numerator V1 (beta + cj) + (V3 - i V2)(V3 + i V2)
+    # cancels near a reflectionless energy, so r is held to 32 ulps of the
+    # larger of |r| and its terms' scale (|V1| |beta + cj| + |V3 - i V2|^2) / |det2|.
+    rows = _matching_rows(2024, 2000)
+    stacked = matching_arrays(*np.array(rows).T, mode)
+    checked = 0
+    for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
+        if stacked.singular_system[n]:
+            continue
+        pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
+        exact = _exact_solve(*_junction_system(pot, energy, mode)[:2])
+        beta, v1c, c12, c21, cj = _channels(pot, energy, mode)
+        r_terms = (abs(v1c) * abs(beta + cj) + abs(c12 * c21)) / stacked.det_mag[n]
+        for got, (re, im), scale in zip(_amplitudes(stacked), exact,
+                                        (r_terms, 0.0, 0.0, 0.0)):
+            err = math.hypot(float(Fraction(got[n].real) - re), float(Fraction(got[n].imag) - im))
+            size = max(math.hypot(float(re), float(im)), scale)
+            assert err <= 32 * math.ulp(size), (n, got[n])
+        checked += 1
+    assert checked >= 1990
+
+
+@pytest.mark.parametrize("mode", list(MatchMode))
+def test_matching_arrays_are_scale_free(mode):
+    # v, V2, V3 -> 2^k v, 2^k V2, 2^k V3 and E -> 4^k E scale every entry of
+    # the reduced system by 2^k, so r, t, rt and tt keep their bits. The
+    # singular test keeps its max(1, beta^2) floor, so rows singular at
+    # either scale are left out.
+    rows = np.array(_matching_rows(2024, 2000))
+    base = matching_arrays(*rows.T, mode)
+    compared = 0
+    for k in range(-40, 41):
+        scaled = matching_arrays(*np.ldexp(rows[:, :4], k).T, np.ldexp(rows[:, 4], 2 * k), mode)
+        both = ~(base.singular_system | scaled.singular_system)
+        for got, want in zip(_amplitudes(scaled), _amplitudes(base)):
+            assert np.array_equal(got[both].view(np.uint64), want[both].view(np.uint64)), k
+        compared += both.sum()
+    assert compared >= 40 * 2003

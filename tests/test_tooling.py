@@ -1,6 +1,6 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
-the exact sums may live, that the branch verdicts keep no guard floors, which
-scalar helpers stay deleted, that the benchmark's traced functions exist,
+the exact sums may live, that the branch verdicts keep no guard floors, that
+the matching oracle calls no np.linalg, which scalar helpers stay deleted, that the benchmark's traced functions exist,
 which commands load numpy.random, and that the package and its metadata agree
 on the version."""
 
@@ -53,6 +53,18 @@ def test_singular_has_no_guard_floors():
     # of two; a floor with a unit in it would make a verdict depend on scale.
     text = (ROOT / "src" / "qdelta" / "singular.py").read_text(encoding="utf-8")
     assert "1e-12" not in text and "maximum(1.0" not in text
+
+
+def test_matching_arrays_calls_no_linalg():
+    # The junction system is solved by exact elimination and Cramer's rule in
+    # qalg's rounding, not by a LAPACK factorisation per matrix.
+    tree = ast.parse((ROOT / "src" / "qdelta" / "oracle.py").read_text(encoding="utf-8"))
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "matching_arrays")
+    found = [node.lineno for node in ast.walk(func)
+             if isinstance(node, (ast.Attribute, ast.Name))
+             and "linalg" in (node.attr if isinstance(node, ast.Attribute) else node.id)]
+    assert found == []
 
 
 def test_scalar_double_root_helpers_are_gone():
