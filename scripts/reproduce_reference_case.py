@@ -9,10 +9,10 @@ and one SVG per branch into the output directory.
 import argparse
 from pathlib import Path
 
-from qdelta.cli import rows_to_csv
-from qdelta.oracle import minimize_dsq, potential_from_ss_pairs, quartic_root_arrays
-from qdelta.scatter import DeltaPotential, denominator, sweep
-from qdelta.singular import classify_region, quartic_coeffs, ss_closed_form
+from qdelta.cli import rows_to_csv, ss_report
+from qdelta.oracle import minimize_dsq, potential_from_ss_pairs
+from qdelta.scatter import DeltaPotential, sweep
+from qdelta.singular import classify_region, ss_closed_form
 from qdelta.svgplot import render_curves_svg
 from qdelta.verify import REFERENCE_PAIRS
 
@@ -34,18 +34,17 @@ def main() -> None:
     print(f"region classification: {classify_region(v1, v2).value}")
 
     plus, minus = ss_closed_form(v1, v2)
+    oracle = ss_report(v1, v2)["oracle"]
     for sol in (plus, minus):
         pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
         beta_star, dsq = minimize_dsq(pot)
-        coeffs = quartic_coeffs(pot)
-        found = quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-        found.row(0)   # raises NumericalError, as quartic_roots does
-        double = [x[0] for x in found.double_root([sol.beta])]
+        confirm = oracle[sol.branch.value]
         print(f"{sol.branch.value:>5} branch: g2={sol.g_squared:.12g} "
               f"beta={sol.beta:.12g} E={sol.energy:.12g}")
-        print(f"       |D(beta)| = {abs(denominator(pot, sol.beta)):.3e}, "
+        print(f"       |D(beta)| = {confirm['abs_denominator']:.3e}, "
               f"min |D|^2 = {dsq:.3e} at beta = {beta_star:.12f}, "
-              f"double root at beta = {double[0]:.12f} (x{double[1]})")
+              f"double root at beta = {confirm['double_root_beta']:.12f} "
+              f"(x{confirm['double_root_multiplicity']})")
 
         res = sweep(pot, args.emin, args.emax, args.steps)
         csv_path = outdir / f"curves_{sol.branch.value}.csv"

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, verify
-from .oracle import MatchMode, NumericalError, matching_arrays, quartic_root_arrays
+from .oracle import MatchMode, NumericalError, matching_solver, quartic_roots
 from .qalg import modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
@@ -227,6 +227,7 @@ def _require_normal(sol: SSBranchSolution) -> None:
 
 
 def _check_grid(args: argparse.Namespace) -> None:
+    _require_finite(emin=args.emin, emax=args.emax)
     if not (0.0 < args.emin < args.emax):
         raise UsageError("need 0 < --emin < --emax")
     if args.steps < 2:
@@ -244,11 +245,12 @@ def _write_text(path: str | None, text: str) -> None:
 def _physical_sweep(p: DeltaPotential, energies: np.ndarray) -> ScatteringResult:
     """Conjugate-mode matching over the energy grid; d_value holds the
     junction-system determinant magnitude, which plays the role of |D| here."""
-    m = matching_arrays(p.v1, p.v2, p.cap_v2, p.cap_v3, energies, MatchMode.CONJUGATE)
+    m = matching_solver(p, energies, MatchMode.CONJUGATE)
     big_r, big_t = (np.where(m.singular_system, np.inf,
                              power(modulus(z), 2.0)) for z in (m.r, m.t))
-    return ScatteringResult(energies, np.sqrt(2.0 * energies), m.r, m.t, big_r, big_t,
-                            m.det_mag, m.singular_system)
+    with np.errstate(over="ignore"):   # _check_finite reports an overflowed beta
+        beta = np.sqrt(2.0 * energies)
+    return ScatteringResult(energies, beta, m.r, m.t, big_r, big_t, m.det_mag, m.singular_system)
 
 
 def _check_finite(res: ScatteringResult) -> None:
@@ -318,10 +320,10 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
     pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
     absd = abs(denominator(pot, sol.beta))
     coeffs = quartic_coeffs(pot)
-    if not all(math.isfinite(x) for x in (coeffs.b, coeffs.c, coeffs.d, coeffs.e)):
+    if not all(map(math.isfinite, vars(coeffs).values())):
         raise NumericalError(f"the quartic of the {sol.branch.value} branch overflows")
-    found = quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
-    found.row(0)   # raises NumericalError, as quartic_roots does
+    found = quartic_roots(coeffs)
+    found.require(0)
     value, mult = (x.item() for x in found.double_root([sol.beta]))
     return {"abs_denominator": absd, "double_root_beta": value if mult else None,
             "double_root_multiplicity": mult or None}

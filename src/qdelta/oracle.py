@@ -4,10 +4,9 @@ Three oracles, none of which reuses the closed-form amplitude or branch
 expressions: a general quartic root solver, a direct minimiser of |D(beta)|^2,
 and a first-principles solver of the junction conditions, a 4x4 complex linear
 system from the complex-pair split of the wave function. The root and matching
-solvers work on arrays: quartic_root_arrays takes one eigenvalue solve over a
-stack of companion matrices, and matching_arrays solves each junction system by
-exact elimination and Cramer's rule. quartic_roots and matching_solver are
-their one-row forms.
+solvers work on arrays: quartic_roots takes one eigenvalue solve over a stack of
+companion matrices, and matching_solver solves each junction system by exact
+elimination and Cramer's rule.
 """
 
 from __future__ import annotations
@@ -33,32 +32,19 @@ _RECONSTRUCT_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
-class RootSet:
-    """All four quartic roots, with multiplicity tags from cluster detection.
-
-    Clustered roots are replaced by their cluster centroid, so a double root
-    appears twice with identical value and tag 2.
-    """
-
-    roots: tuple[complex, complex, complex, complex]
-    multiplicity_tags: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class RootArrays:
-    """quartic_root_arrays' result: row n holds the four roots of quartic n,
-    ascending by (real, imag), their multiplicity tags, and whether they
-    reconstruct the quartic."""
+    """quartic_roots' result: row n holds the four roots of quartic n,
+    ascending by (real, imag), each cluster of roots repeated as its centroid;
+    their multiplicity tags; and whether they reconstruct the quartic."""
 
     roots: np.ndarray
     multiplicity_tags: np.ndarray
     reconstructs: np.ndarray
 
-    def row(self, n: int) -> RootSet:
-        """Row n as a RootSet; raises NumericalError if it fails to reconstruct."""
+    def require(self, n: int) -> None:
+        """Raise NumericalError if row n fails to reconstruct its quartic."""
         if not self.reconstructs[n]:
             raise NumericalError("root set fails to reconstruct the quartic")
-        return RootSet(tuple(self.roots[n].tolist()), tuple(self.multiplicity_tags[n].tolist()))
 
     def double_root(self, beta) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the value and multiplicity of the first real root of
@@ -137,17 +123,17 @@ def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return ~off.any(axis=1)
 
 
-def quartic_root_arrays(b, c, d, e) -> RootArrays:
-    """All four roots of each monic quartic over broadcast coefficient arrays,
-    flattened, as companion-matrix eigenvalues: one eigenvalue solve over the
-    stack of companion matrices.
+def quartic_roots(q: QuarticCoeffs) -> RootArrays:
+    """All four roots of each monic quartic over q's broadcast fields,
+    flattened to rows, as companion-matrix eigenvalues: one eigenvalue solve
+    over the stack of companion matrices.
 
     The real eigensolver returns complex roots in exact conjugate pairs. The
     roots are clustered into multiplicity tags, clusters centred on the real
     axis are snapped onto it, and each row is checked by re-expansion; a row
     equals the one-row evaluation bit for bit.
     """
-    coeffs = np.array(np.broadcast_arrays(b, c, d, e), dtype=float).reshape(4, -1).T
+    coeffs = np.array(np.broadcast_arrays(q.b, q.c, q.d, q.e), dtype=float).reshape(4, -1).T
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
     rows = np.arange(len(coeffs))[:, None]
@@ -160,12 +146,6 @@ def quartic_root_arrays(b, c, d, e) -> RootArrays:
     order = np.lexsort((head, z.imag, z.real))
     z, tags = z[rows, order], tags[rows, order]
     return RootArrays(z, tags, _reconstructs(z, coeffs))
-
-
-def quartic_roots(q: QuarticCoeffs) -> RootSet:
-    """quartic_root_arrays for one quartic; raises NumericalError if its
-    roots fail to reconstruct it."""
-    return quartic_root_arrays(q.b, q.c, q.d, q.e).row(0)
 
 
 _GRID_POINTS = 10_000
@@ -221,26 +201,22 @@ MATCH_SINGULAR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MatchingAmplitudes:
-    """Solution of the four junction conditions; det_mag is the magnitude of
-    the system determinant.
+    """Solutions of the junction conditions over the broadcast inputs of
+    matching_solver, with amplitudes nan at the singular systems; det_mag is
+    the magnitude of the system determinant."""
 
-    From matching_solver: one system, with amplitudes None when it is
-    singular. From matching_arrays: flat arrays, with amplitudes nan at the
-    singular systems.
-    """
-
-    r: complex | np.ndarray | None
-    t: complex | np.ndarray | None
-    r_tilde: complex | np.ndarray | None
-    t_tilde: complex | np.ndarray | None
+    r: np.ndarray
+    t: np.ndarray
+    r_tilde: np.ndarray
+    t_tilde: np.ndarray
     mode: MatchMode
-    singular_system: bool | np.ndarray
-    det_mag: float | np.ndarray
+    singular_system: np.ndarray
+    det_mag: np.ndarray
 
 
-def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> MatchingAmplitudes:
+def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> MatchingAmplitudes:
     """Solve the junction conditions at the interaction point from scratch,
-    for broadcast arrays of (v1, v2, cap_v2, cap_v3, E), flattened.
+    broadcast over p's fields and the energies.
 
     The wave function splits into complex channels psi = psi1 + j*psi2 with
     the scattering ansatz
@@ -272,11 +248,10 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
     each amplitude its own numerator. All of it rounds as CPython's complex
     arithmetic does, so each row equals its one system's evaluation bit for bit.
     """
-    v1, v2, cap_v2, cap_v3, energy = (np.ravel(x) for x in np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (v1, v2, cap_v2, cap_v3, energy))))
+    v1, v2, cap_v2, cap_v3, energy = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.cap_v2, p.cap_v3, energy)))
     if np.any(energy <= 0.0):
         raise ValueError("energy must be positive")
-    beta = np.sqrt(2.0 * energy)
     # The real-quaternion strength is i (v1 + i v2) + cap_v2 j + cap_v3 k
     # = -v2 + v1 i + cap_v2 j + cap_v3 k; (a_ch, b_ch) is its qalg.symplectic_split.
     a_ch, b_ch = (-v2, v1), (cap_v2, -cap_v3)
@@ -284,9 +259,10 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
     c12 = cmul((-0.0, -1.0), (b_ch[0], -b_ch[1]))  # j-wave drive felt by the i channel: V3 - i V2
     c21 = cmul((0.0, 1.0), b_ch)                   # i-wave drive felt by the j channel: V3 + i V2
     cj = (v1c[0], -v1c[1]) if mode is MatchMode.CONJUGATE else v1c
-    # Overflowing entries give inf and nan rows, and singular rows divide by
-    # zero; callers report both, so numpy's warnings would only repeat them.
+    # Overflowing entries or energies give inf and nan rows, and singular rows
+    # divide by zero; callers report both, so numpy's warnings would only repeat them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta = np.sqrt(2.0 * energy)
         i_beta = cmul((0.0, 1.0), (beta, 0.0))
         lead = (i_beta[0] - v1c[0], i_beta[1] - v1c[1])   # i beta - V1
         diag = (beta + cj[0], 0.0 + cj[1])                # beta + cj
@@ -298,14 +274,6 @@ def matching_arrays(v1, v2, cap_v2, cap_v3, energy, mode: MatchMode) -> Matching
                     for num in ((vr + cr, vi + ci), cmul(i_beta, diag),
                                 cmul((-i_beta[0], -i_beta[1]), c21)))
     return MatchingAmplitudes(r, t, rt, rt.copy(), mode, singular, det_mag)
-
-
-def matching_solver(p: DeltaPotential, energy: float, mode: MatchMode) -> MatchingAmplitudes:
-    """matching_arrays for one potential at one energy."""
-    m = matching_arrays(p.v1, p.v2, p.cap_v2, p.cap_v3, energy, mode)
-    singular = bool(m.singular_system[0])
-    amps = [None if singular else complex(z[0]) for z in (m.r, m.t, m.r_tilde, m.t_tilde)]
-    return MatchingAmplitudes(*amps, mode, singular, float(m.det_mag[0]))
 
 
 def potential_from_ss_pairs(pair_a: tuple[float, float], pair_b: tuple[float, float],

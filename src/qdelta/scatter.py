@@ -3,8 +3,9 @@
 The interaction strength has a complex i channel v1 + i*v2 plus real j and k
 channels (cap_v2, cap_v3); the amplitudes depend on the latter two only
 through g^2 = cap_v2^2 + cap_v3^2. Natural units hbar = m = 1 throughout, so
-beta = sqrt(2 E) and E = beta^2 / 2. The array forms run the complex closed forms
-on (re, im) pairs through qalg's helpers, with the bits of the scalar evaluation.
+beta = sqrt(2 E) and E = beta^2 / 2. amplitudes broadcasts over arrays and runs
+the complex closed forms on (re, im) pairs through qalg's helpers, with the bits
+of Python's complex evaluation; a scalar call gives 0-d results.
 """
 
 from __future__ import annotations
@@ -49,21 +50,17 @@ class DeltaPotential:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes and coefficients.
+    """Amplitudes and coefficients over the broadcast inputs of amplitudes or
+    sweep, with r and t nan and R and T inf at singular entries."""
 
-    From amplitudes: one energy, with r and t None at a singularity. From
-    amplitude_arrays and sweep: arrays over the broadcast inputs, with r and t
-    nan at singular entries.
-    """
-
-    energy: float | np.ndarray
-    beta: float | np.ndarray
-    r: complex | np.ndarray | None
-    t: complex | np.ndarray | None
-    big_r: float | np.ndarray
-    big_t: float | np.ndarray
-    d_value: complex | np.ndarray
-    at_singularity: bool | np.ndarray
+    energy: np.ndarray
+    beta: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    big_r: np.ndarray
+    big_t: np.ndarray
+    d_value: np.ndarray
+    at_singularity: np.ndarray
 
 
 def denominator(p: DeltaPotential, beta: float) -> complex:
@@ -91,19 +88,20 @@ def _denominator_parts(v1, v2, g2, beta):
     return bb, numer, (bb[0] + i_numer[0], bb[1] + i_numer[1])
 
 
-def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
-    """Reflection and transmission from the closed forms, broadcast over arrays
-    of (v1, v2, g^2, E).
+def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:
+    """Reflection and transmission from the closed forms, broadcast over p's
+    fields and the energies.
 
     Every entry equals the scalar complex evaluation bit for bit; |r|^2 is
     taken as abs(r) ** 2 is.
     """
     v1, v2, g2, energy = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (v1, v2, g_squared, energy)))
+        *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.g_squared, energy)))
     if np.any(energy <= 0.0):
         raise ValueError("energy must be positive")
-    beta = np.sqrt(2.0 * energy)
+    # Callers report non-finite rows, an overflowed beta's too; warnings would repeat them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta = np.sqrt(2.0 * energy)
         bb, numer, d = _denominator_parts(v1, v2, g2, beta)
         singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
         r = cdiv(cmul((-0.0, -1.0), numer), d)              # -i numer / D
@@ -113,16 +111,6 @@ def amplitude_arrays(v1, v2, g_squared, energy) -> ScatteringResult:
                         for z in (r, t))
     return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
                             as_complex(*d), singular)
-
-
-def amplitudes(p: DeltaPotential, energy: float) -> ScatteringResult:
-    """Reflection and transmission at one energy from the closed forms."""
-    res = amplitude_arrays(p.v1, p.v2, p.g_squared, energy)
-    singular = bool(res.at_singularity)
-    return ScatteringResult(
-        float(res.energy), float(res.beta),
-        None if singular else complex(res.r), None if singular else complex(res.t),
-        float(res.big_r), float(res.big_t), complex(res.d_value), singular)
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -145,4 +133,4 @@ def energy_grid(e_min: float, e_max: float, steps: int) -> np.ndarray:
 
 def sweep(p: DeltaPotential, e_min: float, e_max: float, steps: int) -> ScatteringResult:
     """Amplitudes on a uniform inclusive energy grid, in ascending order, as arrays."""
-    return amplitude_arrays(p.v1, p.v2, p.g_squared, energy_grid(e_min, e_max, steps))
+    return amplitudes(p, energy_grid(e_min, e_max, steps))

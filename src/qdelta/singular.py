@@ -241,7 +241,9 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
 
 
 def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolution]:
-    """Both closed-form singularity branches for one strength pair (v1, v2)."""
+    """Both closed-form singularity branches for one strength pair (v1, v2),
+    as Python floats: the CLI's scalar code relies on their arithmetic, whose
+    overflow to inf prints no numpy RuntimeWarning."""
     plus, minus = (SSBranchSolution(sol.branch, float(sol.g_squared), float(sol.beta),
                                     float(sol.energy), bool(sol.feasible), sol.reason)
                    for sol in ss_branches(v1, v2))

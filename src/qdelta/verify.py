@@ -18,8 +18,7 @@ from . import oracle
 from .oracle import MatchMode
 from .qalg import (ONE, I, J, K, Quaternion, as_complex, maximum, modulus,
                    power, qconj, qmul, symplectic_join, symplectic_split)
-from .scatter import (DeltaPotential, amplitude_arrays, amplitudes, denominator,
-                      dr_di, sweep)
+from .scatter import DeltaPotential, amplitudes, denominator, dr_di, sweep
 from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
                        classify_region, discriminant_bounded,
                        discriminant_expanded, discriminant_factored,
@@ -98,10 +97,10 @@ def check_resonance_curves() -> CheckResult:
             if off > h + 1e-12:
                 return CheckResult(name, False, f"{label} peak at E={energies[idx]:.6f}, "
                                                 f"{off / h:.1f} grid steps from {e_ss}")
-        for e_probe in (e_ss - 1e-7, e_ss + 1e-7):
-            res = amplitudes(pot, e_probe)
-            if not (res.big_r > 1e6 and res.big_t > 1e6):
-                return CheckResult(name, False, f"R,T=({res.big_r:.3e},{res.big_t:.3e}) "
+        res = amplitudes(pot, [e_ss - 1e-7, e_ss + 1e-7])
+        for e_probe, big_r, big_t in np.transpose([res.energy, res.big_r, res.big_t]).tolist():
+            if not (big_r > 1e6 and big_t > 1e6):
+                return CheckResult(name, False, f"R,T=({big_r:.3e},{big_t:.3e}) "
                                                 f"at E={e_probe!r} not > 1e6")
         details.append(f"g2={g2:g}: peak within {max(abs(energies[i_r] - e_ss), abs(energies[i_t] - e_ss)) / h:.2f} step of E={e_ss:g}")
     return CheckResult(name, True, "; ".join(details))
@@ -292,8 +291,7 @@ def check_unitarity(rng: np.random.RandomState, trials: int) -> CheckResult:
 
     def unitarity(start, v1, v2, g2, energy):
         nonlocal worst
-        pot = _potential(v1, v2, g2)
-        res = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
+        res = amplitudes(_potential(v1, v2, g2), energy)
         err = np.abs(res.big_r + res.big_t - 1.0)
         worst = max(worst, float(err.max()))
         return ((err > 1e-10, lambda n: f"|R+T-1| = {err[n]:.3e} at draw {start + n}"),)
@@ -307,8 +305,8 @@ def _oracle_agreement(mode: MatchMode, message: str):
     singularities."""
     def agreement(start, v1, v2, g2, energy):
         pot = _potential(v1, v2, g2)
-        closed = amplitude_arrays(pot.v1, pot.v2, pot.g_squared, energy)
-        m = oracle.matching_arrays(pot.v1, pot.v2, pot.cap_v2, pot.cap_v3, energy, mode)
+        closed = amplitudes(pot, energy)
+        m = oracle.matching_solver(pot, energy, mode)
         agree = np.ones(energy.shape, dtype=bool)
         for got, want in ((m.r, closed.r), (m.t, closed.t)):
             agree &= modulus(got - want) <= 1e-9 * maximum(1.0, modulus(got), modulus(want))
@@ -339,7 +337,7 @@ def mode_divergence_at_probe() -> float:
     pot = DeltaPotential.from_g_squared(v1, v2, g2)
     r_cont = oracle.matching_solver(pot, energy, MatchMode.CONTINUED).r
     r_conj = oracle.matching_solver(pot, energy, MatchMode.CONJUGATE).r
-    return abs(r_cont - r_conj)
+    return abs(r_cont - r_conj).item()
 
 
 def _pair_at(v1: np.ndarray, v2: np.ndarray, n: int) -> str:
@@ -354,7 +352,7 @@ def _branch_roots(v1: np.ndarray, v2: np.ndarray,
     g2 = np.concatenate([np.where(sol.feasible, sol.g_squared, 1.0) for sol in sols])
     pot = DeltaPotential(np.tile(v1, len(sols)), np.tile(v2, len(sols)), np.sqrt(g2), 0.0)
     coeffs = quartic_coeffs(pot)
-    return pot, coeffs, oracle.quartic_root_arrays(coeffs.b, coeffs.c, coeffs.d, coeffs.e)
+    return pot, coeffs, oracle.quartic_roots(coeffs)
 
 
 def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckResult:
@@ -369,8 +367,7 @@ def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckR
         off_boundary = root_nature(coeffs) != np.array(RootNature.BOUNDARY_DOUBLE_ROOT, object)
         return (
             (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
-            # found.row raises NumericalError, as quartic_roots does.
-            (~found.reconstructs, found.row),
+            (~found.reconstructs, found.require),   # raises NumericalError
             (found.double_root(plus.beta)[1] == 0,
              lambda n: f"no real double root at beta+={plus.beta[n].item()!r} for "
                        f"{_pair_at(v1, v2, n)}"),
@@ -524,10 +521,9 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
     n_coeff, n_branch = min(trials, 300), min(trials, 100)
 
     def reconstruction(start, *coeffs):
-        found = oracle.quartic_root_arrays(*coeffs)
+        found = oracle.quartic_roots(QuarticCoeffs(*coeffs))
         return (
-            # found.row raises NumericalError, as quartic_roots does.
-            (~found.reconstructs, found.row),
+            (~found.reconstructs, found.require),   # raises NumericalError
             (np.any(_ascending(found.roots.conj()) != _ascending(found.roots), axis=1),
              lambda n: f"root set not conjugate-closed at draw {start + n}"),
         )
@@ -540,7 +536,8 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
         for offset, sol in zip((0, len(v1)), sols):
             rows = slice(offset, offset + len(v1))
             checks += [
-                (sol.feasible & ~found.reconstructs[rows], lambda n, k=offset: found.row(k + n)),
+                (sol.feasible & ~found.reconstructs[rows],
+                 lambda n, k=offset: found.require(k + n)),
                 (sol.feasible & ~found_beta[rows],
                  lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
                                     f"at {_pair_at(v1, v2, n)}"),

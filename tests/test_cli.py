@@ -230,6 +230,26 @@ def test_physical_overflow_prints_only_the_failure():
 
 
 @pytest.mark.parametrize("argv", [
+    ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5"),
+    ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5", "--model=physical"),
+    ("plot", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5"),
+], ids=["closed-form", "physical", "plot"])
+@pytest.mark.parametrize("bounds, returncode, stderr", [
+    # beta = sqrt(2 E) overflows at the last grid node.
+    (("--emin=1", "--emax=1e308"), 3,
+     "numerical failure: non-finite amplitudes at E=1e+308 off the singularities\n"),
+    (("--emin=1", "--emax=inf"), 2, "error: --emax must be finite\n"),
+    (("--emin=-inf", "--emax=2"), 2, "error: --emin must be finite\n"),
+], ids=["overflow", "inf", "minus-inf"])
+def test_energy_grid_out_of_range_prints_only_the_failure(argv, bounds, returncode, stderr,
+                                                          tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(*argv, *bounds, f"--out={out}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (returncode, "", stderr)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("sweep", "--v1", "-1e-3", "--v2", "-2E-3", "--g2", "1e-6",
      "--emin", "1e-3", "--emax", "2", "--steps", "3"),
     ("ss", "--v1", "-1e-3", "--v2", "-2e-3", "--json"),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 
 from qdelta import verify
 from qdelta.oracle import (CLUSTER_RTOL, MATCH_SINGULAR_TOL, REAL_TAG_RTOL, MatchMode,
-                           NumericalError, matching_arrays, matching_solver, minimize_dsq,
-                           potential_from_ss_pairs, quartic_root_arrays, quartic_roots)
+                           NumericalError, matching_solver, minimize_dsq,
+                           potential_from_ss_pairs, quartic_roots)
 from qdelta.qalg import Quaternion, symplectic_split
 from qdelta.scatter import DeltaPotential, amplitudes
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
@@ -23,30 +22,38 @@ def _sorted(roots):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
+def _one_quartic(q):
+    """The roots and multiplicity tags of one quartic, as lists; raises
+    NumericalError if the roots fail to reconstruct it."""
+    found = quartic_roots(q)
+    found.require(0)
+    return found.roots[0].tolist(), found.multiplicity_tags[0].tolist()
+
+
 def test_roots_double_plus_complex_pair():
-    rs = quartic_roots(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
-    doubles = [z for z, tag in zip(rs.roots, rs.multiplicity_tags) if tag == 2]
+    roots, tags = _one_quartic(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
+    doubles = [z for z, tag in zip(roots, tags) if tag == 2]
     assert len(doubles) == 2 and doubles[0] == doubles[1]
     assert doubles[0].imag == 0.0
     assert abs(doubles[0].real - 2.0) <= 1e-7
-    pair = _sorted(z for z, tag in zip(rs.roots, rs.multiplicity_tags) if tag == 1)
+    pair = _sorted(z for z, tag in zip(roots, tags) if tag == 1)
     assert abs(pair[0] - (1.5 - 2.5j)) <= 1e-9
     assert abs(pair[1] - (1.5 + 2.5j)) <= 1e-9
     assert pair[0] == pair[1].conjugate()
 
 
 def test_roots_four_distinct_real():
-    rs = quartic_roots(QuarticCoeffs(-10.0, 35.0, -50.0, 24.0))
-    assert rs.multiplicity_tags == (1, 1, 1, 1)
-    assert all(z.imag == 0.0 for z in rs.roots)
-    for got, want in zip(rs.roots, (1.0, 2.0, 3.0, 4.0)):
+    roots, tags = _one_quartic(QuarticCoeffs(-10.0, 35.0, -50.0, 24.0))
+    assert tags == [1, 1, 1, 1]
+    assert all(z.imag == 0.0 for z in roots)
+    for got, want in zip(roots, (1.0, 2.0, 3.0, 4.0)):
         assert abs(got.real - want) <= 1e-9
 
 
 def test_roots_all_zero():
-    rs = quartic_roots(QuarticCoeffs(0.0, 0.0, 0.0, 0.0))
-    assert all(abs(z) <= 1e-6 for z in rs.roots)
-    assert rs.multiplicity_tags == (4, 4, 4, 4)
+    roots, tags = _one_quartic(QuarticCoeffs(0.0, 0.0, 0.0, 0.0))
+    assert all(abs(z) <= 1e-6 for z in roots)
+    assert tags == [4, 4, 4, 4]
 
 
 def test_roots_reject_non_finite():
@@ -56,8 +63,7 @@ def test_roots_reject_non_finite():
 
 @given(coeff, coeff, coeff, coeff)
 def test_roots_reconstruct_coefficients(b, c, d, e):
-    rs = quartic_roots(QuarticCoeffs(b, c, d, e))
-    r1, r2, r3, r4 = rs.roots
+    r1, r2, r3, r4 = _one_quartic(QuarticCoeffs(b, c, d, e))[0]
     got_b = -(r1 + r2 + r3 + r4)
     got_c = r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4
     got_d = -(r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4)
@@ -70,13 +76,13 @@ def test_roots_reconstruct_coefficients(b, c, d, e):
 @given(coeff, coeff, coeff, coeff)
 def test_roots_probe_reconstruction(b, c, d, e):
     q = QuarticCoeffs(b, c, d, e)
-    rs = quartic_roots(q)
+    roots, _ = _one_quartic(q)
     rng = random.Random(4321)
     bound = 1.0 + max(abs(b), abs(c), abs(d), abs(e))
     for _ in range(10):
         x = rng.uniform(-bound, bound)
         prod = 1.0 + 0.0j
-        for z in rs.roots:
+        for z in roots:
             prod *= (x - z)
         want = q.value_at(x)
         assert abs(prod - want) <= 1e-8 * max(1.0, abs(want), x ** 4, abs(e))
@@ -84,8 +90,8 @@ def test_roots_probe_reconstruction(b, c, d, e):
 
 @given(coeff, coeff, coeff, coeff)
 def test_roots_conjugate_closed(b, c, d, e):
-    rs = quartic_roots(QuarticCoeffs(b, c, d, e))
-    assert _sorted(z.conjugate() for z in rs.roots) == _sorted(rs.roots)
+    roots, _ = _one_quartic(QuarticCoeffs(b, c, d, e))
+    assert _sorted(z.conjugate() for z in roots) == _sorted(roots)
 
 
 def test_branch_betas_appear_as_double_roots():
@@ -102,8 +108,8 @@ def test_branch_betas_appear_as_double_roots():
             if not sol.feasible:
                 continue
             p = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
-            rs = quartic_roots(quartic_coeffs(p))
-            hits = [z for z, tag in zip(rs.roots, rs.multiplicity_tags)
+            roots, tags = _one_quartic(quartic_coeffs(p))
+            hits = [z for z, tag in zip(roots, tags)
                     if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6]
             assert hits, (v1, v2, sol)
 
@@ -111,10 +117,11 @@ def test_branch_betas_appear_as_double_roots():
 def test_double_root_per_row():
     # The figure quartic has a double root at 2 and a complex pair; the
     # quartic with roots 1-4 has no double root; 2.1 is too far from 2.
-    found = quartic_root_arrays([-7.0, -10.0, -7.0], [24.5, 35.0, 24.5],
-                                [-46.0, -50.0, -46.0], [34.0, 24.0, 34.0])
+    found = quartic_roots(QuarticCoeffs([-7.0, -10.0, -7.0], [24.5, 35.0, 24.5],
+                                        [-46.0, -50.0, -46.0], [34.0, 24.0, 34.0]))
     value, mult = found.double_root([2.0, 2.0, 2.1])
-    first = next(z.real for z, tag in zip(*dataclasses.astuple(found.row(0))) if tag >= 2)
+    first = next(z.real for z, tag in zip(found.roots[0].tolist(),
+                                          found.multiplicity_tags[0].tolist()) if tag >= 2)
     assert (value[0], mult[0]) == (first, 2)
     assert np.isnan(value[1:]).all() and mult[1:].tolist() == [0, 0]
 
@@ -177,15 +184,15 @@ def test_quartic_root_arrays_equal_scalar_roots():
     # tolerance), and two double roots.
     quartics += [QuarticCoeffs(0.0, 0.0, 0.0, 0.0), QuarticCoeffs(-4.0, 6.0, -4.0, 1.0),
                  QuarticCoeffs(-5.0, 9.0, -7.0, 2.0), QuarticCoeffs(0.0, -2.0, 0.0, 1.0)]
-    found = quartic_root_arrays(*np.array([(q.b, q.c, q.d, q.e) for q in quartics]).T)
+    found = quartic_roots(QuarticCoeffs(*np.array([(q.b, q.c, q.d, q.e) for q in quartics]).T))
     tags_seen = set()
     for n, q in enumerate(quartics):
         roots, tags = _scalar_quartic_roots(q)
         assert bool(found.reconstructs[n])
-        assert _root_bits(found.row(n).roots) == _root_bits(roots)
-        assert found.row(n).multiplicity_tags == tags
-        one = quartic_roots(q)
-        assert (_root_bits(one.roots), one.multiplicity_tags) == (_root_bits(roots), tags)
+        assert _root_bits(found.roots[n].tolist()) == _root_bits(roots)
+        assert tuple(found.multiplicity_tags[n].tolist()) == tags
+        one_roots, one_tags = _one_quartic(q)
+        assert (_root_bits(one_roots), tuple(one_tags)) == (_root_bits(roots), tags)
         tags_seen.add(tags)
     assert {(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (4, 4, 4, 4)} <= tags_seen
 
@@ -200,14 +207,15 @@ def test_failed_reconstruction_raises(monkeypatch):
         return z
 
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    found = quartic_root_arrays([-10.0, -7.0, 1.0], [35.0, 24.5, 2.0],
-                                [-50.0, -46.0, 3.0], [24.0, 34.0, 4.0])
+    found = quartic_roots(QuarticCoeffs([-10.0, -7.0, 1.0], [35.0, 24.5, 2.0],
+                                        [-50.0, -46.0, 3.0], [24.0, 34.0, 4.0]))
     assert found.reconstructs.tolist() == [True, False, True]
-    assert found.row(0).multiplicity_tags == (1, 1, 1, 1)
+    found.require(0)
+    assert found.multiplicity_tags[0].tolist() == [1, 1, 1, 1]
     with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):
-        found.row(1)
+        found.require(1)
     with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):
-        quartic_roots(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
+        _one_quartic(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
 
 
 def test_quartic_root_oracle_check_at_suite_seed_160():
@@ -269,7 +277,7 @@ def test_matching_singular_at_branch_point():
     p = DeltaPotential(-0.5, 3.0, math.sqrt(15.0) / 2.0, 0.0)
     m = matching_solver(p, 2.0, MatchMode.CONTINUED)
     assert m.singular_system
-    assert m.r is None and m.t is None
+    assert np.isnan(m.r) and np.isnan(m.t)
     assert m.det_mag <= 1e-10 * 4.0
 
 
@@ -389,8 +397,7 @@ def _reduced_matching(p, energy, mode):
 
 
 def _bits(z):
-    return None if z is None else (math.copysign(1.0, z.real), z.real.hex(),
-                                   math.copysign(1.0, z.imag), z.imag.hex())
+    return math.copysign(1.0, z.real), z.real.hex(), math.copysign(1.0, z.imag), z.imag.hex()
 
 
 def _matching_rows(seed, count):
@@ -410,10 +417,17 @@ def _amplitudes(m):
     return m.r, m.t, m.r_tilde, m.t_tilde
 
 
+def _solve_rows(rows, mode):
+    """matching_solver over the (v1, v2, cap_v2, cap_v3, E) rows at once."""
+    v1, v2, cap_v2, cap_v3, energy = np.array(rows).T
+    return matching_solver(DeltaPotential(v1, v2, cap_v2, cap_v3), energy, mode)
+
+
 @pytest.mark.parametrize("mode", list(MatchMode))
 def test_matching_arrays_equal_scalar_solves(mode):
+    # One function on one system and on the stack of all of them.
     rows = _matching_rows(2024, 2000)
-    stacked = matching_arrays(*np.array(rows).T, mode)
+    stacked = _solve_rows(rows, mode)
     singular_rows = 0
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
         pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
@@ -423,18 +437,18 @@ def test_matching_arrays_equal_scalar_solves(mode):
         assert (one.singular_system, one.det_mag) == (singular, det_mag)
         assert (bool(stacked.singular_system[n]), stacked.det_mag[n]) == (singular, det_mag)
         for got_one, got_row, want in zip(_amplitudes(one), _amplitudes(stacked), amps):
-            assert _bits(got_one) == _bits(want)
+            got = complex(got_one), complex(got_row[n])
             if singular:
-                assert np.isnan(got_row[n].real) and np.isnan(got_row[n].imag)
+                assert all(math.isnan(z.real) and math.isnan(z.imag) for z in got)
             else:
-                assert _bits(complex(got_row[n])) == _bits(want)
+                assert [_bits(z) for z in got] == [_bits(want)] * 2
     assert singular_rows == 1
 
 
 @pytest.mark.parametrize("mode", list(MatchMode))
 def test_matching_arrays_agree_with_lapack(mode):
     rows = _matching_rows(2024, 2000)
-    stacked = matching_arrays(*np.array(rows).T, mode)
+    stacked = _solve_rows(rows, mode)
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
         amps, singular, det_mag = _scalar_matching(DeltaPotential(v1, v2, cap_v2, cap_v3),
                                                    energy, mode)
@@ -478,7 +492,7 @@ def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
     # cancels near a reflectionless energy, so r is held to 32 ulps of the
     # larger of |r| and its terms' scale (|V1| |beta + cj| + |V3 - i V2|^2) / |det2|.
     rows = _matching_rows(2024, 2000)
-    stacked = matching_arrays(*np.array(rows).T, mode)
+    stacked = _solve_rows(rows, mode)
     checked = 0
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
         if stacked.singular_system[n]:
@@ -503,10 +517,11 @@ def test_matching_arrays_are_scale_free(mode):
     # singular test keeps its max(1, beta^2) floor, so rows singular at
     # either scale are left out.
     rows = np.array(_matching_rows(2024, 2000))
-    base = matching_arrays(*rows.T, mode)
+    base = _solve_rows(rows, mode)
     compared = 0
     for k in range(-40, 41):
-        scaled = matching_arrays(*np.ldexp(rows[:, :4], k).T, np.ldexp(rows[:, 4], 2 * k), mode)
+        scaled = matching_solver(DeltaPotential(*np.ldexp(rows[:, :4], k).T),
+                                 np.ldexp(rows[:, 4], 2 * k), mode)
         both = ~(base.singular_system | scaled.singular_system)
         for got, want in zip(_amplitudes(scaled), _amplitudes(base)):
             assert np.array_equal(got[both].view(np.uint64), want[both].view(np.uint64)), k

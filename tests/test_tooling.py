@@ -1,8 +1,8 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
 the exact sums may live, that the branch verdicts keep no guard floors, that
-the matching oracle calls no np.linalg, which scalar helpers stay deleted, that the benchmark's traced functions exist,
-which commands load numpy.random, and that the package and its metadata agree
-on the version."""
+the matching oracle calls no np.linalg, which scalar helpers and array twins
+stay deleted, that the benchmark's traced functions exist, which commands load
+numpy.random, and that the package and its metadata agree on the version."""
 
 import ast
 import importlib
@@ -60,21 +60,27 @@ def test_matching_arrays_calls_no_linalg():
     # qalg's rounding, not by a LAPACK factorisation per matrix.
     tree = ast.parse((ROOT / "src" / "qdelta" / "oracle.py").read_text(encoding="utf-8"))
     func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "matching_arrays")
+                if isinstance(node, ast.FunctionDef) and node.name == "matching_solver")
     found = [node.lineno for node in ast.walk(func)
              if isinstance(node, (ast.Attribute, ast.Name))
              and "linalg" in (node.attr if isinstance(node, ast.Attribute) else node.id)]
     assert found == []
 
 
-def test_scalar_double_root_helpers_are_gone():
+_DELETED_NAMES = (
     # RootArrays.double_root and the array root_nature replaced them.
-    names = re.compile(r"\b(_coeffs_at|has_double_root|_double_root_near|real_double_root)\b")
+    r"\b(_coeffs_at|has_double_root|_double_root_near|real_double_root)\b",
+    # amplitudes, matching_solver and quartic_roots work on arrays themselves.
+    r"\b(amplitude_arrays|matching_arrays|quartic_root_arrays|RootSet)\b",
+)
+
+
+def test_scalar_double_root_helpers_are_gone():
     paths = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
-    found = [f"{path.name}:{n}" for path in paths
-             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if names.search(line)]
-    assert found == []
+    lines = [(f"{path.name}:{n}", line) for path in paths
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
+    for names in _DELETED_NAMES:
+        assert [where for where, line in lines if re.search(names, line)] == [], names
 
 
 def test_traced_functions_resolve():

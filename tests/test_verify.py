@@ -45,13 +45,13 @@ class _ChangeAt:
 def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
     # Solved before the patch, whose draw count the probe would advance.
     divergence = verify.mode_divergence_at_probe()
-    unpatched, perturb = verify.oracle.matching_arrays, _ChangeAt(BAD_DRAWS)
+    unpatched, perturb = verify.oracle.matching_solver, _ChangeAt(BAD_DRAWS)
 
     def solve(*args):
         m = unpatched(*args)
         return dataclasses.replace(m, r=perturb(m.r)) if m.mode is mode else m
 
-    monkeypatch.setattr(verify.oracle, "matching_arrays", solve)
+    monkeypatch.setattr(verify.oracle, "matching_solver", solve)
     check = verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence)
     assert not check.passed
     assert check.detail == detail
@@ -237,15 +237,15 @@ def _change_row(found, n, **fields):
 
 def _patch_root_calls(monkeypatch, *changes):
     """Apply changes[k] to the result of the k-th stacked root call."""
-    unpatched, calls = oracle.quartic_root_arrays, []
+    unpatched, calls = oracle.quartic_roots, []
 
-    def quartic_root_arrays(*coeffs):
-        found = unpatched(*coeffs)
+    def quartic_roots(coeffs):
+        found = unpatched(coeffs)
         change = changes[len(calls)] if len(calls) < len(changes) else None
         calls.append(found)
         return found if change is None else change(found)
 
-    monkeypatch.setattr(verify.oracle, "quartic_root_arrays", quartic_root_arrays)
+    monkeypatch.setattr(verify.oracle, "quartic_roots", quartic_roots)
     return calls
 
 
@@ -347,7 +347,9 @@ def test_verify_solves_the_mode_probe_once_per_mode(monkeypatch):
     unpatched, modes = verify.oracle.matching_solver, []
 
     def matching_solver(pot, energy, mode):
-        modes.append(mode)
+        # The matching check solves whole blocks of draws; the probe, one energy.
+        if np.ndim(energy) == 0:
+            modes.append(mode)
         return unpatched(pot, energy, mode)
 
     monkeypatch.setattr(verify.oracle, "matching_solver", matching_solver)
