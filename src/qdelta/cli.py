@@ -18,12 +18,12 @@ import sys
 import numpy as np
 
 from . import __version__, verify
-from .oracle import MatchMode, NumericalError, matching_solver, quartic_roots
+from .oracle import MatchMode, NumericalError, branch_roots, matching_solver
 from .qalg import modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
-from .singular import (RegionScan, SSBranchSolution, quartic_coeffs, region_of,
-                       scan_region, ss_closed_form)
+from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
+                       ss_closed_form)
 from .svgplot import render_curves_svg
 
 EXIT_OK = 0
@@ -222,8 +222,9 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
 
 
 def _require_normal(sol: SSBranchSolution) -> None:
-    if not (sol.g_squared >= _TINY and sol.energy >= _TINY):
-        raise NumericalError(f"the closed forms of the {sol.branch.value} branch underflow")
+    for how, outside in (("overflow", math.isinf), ("underflow", lambda x: not x >= _TINY)):
+        if outside(sol.g_squared) or outside(sol.energy):
+            raise NumericalError(f"the closed forms of the {sol.branch.value} branch {how}")
 
 
 def _check_grid(args: argparse.Namespace) -> None:
@@ -317,14 +318,10 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
     if not sol.feasible:
         return None
     _require_normal(sol)
-    pot = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
-    absd = abs(denominator(pot, sol.beta))
-    coeffs = quartic_coeffs(pot)
-    if not all(map(math.isfinite, vars(coeffs).values())):
-        raise NumericalError(f"the quartic of the {sol.branch.value} branch overflows")
-    found = quartic_roots(coeffs)
+    absd = abs(denominator(DeltaPotential.from_g_squared(v1, v2, sol.g_squared), sol.beta))
+    *_, found, value, mult = branch_roots(v1, v2, sol.g_squared, sol.beta)
     found.require(0)
-    value, mult = (x.item() for x in found.double_root([sol.beta]))
+    value, mult = value.item(), mult.item()
     return {"abs_denominator": absd, "double_root_beta": value if mult else None,
             "double_root_multiplicity": mult or None}
 

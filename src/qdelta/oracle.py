@@ -19,7 +19,7 @@ import numpy as np
 
 from .qalg import as_complex, cdiv, cmul, cprod, maximum, modulus, power
 from .scatter import DeltaPotential, denominator
-from .singular import QuarticCoeffs
+from .singular import QuarticCoeffs, quartic_coeffs
 
 
 class NumericalError(RuntimeError):
@@ -79,7 +79,8 @@ def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index of its cluster's first member, the centroid and the member count.
 
     The centroid is summed from 0 in member order and divided by the count
-    as CPython's sum() and complex division do, so it has their bits.
+    as CPython's sum() and complex division do, so it has their bits: a finite
+    sum from 0 is never -0.0, so dividing each part is Smith's quotient.
     """
     rows = np.arange(len(z))[:, None]
     tol = CLUSTER_RTOL * np.maximum(1.0, modulus(z))
@@ -96,11 +97,7 @@ def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # cannot give (every term -0.0) into 0.0.
     total = np.add.accumulate(np.where(member, z[:, None, :], 0.0), axis=2)[..., -1] + 0.0
     total, count = total[rows, head], member.sum(axis=2)[rows, head]
-    # total / count as total / complex(count, 0.0): Smith's quotient, ratio 0.
-    centroid = np.empty(z.shape, dtype=complex)
-    centroid.real = (total.real + total.imag * 0.0) / count
-    centroid.imag = (total.imag - total.real * 0.0) / count
-    return head, centroid, count
+    return head, as_complex(total.real / count, total.imag / count), count
 
 
 def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -146,6 +143,24 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     order = np.lexsort((head, z.imag, z.real))
     z, tags = z[rows, order], tags[rows, order]
     return RootArrays(z, tags, _reconstructs(z, coeffs))
+
+
+def branch_roots(v1, v2, g2, beta) -> tuple[DeltaPotential, QuarticCoeffs, RootArrays,
+                                           np.ndarray, np.ndarray]:
+    """Per singularity branch (v1, v2, g^2) over the broadcast inputs, flattened
+    to rows: its potential scaled by 2^-k, k = frexp(max(|v1|, |v2|))[1]
+    (v -> 2^-k v, g^2 -> 4^-k g^2), that potential's quartic and roots, and the
+    value, scaled back, and multiplicity of the real double root near 2^-k beta
+    (nan and 0 where there is none). The model is homogeneous and the scaling
+    exact, so the oracle's tolerances see every scale as the unit one.
+    """
+    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
+    pot = DeltaPotential(np.ldexp(v1, -k), np.ldexp(v2, -k), np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
+    coeffs = quartic_coeffs(pot)
+    found = quartic_roots(coeffs)
+    beta, k, _ = np.broadcast_arrays(np.ldexp(beta, -k), k, coeffs.e)
+    value, mult = found.double_root(beta.ravel())
+    return pot, coeffs, found, np.ldexp(value, k.ravel()), mult
 
 
 _GRID_POINTS = 10_000
@@ -276,35 +291,30 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> MatchingAmpli
     return MatchingAmplitudes(r, t, rt, rt.copy(), mode, singular, det_mag)
 
 
-def potential_from_ss_pairs(pair_a: tuple[float, float], pair_b: tuple[float, float],
-                            tol: float = 1e-9) -> tuple[float, float]:
+def potential_from_ss_pairs(pair_a: tuple[float, float],
+                            pair_b: tuple[float, float]) -> tuple[float, float]:
     """Recover (v1, v2) from two observed singularity pairs (g^2, beta).
 
-    The real-part condition beta^2 + beta(v1 - v2) - 2 v1 v2 = 0 at the two
-    betas is linear in (v1 - v2, v1 v2); the imaginary-part conditions then
-    disambiguate the two factorizations of that pair. Raises NumericalError
-    when no candidate satisfies all four conditions.
+    The betas are the roots of the real part beta^2 + beta(v1 - v2) - 2 v1 v2, so
+    v1 - v2 = -(beta_a + beta_b) and v1 v2 = -beta_a beta_b / 2, which leave two
+    candidates for v2 with discriminant beta_a^2 + beta_b^2; the imaginary-part
+    conditions pick one. Raises NumericalError for equal betas and when no
+    candidate satisfies all four conditions.
     """
     (g2_a, beta_a), (g2_b, beta_b) = pair_a, pair_b
-    coef = np.array([[beta_a, -2.0], [beta_b, -2.0]])
-    rhs = np.array([-beta_a * beta_a, -beta_b * beta_b])
-    diff, prod = (float(x) for x in np.linalg.solve(coef, rhs))
-    disc = diff * diff + 4.0 * prod
-    if disc < 0.0:
-        raise NumericalError("no real strength pair reproduces the inputs")
-    root = math.sqrt(disc)
-    best: tuple[float, float, float] | None = None
+    if beta_a == beta_b:
+        raise NumericalError("equal betas do not determine the strength pair")
+    diff, root = -(beta_a + beta_b), math.hypot(beta_a, beta_b)
+    candidates = []
     for v2 in ((-diff + root) / 2.0, (-diff - root) / 2.0):
         v1 = v2 + diff
-        resid = 0.0
-        for g2, beta in (pair_a, pair_b):
-            d_r = beta * beta + beta * (v1 - v2) - 2.0 * v1 * v2
-            d_i = v1 * v1 - v2 * v2 + beta * (v1 + v2) + g2
-            resid = max(resid, abs(d_r), abs(d_i))
-        if best is None or resid < best[0]:
-            best = (resid, v1, v2)
-    assert best is not None
+        # The larger of |Dr| and |Di| at the two betas.
+        resid = max(max(abs(beta * beta + beta * (v1 - v2) - 2.0 * v1 * v2),
+                        abs(v1 * v1 - v2 * v2 + beta * (v1 + v2) + g2))
+                    for g2, beta in (pair_a, pair_b))
+        candidates.append((resid, v1, v2))
+    resid, v1, v2 = min(candidates, key=lambda cand: cand[0])
     scale = max(1.0, beta_a * beta_a, beta_b * beta_b, abs(g2_a), abs(g2_b))
-    if best[0] > tol * scale:
+    if resid > 1e-9 * scale:
         raise NumericalError("inputs are inconsistent with a single strength pair")
-    return best[1], best[2]
+    return v1, v2

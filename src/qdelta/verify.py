@@ -344,31 +344,22 @@ def _pair_at(v1: np.ndarray, v2: np.ndarray, n: int) -> str:
     return f"({v1[n].item()!r},{v2[n].item()!r})"
 
 
-def _branch_roots(v1: np.ndarray, v2: np.ndarray,
-                  sols) -> tuple[DeltaPotential, QuarticCoeffs, oracle.RootArrays]:
-    """The potentials of the given branches over (v1, v2), stacked branch
-    after branch, their quartics and the roots from one stacked oracle call.
-    An infeasible branch's rows take g^2 = 1; no check reads them."""
-    g2 = np.concatenate([np.where(sol.feasible, sol.g_squared, 1.0) for sol in sols])
-    pot = DeltaPotential(np.tile(v1, len(sols)), np.tile(v2, len(sols)), np.sqrt(g2), 0.0)
-    coeffs = quartic_coeffs(pot)
-    return pot, coeffs, oracle.quartic_roots(coeffs)
-
-
 def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckResult:
     """Plus-branch singularities in the lossy quadrant are genuine double
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
     def double_roots(start, v1, v2):
         plus, _ = ss_branches(v1, v2)
-        pot, coeffs, found = _branch_roots(v1, v2, (plus,))
+        # An infeasible branch takes g^2 = 1; no check reads its row.
+        pot, coeffs, found, _, mult = oracle.branch_roots(
+            v1, v2, np.where(plus.feasible, plus.g_squared, 1.0), plus.beta)
         a_factor, _, _ = discriminant_factored(pot)
-        a_large = a_factor > 1e-8 * np.maximum(1.0, power(plus.g_squared, 2.0))
+        a_large = a_factor > 1e-8 * np.maximum(1.0, power(pot.g_squared, 2.0))
         # numpy compares a bare str member as a string, unequal to every verdict.
         off_boundary = root_nature(coeffs) != np.array(RootNature.BOUNDARY_DOUBLE_ROOT, object)
         return (
             (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
             (~found.reconstructs, found.require),   # raises NumericalError
-            (found.double_root(plus.beta)[1] == 0,
+            (mult == 0,
              lambda n: f"no real double root at beta+={plus.beta[n].item()!r} for "
                        f"{_pair_at(v1, v2, n)}"),
             (a_large, lambda n: f"A = {a_factor[n]:.3e} not ~0 at {_pair_at(v1, v2, n)}"),
@@ -528,23 +519,25 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
              lambda n: f"root set not conjugate-closed at draw {start + n}"),
         )
 
-    def branch_roots(start, v1, v2):
+    def branch_betas(start, v1, v2):
         sols = ss_branches(v1, v2)
-        _, _, found = _branch_roots(v1, v2, sols)
-        found_beta = found.double_root(np.concatenate([sol.beta for sol in sols]))[1] > 0
+        # Rows are (branch, draw); an infeasible branch takes g^2 = 1.
+        *_, found, _, mult = oracle.branch_roots(
+            v1, v2, np.where([s.feasible for s in sols], [s.g_squared for s in sols], 1.0),
+            [s.beta for s in sols])
         checks = []
         for offset, sol in zip((0, len(v1)), sols):
             rows = slice(offset, offset + len(v1))
             checks += [
                 (sol.feasible & ~found.reconstructs[rows],
                  lambda n, k=offset: found.require(k + n)),
-                (sol.feasible & ~found_beta[rows],
+                (sol.feasible & (mult[rows] == 0),
                  lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
                                     f"at {_pair_at(v1, v2, n)}"),
             ]
         return checks
     problem = (_first_failing_draw(rng, n_coeff, _draw_quartics, reconstruction)
-               or _first_failing_draw(rng, n_branch, _draw_band, branch_roots))
+               or _first_failing_draw(rng, n_branch, _draw_band, branch_betas))
     return _result("quartic-root-oracle", problem,
                    f"{n_coeff} reconstructions, {n_branch} branch root checks")
 

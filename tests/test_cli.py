@@ -1,16 +1,19 @@
 import hashlib
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qdelta import __version__
-from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main
+from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.scatter import DeltaPotential, ScatteringResult, sweep
 from qdelta.singular import KAPPA, scan_region
 
@@ -190,8 +193,8 @@ def test_scan_underflowing_closed_forms_print_only_the_failure():
     (("--v1=-1e-200", "--v2=-2e-200"), "the closed forms of the plus branch underflow"),
     # E+ is about 2 v1^2, a subnormal, while g+^2 is about v2^2 = 1.
     (("--v1=-1e-160", "--v2=-1"), "the closed forms of the plus branch underflow"),
-    # The plus branch is feasible, and its quartic's coefficients overflow.
-    (("--v1=-1e200", "--v2=-2e200"), "the quartic of the plus branch overflows"),
+    # The plus branch is feasible, and its g+^2 and E+ overflow to inf.
+    (("--v1=-1e200", "--v2=-2e200"), "the closed forms of the plus branch overflow"),
 ], ids=["zero", "subnormal", "overflow"])
 @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
 def test_ss_out_of_range_prints_only_the_failure(pair, failure, extra):
@@ -212,12 +215,15 @@ def test_plot_of_an_underflowing_branch_prints_only_the_failure(pair, tmp_path):
 
 
 @pytest.mark.parametrize("extra", [(), ("--json",)])
-def test_ss_overflowing_quartic_prints_only_the_failure(extra):
-    # (v1^2 + v2^2)^2 overflows in the plus branch's quartic coefficient e.
+def test_ss_confirms_a_singularity_whose_unscaled_quartic_overflows(extra):
+    # (v1^2 + v2^2)^2 overflows in the unscaled quartic's coefficient e; the
+    # oracle solves the quartic of the strengths scaled by a power of two.
     proc = run_cli("ss", "--v1=-1e80", "--v2=-1e80", *extra)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == "numerical failure: the quartic of the plus branch overflows\n"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if extra:
+        assert json.loads(proc.stdout)["oracle"]["plus"]["double_root_multiplicity"] == 2
+    else:
+        assert "double-root multiplicity=2" in proc.stdout.splitlines()[2]
 
 
 def test_physical_overflow_prints_only_the_failure():
@@ -523,17 +529,58 @@ def test_free_particle_below_the_singular_floor_keeps_its_amplitudes(capsys):
         assert cells[8] == pytest.approx(2.0 * cells[0], rel=1e-12), line
 
 
-# The quartic root oracle clusters roots within CLUSTER_RTOL * max(1, |z|),
-# an absolute 1e-6 below |z| = 1, so at v = -1e-8 it merges all four roots
-# and reports multiplicity 4; on the lossy diagonal at -1e10 it locates no
-# double root at beta+ at all.
-@pytest.mark.xfail(strict=True, reason="the quartic root oracle's tolerances have a scale")
+def _oracle_at(report):
+    """Per branch, the oracle's (multiplicity, double root), or None."""
+    return [None if rec is None else (rec["double_root_multiplicity"], rec["double_root_beta"])
+            for rec in (report["oracle"]["plus"], report["oracle"]["minus"])]
+
+
 def test_ss_confirms_lossy_singularities_at_every_scale(capsys):
+    # The oracle's tolerances, CLUSTER_RTOL * max(1, |z|) among them, see the
+    # strengths scaled by a power of two, so no scale merges all four roots
+    # (v = -1e-8) or misses the double root at beta+ (v = -1e10).
     for pair in (["--v1=-1e-8", "--v2=-2e-8"], ["--v1=-1e10", "--v2=-1e10"]):
         assert main(["ss", *pair, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["classification"] == "PlusOnly", pair
         assert doc["oracle"]["plus"]["double_root_multiplicity"] == 2, pair
+    # Scaling v by 2^k scales each double root by exactly 2^k, in the lossy
+    # quadrant and in the v2 > 0 band.
+    rng = random.Random(21)
+    lossy = [(-10.0 * rng.random(), -10.0 * rng.random()) for _ in range(4)]
+    band = [(KAPPA * v2 * rng.random(), v2) for v2 in (0.1 + 9.9 * rng.random() for _ in range(4))]
+    for v1, v2 in lossy + band:
+        unit = ss_report(v1, v2)
+        assert all(rec is None or rec[0] == 2 for rec in _oracle_at(unit)), (v1, v2)
+        for k in range(-300, 301, 25):
+            scaled = ss_report(math.ldexp(v1, k), math.ldexp(v2, k))
+            assert scaled["classification"] == unit["classification"], (v1, v2, k)
+            assert _oracle_at(scaled) == [
+                None if rec is None else (rec[0], math.ldexp(rec[1], k))
+                for rec in _oracle_at(unit)], (v1, v2, k)
+
+
+def test_ss_prints_no_numpy_warning():
+    proc = run_cli("ss", "--v1=-1e-20", "--v2=-1e100")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_ss_on_log_uniform_lossy_pairs_confirms_or_fails_honestly(capsys):
+    # v1 and v2 drawn as -10^U, U in [-150, 150]: every report confirms the
+    # plus branch's double root, or exits 3 on a closed form out of range, and
+    # no command warns.
+    rng = random.Random(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            v1, v2 = (-10.0 ** rng.uniform(-150.0, 150.0) for _ in range(2))
+            code = main(["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json"])
+            out, err = capsys.readouterr()
+            if code == 3:
+                assert err.startswith("numerical failure: the closed forms of the plus branch")
+            else:
+                assert (code, err) == (0, ""), (v1, v2)
+                assert json.loads(out)["oracle"]["plus"]["double_root_multiplicity"] == 2, (v1, v2)
 
 
 def test_usage_errors_return_2_in_process(capsys):

@@ -344,6 +344,9 @@ def test_potential_recovery_from_pairs():
 def test_potential_recovery_rejects_inconsistent_pairs():
     with pytest.raises(NumericalError):
         potential_from_ss_pairs((1.0, 1.0), (1.0, 2.0))
+    # Equal betas leave v1 - v2 and v1 v2 undetermined.
+    with pytest.raises(NumericalError):
+        potential_from_ss_pairs((3.75, 2.0), (5.0, 2.0))
 
 
 def _channels(p, energy, mode):

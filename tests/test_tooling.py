@@ -1,8 +1,9 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
 the exact sums may live, that the branch verdicts keep no guard floors, that
 the matching oracle calls no np.linalg, which scalar helpers and array twins
-stay deleted, that the benchmark's traced functions exist, which commands load
-numpy.random, and that the package and its metadata agree on the version."""
+stay deleted, that the CLI builds no quartic of its own, that the benchmark's
+traced functions exist, which commands load numpy.random, and that the
+package and its metadata agree on the version."""
 
 import ast
 import importlib
@@ -72,6 +73,8 @@ _DELETED_NAMES = (
     r"\b(_coeffs_at|has_double_root|_double_root_near|real_double_root)\b",
     # amplitudes, matching_solver and quartic_roots work on arrays themselves.
     r"\b(amplitude_arrays|matching_arrays|quartic_root_arrays|RootSet)\b",
+    # oracle.branch_roots builds every branch's quartic.
+    r"\b_branch_roots\b",
 )
 
 
@@ -81,6 +84,12 @@ def test_scalar_double_root_helpers_are_gone():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
     for names in _DELETED_NAMES:
         assert [where for where, line in lines if re.search(names, line)] == [], names
+
+
+def test_cli_builds_no_quartic():
+    # The ss confirmation takes its quartic and roots from oracle.branch_roots.
+    text = (ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8")
+    assert "quartic_roots" not in text and "quartic_coeffs" not in text
 
 
 def test_traced_functions_resolve():
