@@ -43,9 +43,7 @@ _BRANCH_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "branch": {"enum": ["plus", "minus"]},
-        "g_squared": _NUM_OR_NULL,
-        "beta": _NUM_OR_NULL,
-        "energy": _NUM_OR_NULL,
+        **dict.fromkeys(("g_squared", "beta", "energy"), _NUM_OR_NULL),
         "feasible": {"type": "boolean"},
         "reason": {"enum": ["OK", "NegativeGSquared", "NonPositiveBeta",
                             "ComplexSqrt", "DegenerateSum"]},
@@ -71,12 +69,8 @@ SS_REPORT_SCHEMA = {
     "properties": {
         "v1": {"type": "number"},
         "v2": {"type": "number"},
-        "g2_plus": _NUM_OR_NULL,
-        "g2_minus": _NUM_OR_NULL,
-        "E_plus": _NUM_OR_NULL,
-        "E_minus": _NUM_OR_NULL,
-        "beta_plus": _NUM_OR_NULL,
-        "beta_minus": _NUM_OR_NULL,
+        **dict.fromkeys(("g2_plus", "g2_minus", "E_plus", "E_minus", "beta_plus", "beta_minus"),
+                        _NUM_OR_NULL),
         "classification": {"enum": ["BothBranches", "PlusOnly", "MinusOnly", "None"]},
         "branches": {
             "type": "object",
@@ -319,11 +313,12 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
         return None
     _require_normal(sol)
     absd = abs(denominator(DeltaPotential.from_g_squared(v1, v2, sol.g_squared), sol.beta))
+    if not math.isfinite(absd):
+        raise NumericalError(f"the |D| of the {sol.branch.value} branch overflows")
     *_, found, value, mult = branch_roots(v1, v2, sol.g_squared, sol.beta)
     found.require(0)
-    value, mult = value.item(), mult.item()
-    return {"abs_denominator": absd, "double_root_beta": value if mult else None,
-            "double_root_multiplicity": mult or None}
+    return {"abs_denominator": absd, "double_root_beta": value.item() if mult else None,
+            "double_root_multiplicity": mult.item() or None}
 
 
 def _branch_record(sol: SSBranchSolution) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .qalg import as_complex, cdiv, cmul, cprod, maximum, modulus, power
 from .scatter import DeltaPotential, denominator
-from .singular import QuarticCoeffs, quartic_coeffs
+from .singular import QuarticCoeffs, quartic_coeffs, unit_scale
 
 
 class NumericalError(RuntimeError):
@@ -148,14 +148,14 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
 def branch_roots(v1, v2, g2, beta) -> tuple[DeltaPotential, QuarticCoeffs, RootArrays,
                                            np.ndarray, np.ndarray]:
     """Per singularity branch (v1, v2, g^2) over the broadcast inputs, flattened
-    to rows: its potential scaled by 2^-k, k = frexp(max(|v1|, |v2|))[1]
-    (v -> 2^-k v, g^2 -> 4^-k g^2), that potential's quartic and roots, and the
+    to rows: its potential scaled by 2^-k, with k and 2^-k v from unit_scale
+    and g^2 -> 4^-k g^2, that potential's quartic and roots, and the
     value, scaled back, and multiplicity of the real double root near 2^-k beta
     (nan and 0 where there is none). The model is homogeneous and the scaling
     exact, so the oracle's tolerances see every scale as the unit one.
     """
-    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
-    pot = DeltaPotential(np.ldexp(v1, -k), np.ldexp(v2, -k), np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
+    k, v1, v2 = unit_scale(v1, v2)
+    pot = DeltaPotential(v1, v2, np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
     coeffs = quartic_coeffs(pot)
     found = quartic_roots(coeffs)
     beta, k, _ = np.broadcast_arrays(np.ldexp(beta, -k), k, coeffs.e)

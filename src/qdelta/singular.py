@@ -205,6 +205,12 @@ class SSBranchSolution:
     reason: Reason | np.ndarray
 
 
+def unit_scale(v1, v2):
+    """(k, 2^-k v1, 2^-k v2), the larger |2^-k v| in [0.5, 1); exact, broadcast."""
+    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
+    return k, np.ldexp(v1, -k), np.ldexp(v2, -k)
+
+
 def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     """Both closed-form singularity branches, broadcast over arrays of (v1, v2).
 
@@ -219,8 +225,7 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     units; g^2 and beta are scaled back exactly unless they under- or
     overflow. For scalar (v1, v2) the reason is a Reason, not an array.
     """
-    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
-    v1, v2 = np.ldexp(v1, -k), np.ldexp(v2, -k)
+    k, v1, v2 = unit_scale(v1, v2)
     a, s, q = v1 - v2, v1 + v2, -2.0 * v1 * v2
     disc = s * s - 2.0 * q
     shared_code = (disc < 0.0) * np.uint8(4) | (s == 0.0) * np.uint8(12)

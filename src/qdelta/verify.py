@@ -353,7 +353,7 @@ def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckR
         pot, coeffs, found, _, mult = oracle.branch_roots(
             v1, v2, np.where(plus.feasible, plus.g_squared, 1.0), plus.beta)
         a_factor, _, _ = discriminant_factored(pot)
-        a_large = a_factor > 1e-8 * np.maximum(1.0, power(pot.g_squared, 2.0))
+        a_large = a_factor > 1e-8 * np.maximum(1.0, power(pot.g_squared, 4.0))
         # numpy compares a bare str member as a string, unequal to every verdict.
         off_boundary = root_nature(coeffs) != np.array(RootNature.BOUNDARY_DOUBLE_ROOT, object)
         return (

@@ -195,7 +195,9 @@ def test_scan_underflowing_closed_forms_print_only_the_failure():
     (("--v1=-1e-160", "--v2=-1"), "the closed forms of the plus branch underflow"),
     # The plus branch is feasible, and its g+^2 and E+ overflow to inf.
     (("--v1=-1e200", "--v2=-2e200"), "the closed forms of the plus branch overflow"),
-], ids=["zero", "subnormal", "overflow"])
+    # g+^2 = 3e154 and E+ = 1.125e308 are finite, but v1^2 in |D| overflows.
+    (("--v1=-1.5e154", "--v2=-1"), "the |D| of the plus branch overflows"),
+], ids=["zero", "subnormal", "overflow", "denominator"])
 @pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
 def test_ss_out_of_range_prints_only_the_failure(pair, failure, extra):
     proc = run_cli("ss", *pair, *extra)
