@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, verify
 from .oracle import MatchMode, NumericalError, branch_roots, matching_solver
-from .qalg import modulus, power
+from .qalg import modulus
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
@@ -237,22 +237,12 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _physical_sweep(p: DeltaPotential, energies: np.ndarray) -> ScatteringResult:
-    """Conjugate-mode matching over the energy grid; d_value holds the
-    junction-system determinant magnitude, which plays the role of |D| here."""
-    m = matching_solver(p, energies, MatchMode.CONJUGATE)
-    big_r, big_t = (np.where(m.singular_system, np.inf,
-                             power(modulus(z), 2.0)) for z in (m.r, m.t))
-    with np.errstate(over="ignore"):   # _check_finite reports an overflowed beta
-        beta = np.sqrt(2.0 * energies)
-    return ScatteringResult(energies, beta, m.r, m.t, big_r, big_t, m.det_mag, m.singular_system)
-
-
 def _check_finite(res: ScatteringResult) -> None:
     """Raise NumericalError at the first row off the singularities with a
     non-finite cell, which would otherwise print as a silent nan or inf."""
-    finite = np.logical_and.reduce([np.isfinite(col) for col in (
-        res.beta, res.r, res.t, res.big_r, res.big_t, res.d_value)])
+    with np.errstate(over="ignore"):   # a |d| that overflows is reported as non-finite
+        finite = np.logical_and.reduce([np.isfinite(col) for col in (
+            res.beta, res.r, res.t, res.big_r, res.big_t, modulus(res.d_value))])
     bad = np.flatnonzero(~(finite | res.at_singularity))
     if bad.size:
         raise NumericalError(f"non-finite amplitudes at E={_fmt(res.energy[bad[0]])} "
@@ -261,10 +251,9 @@ def _check_finite(res: ScatteringResult) -> None:
 
 def _columns(res: ScatteringResult) -> list[list[float]]:
     """The CSV_COLUMNS of a sweep, as lists of Python floats."""
-    d = res.d_value
     return [col.tolist() for col in (
         res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-        res.big_r, res.big_t, modulus(d))]
+        res.big_r, res.big_t, modulus(res.d_value))]
 
 
 # Row templates in _fmt's format; one % operation per row.
@@ -298,10 +287,8 @@ def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Names
 def run_sweep(args: argparse.Namespace) -> int:
     p = _resolve_potential(args)
     _check_grid(args)
-    if args.model == "closed-form":
-        res = sweep(p, args.emin, args.emax, args.steps)
-    else:
-        res = _physical_sweep(p, energy_grid(args.emin, args.emax, args.steps))
+    res = (sweep(p, args.emin, args.emax, args.steps) if args.model == "closed-form" else
+           matching_solver(p, energy_grid(args.emin, args.emax, args.steps), MatchMode.CONJUGATE))
     _check_finite(res)
     text = rows_to_csv(res) if args.format == "csv" else _rows_to_json(res, p, args)
     _write_text(args.out, text)

@@ -6,7 +6,8 @@ and a first-principles solver of the junction conditions, a 4x4 complex linear
 system from the complex-pair split of the wave function. The root and matching
 solvers work on arrays: quartic_roots takes one eigenvalue solve over a stack of
 companion matrices, and matching_solver solves each junction system by exact
-elimination and Cramer's rule.
+elimination and Cramer's rule into its own numerators and determinant, which
+scatter.scattering_result divides, flags and fills as for the closed forms.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import as_complex, cdiv, cmul, cprod, maximum, modulus, power
-from .scatter import DeltaPotential, denominator
+from .qalg import as_complex, cmul, cprod, maximum, modulus, power
+from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
+                      scattering_result)
 from .singular import QuarticCoeffs, quartic_coeffs, unit_scale
 
 
@@ -211,25 +213,7 @@ class MatchMode(str, Enum):
     CONTINUED = "Continued"
 
 
-MATCH_SINGULAR_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MatchingAmplitudes:
-    """Solutions of the junction conditions over the broadcast inputs of
-    matching_solver, with amplitudes nan at the singular systems; det_mag is
-    the magnitude of the system determinant."""
-
-    r: np.ndarray
-    t: np.ndarray
-    r_tilde: np.ndarray
-    t_tilde: np.ndarray
-    mode: MatchMode
-    singular_system: np.ndarray
-    det_mag: np.ndarray
-
-
-def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> MatchingAmplitudes:
+def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> ScatteringResult:
     """Solve the junction conditions at the interaction point from scratch,
     broadcast over p's fields and the energies.
 
@@ -259,14 +243,14 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> MatchingAmpli
         [ i beta - V1   V3 - i V2 ] (r, rt) = (V1, -(V3 + i V2)),
         [ V3 + i V2     beta + cj ]
 
-    has determinant det2 = -det4, so det_mag = |det2|, and Cramer's rule gives
-    each amplitude its own numerator. All of it rounds as CPython's complex
-    arithmetic does, so each row equals its one system's evaluation bit for bit.
+    has determinant det2 = -det4 (i D in Continued mode), the result's d_value,
+    and Cramer's rule gives r and t their own numerators. All of it rounds as
+    CPython's complex arithmetic does, so each row equals its one system's
+    evaluation bit for bit.
     """
     v1, v2, cap_v2, cap_v3, energy = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.cap_v2, p.cap_v3, energy)))
-    if np.any(energy <= 0.0):
-        raise ValueError("energy must be positive")
+    beta = beta_of(energy)
     # The real-quaternion strength is i (v1 + i v2) + cap_v2 j + cap_v3 k
     # = -v2 + v1 i + cap_v2 j + cap_v3 k; (a_ch, b_ch) is its qalg.symplectic_split.
     a_ch, b_ch = (-v2, v1), (cap_v2, -cap_v3)
@@ -274,21 +258,14 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> MatchingAmpli
     c12 = cmul((-0.0, -1.0), (b_ch[0], -b_ch[1]))  # j-wave drive felt by the i channel: V3 - i V2
     c21 = cmul((0.0, 1.0), b_ch)                   # i-wave drive felt by the j channel: V3 + i V2
     cj = (v1c[0], -v1c[1]) if mode is MatchMode.CONJUGATE else v1c
-    # Overflowing entries or energies give inf and nan rows, and singular rows
-    # divide by zero; callers report both, so numpy's warnings would only repeat them.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        beta = np.sqrt(2.0 * energy)
+    # Overflowing entries give inf and nan rows, which callers report.
+    with np.errstate(over="ignore", invalid="ignore"):
         i_beta = cmul((0.0, 1.0), (beta, 0.0))
         lead = (i_beta[0] - v1c[0], i_beta[1] - v1c[1])   # i beta - V1
         diag = (beta + cj[0], 0.0 + cj[1])                # beta + cj
         (lr, li), (vr, vi), (cr, ci) = cmul(lead, diag), cmul(v1c, diag), cmul(c12, c21)
-        det = (lr - cr, li - ci)
-        det_mag = modulus(as_complex(*det))
-        singular = det_mag < MATCH_SINGULAR_TOL * np.maximum(1.0, beta * beta)
-        r, t, rt = (np.where(singular, complex(math.nan, math.nan), as_complex(*cdiv(num, det)))
-                    for num in ((vr + cr, vi + ci), cmul(i_beta, diag),
-                                cmul((-i_beta[0], -i_beta[1]), c21)))
-    return MatchingAmplitudes(r, t, rt, rt.copy(), mode, singular, det_mag)
+        r_num, t_num, det2 = (vr + cr, vi + ci), cmul(i_beta, diag), (lr - cr, li - ci)
+    return scattering_result(energy, beta, r_num, t_num, det2)
 
 
 def potential_from_ss_pairs(pair_a: tuple[float, float],

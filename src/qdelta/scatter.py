@@ -18,8 +18,8 @@ import numpy as np
 from .qalg import as_complex, cdiv, cmul, power
 
 
-# |D| below TOL_SINGULAR * max(1, beta^2) flags a spectral singularity instead
-# of dividing; downstream serialization must stay parseable.
+# |D| (or the matching oracle's |det2|) below TOL_SINGULAR * max(1, beta^2) flags
+# a spectral singularity instead of dividing; serialization must stay parseable.
 TOL_SINGULAR = 1e-10
 
 
@@ -50,8 +50,9 @@ class DeltaPotential:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Amplitudes and coefficients over the broadcast inputs of amplitudes or
-    sweep, with r and t nan and R and T inf at singular entries."""
+    """Amplitudes and coefficients over the broadcast inputs of amplitudes, sweep
+    or oracle.matching_solver, with r and t nan and R and T inf at singular
+    entries; d_value is their denominator, D or the junction system's det2."""
 
     energy: np.ndarray
     beta: np.ndarray
@@ -88,6 +89,29 @@ def _denominator_parts(v1, v2, g2, beta):
     return bb, numer, (bb[0] + i_numer[0], bb[1] + i_numer[1])
 
 
+def beta_of(energy) -> np.ndarray:
+    """beta = sqrt(2 E) over the energies; raises ValueError unless every energy
+    is positive. An overflowing energy gives inf quietly: callers report it."""
+    if np.any(energy <= 0.0):
+        raise ValueError("energy must be positive")
+    with np.errstate(over="ignore"):
+        return np.sqrt(2.0 * energy)
+
+
+def scattering_result(energy, beta, r_num, t_num, d) -> ScatteringResult:
+    """The ScatteringResult of r = r_num / d and t = t_num / d, (re, im) pairs
+    over the energies, with the spectral singularities flagged and filled."""
+    # Callers report non-finite rows; warnings would repeat them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
+        r, t = ([np.where(singular, np.nan, part) for part in cdiv(num, d)]
+                for num in (r_num, t_num))
+        big_r, big_t = (np.where(singular, np.inf, power(np.hypot(*z), 2.0))
+                        for z in (r, t))
+    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
+                            as_complex(*d), singular)
+
+
 def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:
     """Reflection and transmission from the closed forms, broadcast over p's
     fields and the energies.
@@ -97,20 +121,11 @@ def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:
     """
     v1, v2, g2, energy = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.g_squared, energy)))
-    if np.any(energy <= 0.0):
-        raise ValueError("energy must be positive")
-    # Callers report non-finite rows, an overflowed beta's too; warnings would repeat them.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta = np.sqrt(2.0 * energy)
+    beta = beta_of(energy)
+    with np.errstate(invalid="ignore", over="ignore"):
         bb, numer, d = _denominator_parts(v1, v2, g2, beta)
-        singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
-        r = cdiv(cmul((-0.0, -1.0), numer), d)              # -i numer / D
-        t = cdiv(bb, d)
-        r, t = ([np.where(singular, np.nan, part) for part in z] for z in (r, t))
-        big_r, big_t = (np.where(singular, np.inf, power(np.hypot(*z), 2.0))
-                        for z in (r, t))
-    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
-                            as_complex(*d), singular)
+        r_num = cmul((-0.0, -1.0), numer)                   # r = -i numer / D
+    return scattering_result(energy, beta, r_num, bb, d)
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -281,19 +281,18 @@ def classify_region(v1: float, v2: float) -> RegionClass:
 
 @dataclass(frozen=True)
 class RegionScan:
-    """Branches and labels of a (v1, v2) grid as (n1, n2) arrays: cell (i, j)
-    is (v1[i], v2[j]), so row-major order has v1 outermost."""
+    """Branches of a (v1, v2) grid as (n1, n2) arrays, labelled by region_of:
+    cell (i, j) is (v1[i], v2[j]), so row-major order has v1 outermost."""
 
     v1: np.ndarray
     v2: np.ndarray
-    classification: np.ndarray
     plus: SSBranchSolution
     minus: SSBranchSolution
 
 
 def scan_region(v1_range: tuple[float, float], v2_range: tuple[float, float],
                 n1: int, n2: int) -> RegionScan:
-    """Classify every cell of the inclusive (v1, v2) grid in one array evaluation."""
+    """Both branches at every cell of the inclusive (v1, v2) grid, in one evaluation."""
     v1, v2 = uniform_grid(*v1_range, n1), uniform_grid(*v2_range, n2)
     plus, minus = ss_branches(v1[:, None], v2[None, :])
-    return RegionScan(v1, v2, region_of(plus.feasible, minus.feasible), plus, minus)
+    return RegionScan(v1, v2, plus, minus)

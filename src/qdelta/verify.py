@@ -20,11 +20,10 @@ from .qalg import (ONE, I, J, K, Quaternion, as_complex, maximum, modulus,
                    power, qconj, qmul, symplectic_join, symplectic_split)
 from .scatter import DeltaPotential, amplitudes, denominator, dr_di, sweep
 from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
-                       classify_region, discriminant_bounded,
-                       discriminant_expanded, discriminant_factored,
-                       pq_classifiers, pq_simplified, quartic_coeffs,
-                       region_of, root_nature, scan_region, ss_branches,
-                       ss_closed_form)
+                       discriminant_bounded, discriminant_expanded,
+                       discriminant_factored, pq_classifiers, pq_simplified,
+                       quartic_coeffs, region_of, root_nature, scan_region,
+                       ss_branches, ss_closed_form)
 
 # Published singularity pairs (g^2, beta) quoted for the reference interaction.
 REFERENCE_PAIRS = ((3.75, 2.0), (5.0, 1.5))
@@ -310,7 +309,7 @@ def _oracle_agreement(mode: MatchMode, message: str):
         agree = np.ones(energy.shape, dtype=bool)
         for got, want in ((m.r, closed.r), (m.t, closed.t)):
             agree &= modulus(got - want) <= 1e-9 * maximum(1.0, modulus(got), modulus(want))
-        return ((~closed.at_singularity & (m.singular_system | ~agree),
+        return ((~closed.at_singularity & (m.at_singularity | ~agree),
                  lambda n: f"{message} at draw {start + n}"),)
     return agreement
 
@@ -398,7 +397,7 @@ def check_region_boundary() -> CheckResult:
     plus_in, minus_in = ss_closed_form(inside, v2)
     if plus_in.reason is Reason.COMPLEX_SQRT or minus_in.reason is Reason.COMPLEX_SQRT:
         return CheckResult(name, False, "branch square root not real just inside the band")
-    if classify_region(inside, v2) is not RegionClass.BOTH_BRANCHES:
+    if region_of(plus_in.feasible, minus_in.feasible) is not RegionClass.BOTH_BRANCHES:
         return CheckResult(name, False, "inside point does not support both branches")
     plus_out, minus_out = ss_closed_form(outside, v2)
     if not (plus_out.reason is Reason.COMPLEX_SQRT and minus_out.reason is Reason.COMPLEX_SQRT):

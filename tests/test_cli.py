@@ -15,7 +15,7 @@ import pytest
 from qdelta import __version__
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.scatter import DeltaPotential, ScatteringResult, sweep
-from qdelta.singular import KAPPA, scan_region
+from qdelta.singular import KAPPA, region_of, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
 
@@ -238,6 +238,21 @@ def test_physical_overflow_prints_only_the_failure():
 
 
 @pytest.mark.parametrize("argv", [
+    ("sweep",), ("sweep", "--format=json"), ("sweep", "--model=physical"), ("plot",),
+])
+def test_overflowing_denominator_modulus_prints_only_the_failure(argv, tmp_path):
+    # At E = 3.2e307 both parts of D (and of det2) are finite, near 1.3e308,
+    # but their modulus, the printed absD, overflows; both models fail there.
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--v1=8e153", "--v2=0", "--g2=0", "--emin=3.1e307",
+                   "--emax=3.3e307", "--steps=3", f"--out={out}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "numerical failure: non-finite amplitudes at E=3.2000000000000001e+307 "
+               "off the singularities\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5"),
     ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5", "--model=physical"),
     ("plot", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5"),
@@ -375,7 +390,7 @@ def _scan_csv_per_cell(scan):
                 zip(sol.energy.ravel().tolist(), sol.feasible.ravel().tolist())]
 
     cells = zip(itertools.product(scan.v1.tolist(), scan.v2.tolist()),
-                (c.value for c in scan.classification.flat),
+                (c.value for c in region_of(scan.plus.feasible, scan.minus.feasible).flat),
                 energies(scan.plus), energies(scan.minus))
     lines = ["v1,v2,classification,E_plus,E_minus"]
     lines += [f"{v1:.17g},{v2:.17g},{label},{e_plus},{e_minus}"

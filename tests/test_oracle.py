@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta import verify
-from qdelta.oracle import (CLUSTER_RTOL, MATCH_SINGULAR_TOL, REAL_TAG_RTOL, MatchMode,
-                           NumericalError, matching_solver, minimize_dsq,
-                           potential_from_ss_pairs, quartic_roots)
+from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError,
+                           matching_solver, minimize_dsq, potential_from_ss_pairs,
+                           quartic_roots)
 from qdelta.qalg import Quaternion, symplectic_split
-from qdelta.scatter import DeltaPotential, amplitudes
+from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
 
 coeff = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -260,7 +260,7 @@ def test_matching_real_strength_hand_value():
     p = DeltaPotential(1.0, 0.0, 1.0, 0.0)
     for mode in (MatchMode.CONJUGATE, MatchMode.CONTINUED):
         m = matching_solver(p, 0.5, mode)
-        assert not m.singular_system
+        assert not m.at_singularity
         assert abs(m.r - (-9 - 6j) / 13) <= 1e-12
         assert abs(m.t - (4 - 6j) / 13) <= 1e-12
 
@@ -270,15 +270,14 @@ def test_matching_free_potential():
     for mode in (MatchMode.CONJUGATE, MatchMode.CONTINUED):
         m = matching_solver(free, 1.7, mode)
         assert abs(m.r) <= 1e-14 and abs(m.t - 1.0) <= 1e-14
-        assert abs(m.r_tilde) <= 1e-14 and abs(m.t_tilde) <= 1e-14
 
 
 def test_matching_singular_at_branch_point():
     p = DeltaPotential(-0.5, 3.0, math.sqrt(15.0) / 2.0, 0.0)
     m = matching_solver(p, 2.0, MatchMode.CONTINUED)
-    assert m.singular_system
+    assert m.at_singularity
     assert np.isnan(m.r) and np.isnan(m.t)
-    assert m.det_mag <= 1e-10 * 4.0
+    assert abs(m.d_value) <= 1e-10 * 4.0
 
 
 def test_matching_rejects_bad_energy():
@@ -294,10 +293,9 @@ def test_matching_continuity_conditions(v1, v2, g2, energy):
     p = DeltaPotential.from_g_squared(v1, v2, g2)
     for mode in (MatchMode.CONJUGATE, MatchMode.CONTINUED):
         m = matching_solver(p, energy, mode)
-        if m.singular_system:
+        if m.at_singularity:
             continue
         assert abs(1 + m.r - m.t) <= 1e-12 * max(1.0, abs(m.t))
-        assert abs(m.r_tilde - m.t_tilde) <= 1e-12 * max(1.0, abs(m.t_tilde))
 
 
 @given(st.floats(min_value=-10, max_value=10, allow_nan=False),
@@ -310,7 +308,7 @@ def test_continued_mode_matches_closed_form(v1, v2, g2, energy):
     if closed.at_singularity:
         return
     m = matching_solver(p, energy, MatchMode.CONTINUED)
-    assert not m.singular_system
+    assert not m.at_singularity
     assert abs(m.r - closed.r) <= 1e-9 * max(1.0, abs(closed.r))
     assert abs(m.t - closed.t) <= 1e-9 * max(1.0, abs(closed.t))
 
@@ -324,7 +322,7 @@ def test_conjugate_mode_matches_closed_form_for_real_strength(v1, g2, energy):
     if closed.at_singularity:
         return
     m = matching_solver(p, energy, MatchMode.CONJUGATE)
-    assert not m.singular_system
+    assert not m.at_singularity
     assert abs(m.r - closed.r) <= 1e-9 * max(1.0, abs(closed.r))
     assert abs(m.t - closed.t) <= 1e-9 * max(1.0, abs(closed.t))
 
@@ -376,12 +374,13 @@ def _junction_system(p, energy, mode):
 
 def _scalar_matching(p, energy, mode):
     """One junction system solved on its own by LAPACK: a determinant and a
-    solve of the 4x4 system, an independent cross-check of the oracle."""
+    solve of the 4x4 system, an independent cross-check of the oracle; the
+    solution's (r, t)."""
     system, rhs, beta = _junction_system(p, energy, mode)
-    det_mag = abs(np.linalg.det(system))
-    if det_mag < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
-        return (None,) * 4, True, det_mag
-    return tuple(complex(z) for z in np.linalg.solve(system, rhs)), False, det_mag
+    abs_det = abs(np.linalg.det(system))
+    if abs_det < TOL_SINGULAR * max(1.0, beta * beta):
+        return (None,) * 2, True, abs_det
+    return tuple(complex(z) for z in np.linalg.solve(system, rhs)[:2]), False, abs_det
 
 
 def _reduced_matching(p, energy, mode):
@@ -393,10 +392,9 @@ def _reduced_matching(p, energy, mode):
     diag = complex(beta, 0.0) + cj
     coupling = c12 * c21
     det = (i_beta - v1c) * diag - coupling
-    if abs(det) < MATCH_SINGULAR_TOL * max(1.0, beta * beta):
-        return (None,) * 4, True, abs(det)
-    rt = -i_beta * c21 / det
-    return ((v1c * diag + coupling) / det, i_beta * diag / det, rt, rt), False, abs(det)
+    if abs(det) < TOL_SINGULAR * max(1.0, beta * beta):
+        return (None,) * 2, True, abs(det)
+    return ((v1c * diag + coupling) / det, i_beta * diag / det), False, abs(det)
 
 
 def _bits(z):
@@ -417,13 +415,29 @@ def _matching_rows(seed, count):
 
 
 def _amplitudes(m):
-    return m.r, m.t, m.r_tilde, m.t_tilde
+    return m.r, m.t
 
 
 def _solve_rows(rows, mode):
     """matching_solver over the (v1, v2, cap_v2, cap_v3, E) rows at once."""
     v1, v2, cap_v2, cap_v3, energy = np.array(rows).T
     return matching_solver(DeltaPotential(v1, v2, cap_v2, cap_v3), energy, mode)
+
+
+def test_continued_determinant_is_i_times_the_closed_form_denominator():
+    # det2 = (i beta - V1)(beta + V1) - (V3 - i V2)(V3 + i V2) = i D in
+    # Continued mode, from a separate derivation and rounding; the two paths
+    # flag the same singular rows, the reference branch point among them.
+    rows = np.array(_matching_rows(2024, 2000))
+    pot = DeltaPotential(*rows[:, :4].T)
+    energy = rows[:, 4]
+    m, closed = matching_solver(pot, energy, MatchMode.CONTINUED), amplitudes(pot, energy)
+    beta, size = np.sqrt(2.0 * energy), np.hypot(pot.v1, pot.v2)
+    scale = beta * beta + 2.0 * size * beta + size * size + pot.g_squared
+    err = np.abs(m.d_value - 1j * closed.d_value)
+    assert (err <= 4 * np.finfo(float).eps * scale).all(), (err / scale).max()
+    assert np.array_equal(m.at_singularity, closed.at_singularity)
+    assert m.at_singularity.tolist() == [False] * 2000 + [True, False, False]
 
 
 @pytest.mark.parametrize("mode", list(MatchMode))
@@ -434,11 +448,11 @@ def test_matching_arrays_equal_scalar_solves(mode):
     singular_rows = 0
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
         pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
-        amps, singular, det_mag = _reduced_matching(pot, energy, mode)
+        amps, singular, abs_det = _reduced_matching(pot, energy, mode)
         one = matching_solver(pot, energy, mode)
         singular_rows += singular
-        assert (one.singular_system, one.det_mag) == (singular, det_mag)
-        assert (bool(stacked.singular_system[n]), stacked.det_mag[n]) == (singular, det_mag)
+        assert (one.at_singularity, abs(one.d_value)) == (singular, abs_det)
+        assert (bool(stacked.at_singularity[n]), abs(stacked.d_value[n])) == (singular, abs_det)
         for got_one, got_row, want in zip(_amplitudes(one), _amplitudes(stacked), amps):
             got = complex(got_one), complex(got_row[n])
             if singular:
@@ -453,12 +467,12 @@ def test_matching_arrays_agree_with_lapack(mode):
     rows = _matching_rows(2024, 2000)
     stacked = _solve_rows(rows, mode)
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
-        amps, singular, det_mag = _scalar_matching(DeltaPotential(v1, v2, cap_v2, cap_v3),
+        amps, singular, abs_det = _scalar_matching(DeltaPotential(v1, v2, cap_v2, cap_v3),
                                                    energy, mode)
-        assert bool(stacked.singular_system[n]) == singular
+        assert bool(stacked.at_singularity[n]) == singular
         if singular:
             continue
-        assert abs(stacked.det_mag[n] - det_mag) <= 1e-13 * det_mag
+        assert abs(abs(stacked.d_value[n]) - abs_det) <= 1e-13 * abs_det
         for got, want in zip(_amplitudes(stacked), amps):
             assert abs(got[n] - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -489,8 +503,8 @@ def _exact_solve(system, rhs):
 
 @pytest.mark.parametrize("mode", list(MatchMode))
 def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
-    # t and rt = tt are products over det2, so they stay within 32 ulps of
-    # their own modulus; LAPACK's 4x4 solve of the same systems is off by up
+    # t is a product over det2, so it stays within 32 ulps of its own
+    # modulus; LAPACK's 4x4 solve of the same systems is off by up
     # to about 90 ulps here. r's numerator V1 (beta + cj) + (V3 - i V2)(V3 + i V2)
     # cancels near a reflectionless energy, so r is held to 32 ulps of the
     # larger of |r| and its terms' scale (|V1| |beta + cj| + |V3 - i V2|^2) / |det2|.
@@ -498,14 +512,13 @@ def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
     stacked = _solve_rows(rows, mode)
     checked = 0
     for n, (v1, v2, cap_v2, cap_v3, energy) in enumerate(rows):
-        if stacked.singular_system[n]:
+        if stacked.at_singularity[n]:
             continue
         pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
         exact = _exact_solve(*_junction_system(pot, energy, mode)[:2])
         beta, v1c, c12, c21, cj = _channels(pot, energy, mode)
-        r_terms = (abs(v1c) * abs(beta + cj) + abs(c12 * c21)) / stacked.det_mag[n]
-        for got, (re, im), scale in zip(_amplitudes(stacked), exact,
-                                        (r_terms, 0.0, 0.0, 0.0)):
+        r_terms = (abs(v1c) * abs(beta + cj) + abs(c12 * c21)) / abs(stacked.d_value[n])
+        for got, (re, im), scale in zip(_amplitudes(stacked), exact[:2], (r_terms, 0.0)):
             err = math.hypot(float(Fraction(got[n].real) - re), float(Fraction(got[n].imag) - im))
             size = max(math.hypot(float(re), float(im)), scale)
             assert err <= 32 * math.ulp(size), (n, got[n])
@@ -516,7 +529,7 @@ def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
 @pytest.mark.parametrize("mode", list(MatchMode))
 def test_matching_arrays_are_scale_free(mode):
     # v, V2, V3 -> 2^k v, 2^k V2, 2^k V3 and E -> 4^k E scale every entry of
-    # the reduced system by 2^k, so r, t, rt and tt keep their bits. The
+    # the reduced system by 2^k, so r and t keep their bits. The
     # singular test keeps its max(1, beta^2) floor, so rows singular at
     # either scale are left out.
     rows = np.array(_matching_rows(2024, 2000))
@@ -525,7 +538,7 @@ def test_matching_arrays_are_scale_free(mode):
     for k in range(-40, 41):
         scaled = matching_solver(DeltaPotential(*np.ldexp(rows[:, :4], k).T),
                                  np.ldexp(rows[:, 4], 2 * k), mode)
-        both = ~(base.singular_system | scaled.singular_system)
+        both = ~(base.at_singularity | scaled.at_singularity)
         for got, want in zip(_amplitudes(scaled), _amplitudes(base)):
             assert np.array_equal(got[both].view(np.uint64), want[both].view(np.uint64)), k
         compared += both.sum()

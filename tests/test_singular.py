@@ -12,7 +12,7 @@ from qdelta.scatter import DeltaPotential, denominator, dr_di
 from qdelta.singular import (BOUNDARY_DELTA_RTOL, KAPPA, Branch, QuarticCoeffs, Reason,
                              RegionClass, RootNature, _discriminant_terms, classify_region,
                              discriminant_expanded, discriminant_factored,
-                             pq_classifiers, pq_simplified, quartic_coeffs,
+                             pq_classifiers, pq_simplified, quartic_coeffs, region_of,
                              root_nature, scan_region, ss_branches, ss_closed_form)
 
 FIG_COEFFS = QuarticCoeffs(-7.0, 24.5, -46.0, 34.0)
@@ -393,7 +393,8 @@ def _rows(scan):
     """Cells of a scan in row-major order, with None for infeasible energies."""
     def energy(sol, i, j):
         return float(sol.energy[i, j]) if sol.feasible[i, j] else None
-    return [SimpleNamespace(v1=v1, v2=v2, classification=scan.classification[i, j],
+    labels = region_of(scan.plus.feasible, scan.minus.feasible)
+    return [SimpleNamespace(v1=v1, v2=v2, classification=labels[i, j],
                             e_plus=energy(scan.plus, i, j), e_minus=energy(scan.minus, i, j))
             for i, v1 in enumerate(scan.v1.tolist())
             for j, v2 in enumerate(scan.v2.tolist())]
@@ -442,9 +443,10 @@ def _same(a, b):
 ])
 def test_scan_region_matches_scalar_loop(grid):
     scan = scan_region(*grid)
+    labels = region_of(scan.plus.feasible, scan.minus.feasible)
     for i, v1 in enumerate(scan.v1.tolist()):
         for j, v2 in enumerate(scan.v2.tolist()):
-            assert scan.classification[i, j] is classify_region(v1, v2)
+            assert labels[i, j] is classify_region(v1, v2)
             for sol, cols in zip(ss_closed_form(v1, v2), (scan.plus, scan.minus)):
                 assert cols.branch is sol.branch
                 assert cols.reason[i, j] is sol.reason
@@ -460,7 +462,8 @@ def test_scan_region_equivalence_grids_hold_the_edge_cases():
     degenerate = [r is Reason.DEGENERATE_SUM for r in diagonal.plus.reason.flat]
     assert degenerate == (diagonal.v1[:, None] + diagonal.v2 == 0.0).ravel().tolist()
     assert sum(degenerate) == 25
-    assert any(c is RegionClass.PLUS_ONLY for c in diagonal.classification.flat)
+    labels = region_of(diagonal.plus.feasible, diagonal.minus.feasible)
+    assert any(c is RegionClass.PLUS_ONLY for c in labels.flat)
     edge = scan_region((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31)
     assert (edge.v1[-1], edge.v2[-1]) == (3 * KAPPA, 3.0)
     assert any(r is Reason.COMPLEX_SQRT for r in edge.plus.reason.flat)

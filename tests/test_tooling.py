@@ -1,7 +1,8 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic and
 the exact sums may live, that the branch verdicts keep no guard floors, that
-the matching oracle calls no np.linalg, which scalar helpers and array twins
-stay deleted, that the CLI builds no quartic of its own, that the benchmark's
+the matching oracle calls no np.linalg, which scalar helpers, array twins and
+matching records stay deleted, that one comparison holds the singular
+threshold, that the CLI builds no quartic of its own, that the benchmark's
 traced functions exist, which commands load numpy.random, and that the
 package and its metadata agree on the version."""
 
@@ -75,6 +76,9 @@ _DELETED_NAMES = (
     r"\b(amplitude_arrays|matching_arrays|quartic_root_arrays|RootSet)\b",
     # oracle.branch_roots builds every branch's quartic.
     r"\b_branch_roots\b",
+    # matching_solver returns the ScatteringResult that scatter.scattering_result builds.
+    r"\b(MatchingAmplitudes|MATCH_SINGULAR_TOL|_physical_sweep|r_tilde|t_tilde"
+    r"|singular_system|det_mag)\b",
 )
 
 
@@ -84,6 +88,22 @@ def test_scalar_double_root_helpers_are_gone():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
     for names in _DELETED_NAMES:
         assert [where for where, line in lines if re.search(names, line)] == [], names
+
+
+def test_one_singular_threshold():
+    # Both amplitude paths flag their singularities in scatter.scattering_result:
+    # TOL_SINGULAR is defined once and compared once, in scatter.py.
+    uses = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if "TOL_SINGULAR" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                above = node
+                while above in parents and not isinstance(above, (ast.Compare, ast.Assign)):
+                    above = parents[above]
+                uses.append((path.name, type(above).__name__))
+    assert sorted(uses) == [("scatter.py", "Assign"), ("scatter.py", "Compare")]
 
 
 def test_cli_builds_no_quartic():

@@ -47,9 +47,9 @@ def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
     divergence = verify.mode_divergence_at_probe()
     unpatched, perturb = verify.oracle.matching_solver, _ChangeAt(BAD_DRAWS)
 
-    def solve(*args):
-        m = unpatched(*args)
-        return dataclasses.replace(m, r=perturb(m.r)) if m.mode is mode else m
+    def solve(pot, energy, solve_mode):
+        m = unpatched(pot, energy, solve_mode)
+        return dataclasses.replace(m, r=perturb(m.r)) if solve_mode is mode else m
 
     monkeypatch.setattr(verify.oracle, "matching_solver", solve)
     check = verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence)
