@@ -48,7 +48,8 @@ def main() -> None:
 
         res = sweep(pot, args.emin, args.emax, args.steps)
         csv_path = outdir / f"curves_{sol.branch.value}.csv"
-        csv_path.write_text(rows_to_csv(res), encoding="utf-8", newline="")
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            rows_to_csv(res, fh)
         markers = [s.energy for s in (plus, minus)
                    if s.feasible and args.emin <= s.energy <= args.emax]
         svg_path = outdir / f"curves_{sol.branch.value}.svg"

@@ -9,11 +9,13 @@ rejections, --help and --version included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import re
 import sys
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -229,12 +231,19 @@ def _check_grid(args: argparse.Namespace) -> None:
         raise UsageError("--steps must be at least 2")
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The text stream a command writes to: stdout, or the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_text(path: str | None, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _check_finite(res: ScatteringResult) -> None:
@@ -249,24 +258,31 @@ def _check_finite(res: ScatteringResult) -> None:
                              "off the singularities")
 
 
-def _columns(res: ScatteringResult) -> list[list[float]]:
-    """The CSV_COLUMNS of a sweep, as lists of Python floats."""
-    return [col.tolist() for col in (
+def _columns(res: ScatteringResult, rows: slice = slice(None)) -> list[list[float]]:
+    """The CSV_COLUMNS of a sweep's rows, as lists of Python floats."""
+    return [col[rows].tolist() for col in (
         res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-        res.big_r, res.big_t, modulus(res.d_value))]
+        res.big_r, res.big_t)] + [modulus(res.d_value[rows]).tolist()]
 
 
 # Row templates in _fmt's format; one % operation per row.
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS))
-_CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0"
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+_CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0\n"
+
+# The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
+# per write: one block's Python floats and strings are freed before the next.
+_SWEEP_BLOCK, _SCAN_BLOCK = 2048, 8192
 
 
-def rows_to_csv(res: ScatteringResult) -> str:
-    """Sweep CSV; rows on a singularity get the literal nan/inf/0e0 cells."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [_CSV_SINGULAR_ROW % cells[:2] if singular else _CSV_ROW % cells
-              for cells, singular in zip(zip(*_columns(res)), res.at_singularity.tolist())]
-    return "\n".join(lines) + "\n"
+def rows_to_csv(res: ScatteringResult, out: TextIO) -> None:
+    """Write the sweep CSV to the text stream out, _SWEEP_BLOCK rows at a time;
+    rows on a singularity get the literal nan/inf/0e0 cells."""
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    for start in range(0, res.energy.size, _SWEEP_BLOCK):
+        rows = slice(start, start + _SWEEP_BLOCK)
+        out.write("".join([_CSV_SINGULAR_ROW % cells[:2] if singular else _CSV_ROW % cells
+                           for cells, singular in zip(zip(*_columns(res, rows)),
+                                                      res.at_singularity[rows].tolist())]))
 
 
 def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Namespace) -> str:
@@ -290,8 +306,11 @@ def run_sweep(args: argparse.Namespace) -> int:
     res = (sweep(p, args.emin, args.emax, args.steps) if args.model == "closed-form" else
            matching_solver(p, energy_grid(args.emin, args.emax, args.steps), MatchMode.CONJUGATE))
     _check_finite(res)
-    text = rows_to_csv(res) if args.format == "csv" else _rows_to_json(res, p, args)
-    _write_text(args.out, text)
+    if args.format == "json":
+        _write_text(args.out, _rows_to_json(res, p, args))
+    else:
+        with _output(args.out) as out:
+            rows_to_csv(res, out)
     return EXIT_OK
 
 
@@ -359,10 +378,8 @@ def _ss_text(report: dict) -> str:
 def run_ss(args: argparse.Namespace) -> int:
     _require_finite(v1=args.v1, v2=args.v2)
     report = ss_report(args.v1, args.v2)
-    if args.as_json:
-        _write_text(args.out, json.dumps(report, indent=2, allow_nan=False) + "\n")
-    else:
-        _write_text(args.out, _ss_text(report))
+    _write_text(args.out, json.dumps(report, indent=2, allow_nan=False) + "\n"
+                if args.as_json else _ss_text(report))
     return EXIT_OK
 
 
@@ -373,21 +390,29 @@ _SCAN_TAILS = np.array([region_of(plus, minus).value + ("," if plus else ",,")
                         for plus in (False, True) for minus in (False, True)], dtype=object)
 
 
-def scan_to_csv(scan: RegionScan) -> str:
-    """Scan CSV, joined in one pass from pre-formatted pieces: each v1 and v2
+def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
+    """Write the scan CSV to the text stream out, a block of v1 rows at a time,
+    each block joined in one pass from pre-formatted pieces: each v1 and v2
     value is formatted once, and only feasible energies are formatted."""
-    plus, minus = scan.plus.feasible, scan.minus.feasible
-    tails = _SCAN_TAILS[2 * plus + minus]
-    tails[plus] += np.array([f"{e:.17g}," for e in scan.plus.energy[plus].tolist()],
-                            dtype=object)
-    tails[minus] += np.array([f"{e:.17g}" for e in scan.minus.energy[minus].tolist()],
-                             dtype=object)
-    # Cell (i, j) is the line "\n" + "v1[i]," + "v2[j]," + tail.
-    pieces = np.empty(tails.shape + (3,), dtype=object)
-    pieces[..., 0] = np.array([f"\n{v1:.17g}," for v1 in scan.v1.tolist()], dtype=object)[:, None]
-    pieces[..., 1] = np.array([f"{v2:.17g}," for v2 in scan.v2.tolist()], dtype=object)
-    pieces[..., 2] = tails
-    return "v1,v2,classification,E_plus,E_minus" + "".join(pieces.ravel().tolist()) + "\n"
+    v1_pieces = np.array([f"\n{v1:.17g}," for v1 in scan.v1.tolist()], dtype=object)
+    v2_pieces = np.array([f"{v2:.17g}," for v2 in scan.v2.tolist()], dtype=object)
+    step = max(1, _SCAN_BLOCK // v2_pieces.size)
+    out.write("v1,v2,classification,E_plus,E_minus")
+    for start in range(0, v1_pieces.size, step):
+        rows = slice(start, start + step)
+        plus, minus = scan.plus.feasible[rows], scan.minus.feasible[rows]
+        tails = _SCAN_TAILS[2 * plus + minus]
+        tails[plus] += np.array([f"{e:.17g}," for e in scan.plus.energy[rows][plus].tolist()],
+                                dtype=object)
+        tails[minus] += np.array([f"{e:.17g}" for e in scan.minus.energy[rows][minus].tolist()],
+                                 dtype=object)
+        # Cell (i, j) is the line "\n" + "v1[i]," + "v2[j]," + tail.
+        pieces = np.empty(tails.shape + (3,), dtype=object)
+        pieces[..., 0] = v1_pieces[rows, None]
+        pieces[..., 1] = v2_pieces
+        pieces[..., 2] = tails
+        out.write("".join(pieces.ravel().tolist()))
+    out.write("\n")
 
 
 def run_scan(args: argparse.Namespace) -> int:
@@ -408,7 +433,8 @@ def run_scan(args: argparse.Namespace) -> int:
             i, j = np.argwhere(failed)[0]
             raise NumericalError(f"the closed forms {how} at the feasible cell "
                                  f"(v1, v2) = ({_fmt(scan.v1[i])}, {_fmt(scan.v2[j])})")
-    _write_text(args.out, scan_to_csv(scan))
+    with _output(args.out) as out:
+        scan_to_csv(scan, out)
     return EXIT_OK
 
 

@@ -99,6 +99,10 @@ def cdiv(a, b):
     by_real = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_real, bi / br, br / bi)
     denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    if np.isinf(denom).any():  # where CPython's quotient is 0 or nan, divide a / 2 by b / 2
+        half = np.where(np.isinf(denom), 0.5, 1.0)
+        ar, ai, br, bi = ar * half, ai * half, br * half, bi * half
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
     return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
             np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
 

@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -252,6 +254,30 @@ def test_overflowing_denominator_modulus_prints_only_the_failure(argv, tmp_path)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["closed-form", "physical"])
+def test_denominator_near_the_float_maximum_keeps_the_amplitudes(model, capsys):
+    # |D| is about 1.75e308 here and both its parts are finite, but the scaled
+    # denominator of r = -i N / D and t = beta (beta + V1) / D overflowed, and
+    # every amplitude printed as 0. For real V1 the junction model's amplitudes
+    # are the closed forms', so both models are checked against one reference.
+    assert main(["sweep", "--v1=8e153", "--v2=0", "--g2=0", "--emin=3e307",
+                 "--emax=3.1e307", "--steps=2", f"--model={model}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    v1 = Fraction(8e153)
+    for line in lines[1:]:
+        _, beta, *cells = map(float, line.split(","))
+        # D = beta (beta + v1) + i N with N = v1^2 + v1 beta, exactly, at the
+        # printed beta; |t| = beta / sqrt(beta^2 + v1^2) is about 0.7.
+        b = Fraction(beta)
+        bb, numer = b * (b + v1), v1 * v1 + v1 * b
+        norm = bb * bb + numer * numer
+        r, t = (-numer * numer / norm, -numer * bb / norm), (bb * bb / norm, -bb * numer / norm)
+        want = (*r, *t, r[0] ** 2 + r[1] ** 2, t[0] ** 2 + t[1] ** 2)
+        for got, exact in zip(cells, want):
+            assert abs(Fraction(got) - exact) <= 8 * math.ulp(1.0), (got, float(exact))
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5"),
     ("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--steps=5", "--model=physical"),
@@ -435,6 +461,102 @@ def test_scan_full_size_output_is_pinned():
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == \
         "2096b880c8b4e44ea4188610478dfd2c36a1cb441d900f07269ab532e832d599"
+
+
+# The sweep CSV is written in blocks of 2,048 rows and the scan CSV in blocks
+# of whole v1 rows of about 8,192 cells, so these pin the bytes on either side
+# of the block edges: steps around one and two blocks, a singular row at row
+# 2047 (0-based, the last of the first block) and at row 2048 (the first of the
+# second), and a 3x9000 scan, one v1 row a block. The digests are those of the
+# rendering that built the whole table before writing it.
+_REF_GRID = ("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05", "--emax=4")
+
+
+@pytest.mark.parametrize("argv, singular_row, digest", [
+    (("sweep", *_REF_GRID, "--steps=2"), None,
+     "0c000f63480cf206418b70fc2a04927f6b9cdbb712ae59dd0f170410c9d74f1a"),
+    (("sweep", *_REF_GRID, "--steps=2047"), None,
+     "618f2f4a4e80c8992d4942f1bc15e85088f9947a5082cab39f3687e1b54e90a0"),
+    (("sweep", *_REF_GRID, "--steps=2048"), None,
+     "ba6665d7a0f745abdd80ed29a27f214ac3327d1fbb989eeeb8610c60d253d68f"),
+    (("sweep", *_REF_GRID, "--steps=2049"), None,
+     "ba88b88605676922a1570b22ceb4dc73535c0dbef115fa880cf47d7ca378d0a6"),
+    (("sweep", *_REF_GRID, "--steps=4097"), None,
+     "baa1b1254b83c461bbb2a1a01cafe756f89c428d3452ed2f1c4b4708fc55e700"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=2"), None,
+     "cd6839610473e89f317a9b49688555089696e1075ebce3c349944430e01602d8"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=2047"), None,
+     "2014e22e56c1eff05f3dd164ae966f458d93cc9e986e978a0f98eb5df8cb82c8"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=2048"), None,
+     "c4f2c9aac8c198cb45f873cb50b2f42db93a7cf8c5709b4a55da9ad07dc13aed"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=2049"), None,
+     "bf5d381354d48d00236916fca7347ba53da0387d3fe58a2fb7a0cdd483da28db"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=4097"), None,
+     "c90a6a46d96d86abb0583f1999968a5a2e7c5fdc5ec7d6c653273997e2bc6515"),
+    # E = 2, the plus branch's singular energy, on grid node 2047 or 2048.
+    (("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05",
+      "--emax=3.9519052271616997", "--steps=4097"), 2047,
+     "4a3a2500b2a7284ad983a821974af1399acefad0117fd16ad28f53cbc45cc13c"),
+    (("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05",
+      "--emax=3.9499999999999997", "--steps=4097"), 2048,
+     "be08c8a57b600cafa611e3af8b68f4c37be7802f39f40a6640b4ad6a393f170d"),
+    # The junction's singularity at E = 4.5 on grid node 2047 or 2048.
+    (("sweep", "--model=physical", "--v1=-1", "--v2=2", "--g2=4", "--emin=0.05",
+      "--emax=8.954347826086957", "--steps=4097"), 2047,
+     "92c0d16d50ad32c7e7194fff4e363ecb3e349362111559b100432b5cae573f34"),
+    (("sweep", "--model=physical", "--v1=-1", "--v2=2", "--g2=4", "--emin=0.05",
+      "--emax=8.950000000000001", "--steps=4097"), 2048,
+     "8d96e26a06bfdf4b9a129bbf2693f79db248133b613acbb8a93d01e70c2188e1"),
+    (tuple(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250)), None,
+     "2096b880c8b4e44ea4188610478dfd2c36a1cb441d900f07269ab532e832d599"),
+    (tuple(_scan_argv((-4.0, 4.0), (-4.0, 4.0), 41, 20)), None,
+     "704061c833a877fba0f5e88159a61a052e247cce0346120ea8d64381f2f25fd9"),
+    (tuple(_scan_argv((-4.0, 4.0), (-4.0, 4.0), 3, 9000)), None,
+     "0bf10da8491797f95167af0f75bafe5f3bb498b2c02b31b55d15de7f450136ed"),
+])
+def test_csv_bytes_across_block_edges_are_pinned(argv, singular_row, digest, capsys,
+                                                  tmp_path):
+    assert main(list(argv)) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    rows = text.splitlines()[1:]
+    assert [i for i, row in enumerate(rows) if ",nan," in row] == (
+        [] if singular_row is None else [singular_row])
+    out = tmp_path / "out.csv"
+    assert main([*argv, f"--out={out}"]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == text.encode()
+
+
+def _traced_peak_per_byte(argv: list[str], warm_up: list[str], out: Path) -> float:
+    """The traced peak allocation of an in-process command writing to out, over
+    the bytes it wrote; a small command of the same kind runs first, so lazy
+    imports and caches are not counted."""
+    assert main([*warm_up, f"--out={out}"]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, f"--out={out}"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.stat().st_size
+
+
+def test_sweep_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # The result arrays take 81 bytes a row and the CSV about 170, so the peak
+    # is about the bytes written; rendering the whole table before writing it
+    # peaked at 3.8 times them.
+    ratio = _traced_peak_per_byte(["sweep", *_REF_GRID, "--steps=50000"],
+                                  ["sweep", *_REF_GRID, "--steps=3"], tmp_path / "sweep.csv")
+    assert ratio < 1.5
+
+
+def test_scan_csv_memory_does_not_grow_with_the_table(tmp_path):
+    # Rendering the whole table before writing it peaked at 4.4 times the bytes.
+    ratio = _traced_peak_per_byte(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250),
+                                  _scan_argv((-1.0, 1.0), (-1.0, 1.0), 3, 3),
+                                  tmp_path / "scan.csv")
+    assert ratio < 3.0
 
 
 @pytest.mark.parametrize("seed, returncode, digest", [

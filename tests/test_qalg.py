@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,6 +147,32 @@ def test_cdiv_rounds_as_complex_quotient(parts):
         got = cdiv(a_arr, b_arr)
     assert _hex(got[0][nonzero]) == _hex(z.real for z in want)
     assert _hex(got[1][nonzero]) == _hex(z.imag for z in want)
+
+
+def test_cdiv_halves_where_the_scaled_denominator_overflows():
+    # br * ratio + bi (or br + bi * ratio) overflows for these finite b, where
+    # CPython's quotient is 0, or nan when the scaled numerator overflows too.
+    a = (np.array([1.22e308, 1e308, -3e307]), np.array([0.0, 1e308, 1.5e308]))
+    b = (np.array([1.22e308, 1.7e308, -1e308]), np.array([1.26e308, 1.7e308, 1.6e308]))
+    with np.errstate(over="ignore"):
+        got = cdiv(a, b)
+    for k in range(3):
+        ar, ai, br, bi = (Fraction(float(part[k])) for part in (*a, *b))
+        norm = br * br + bi * bi
+        want = ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
+        size = math.hypot(*want)
+        for part, exact in zip(got, want):
+            assert abs(Fraction(float(part[k])) - exact) <= 4 * math.ulp(size)
+
+
+def test_cdiv_keeps_cpythons_quotient_by_an_infinite_part():
+    a = (np.array([1.0, -2.0]), np.array([2.0, 1e308]))
+    b = (np.array([math.inf, 1.7e308]), np.array([1.0, -math.inf]))
+    with np.errstate(all="ignore"):
+        got = cdiv(a, b)
+    want = [complex(x, y) / complex(u, v) for x, y, u, v in zip(*a, *b)]
+    assert _hex(got[0]) == _hex(z.real for z in want)
+    assert _hex(got[1]) == _hex(z.imag for z in want)
 
 
 def test_modulus_rounds_as_abs(parts):

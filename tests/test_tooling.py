@@ -3,11 +3,13 @@ the exact sums may live, that the branch verdicts keep no guard floors, that
 the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
 threshold, that the CLI builds no quartic of its own, that the benchmark's
-traced functions exist, which commands load numpy.random, and that the
-package and its metadata agree on the version."""
+traced functions exist and the CSV writers do their work when called, which
+commands load numpy.random, and that the package and its metadata agree on
+the version."""
 
 import ast
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -119,6 +121,14 @@ def test_traced_functions_resolve():
     missing = [f"{mod}.{name}" for mod, name in pairs + [constants["FALLBACK"]]
                if not callable(getattr(importlib.import_module(f"qdelta.{mod}"), name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["rows_to_csv", "scan_to_csv"])
+def test_csv_writers_are_not_generators(name):
+    # A generator returns before it formats a row, so the traced span of
+    # cli.rows_to_csv would time nothing and its caller would take the time.
+    from qdelta import cli
+    assert not inspect.isgeneratorfunction(getattr(cli, name))
 
 
 # Loading numpy.random costs a command about 10 ms and 6 MB, so only the
