@@ -25,7 +25,7 @@ from .qalg import modulus
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
-                       ss_closed_form)
+                       ss_closed_form, unit_scale_underflows)
 from .svgplot import render_curves_svg
 
 EXIT_OK = 0
@@ -208,6 +208,7 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
         return DeltaPotential.from_g_squared(args.v1, args.v2, args.g2)
     if args.cap_v2 is not None:
         return DeltaPotential(args.v1, args.v2, args.cap_v2, args.cap_v3 or 0.0)
+    _require_unit_scale(args.v1, args.v2)
     plus, minus = ss_closed_form(args.v1, args.v2)
     sol = plus if branch == "plus" else minus
     if not sol.feasible:
@@ -221,6 +222,17 @@ def _require_normal(sol: SSBranchSolution) -> None:
     for how, outside in (("overflow", math.isinf), ("underflow", lambda x: not x >= _TINY)):
         if outside(sol.g_squared) or outside(sol.energy):
             raise NumericalError(f"the closed forms of the {sol.branch.value} branch {how}")
+
+
+def _require_unit_scale(v1, v2, what: str = "strengths") -> None:
+    """Raise NumericalError at the first (v1, v2), in row-major order, whose
+    closed-form branches would be decided for another pair: see
+    singular.unit_scale_underflows."""
+    lost = unit_scale_underflows(v1, v2)
+    if lost.any():
+        v1, v2 = (np.broadcast_to(v, lost.shape)[lost][0] for v in (v1, v2))
+        raise NumericalError(f"the {what} (v1, v2) = ({_fmt(v1)}, {_fmt(v2)}) differ too much "
+                             "in scale: scaled to unit size, the smaller falls below 2^-1022")
 
 
 def _check_grid(args: argparse.Namespace) -> None:
@@ -340,6 +352,7 @@ def _branch_record(sol: SSBranchSolution) -> dict:
 
 def ss_report(v1: float, v2: float) -> dict:
     """The singularity report emitted by the ss command (SS_REPORT_SCHEMA)."""
+    _require_unit_scale(v1, v2)
     plus, minus = ss_closed_form(v1, v2)
     return {
         "v1": v1, "v2": v2,
@@ -423,6 +436,7 @@ def run_scan(args: argparse.Namespace) -> int:
             raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
     scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                        args.n1, args.n2)
+    _require_unit_scale(scan.v1[:, None], scan.v2, "strengths at the cell")
     # A feasible branch's g^2 or E that overflowed would print as a silent inf
     # energy, and one that underflowed to 0 or a subnormal as a wrong one.
     plus, minus = scan.plus, scan.minus

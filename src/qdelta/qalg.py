@@ -93,18 +93,25 @@ def cmul(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def cdiv(a, b):
-    """The quotient a / b of (re, im) pairs, both scaled by the larger part of b."""
-    (ar, ai), (br, bi) = a, b
+def cdiv(*numerators, by):
+    """The quotients a / by of (re, im) pairs, one per numerator a, as a list.
+    Each is scaled by the larger part of by, whose ratio and scaled denominator
+    are formed once for all of them."""
+    br, bi = by
     by_real = np.abs(br) >= np.abs(bi)
     ratio = np.where(by_real, bi / br, br / bi)
     denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
     if np.isinf(denom).any():  # where CPython's quotient is 0 or nan, divide a / 2 by b / 2
         half = np.where(np.isinf(denom), 0.5, 1.0)
-        ar, ai, br, bi = ar * half, ai * half, br * half, bi * half
+        numerators = [(ar * half, ai * half) for ar, ai in numerators]
+        br, bi = br * half, bi * half
         denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
-            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+    quotients = []
+    for ar, ai in numerators:
+        ar_ratio, ai_ratio = ar * ratio, ai * ratio
+        quotients.append((np.where(by_real, ar + ai_ratio, ar_ratio + ai) / denom,
+                          np.where(by_real, ai - ar_ratio, ai_ratio - ar) / denom))
+    return quotients
 
 
 def cprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ of Python's complex evaluation; a scalar call gives 0-d results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,16 +53,28 @@ class DeltaPotential:
 class ScatteringResult:
     """Amplitudes and coefficients over the broadcast inputs of amplitudes, sweep
     or oracle.matching_solver, with r and t nan and R and T inf at singular
-    entries; d_value is their denominator, D or the junction system's det2."""
+    entries; d_value is their denominator, D or the junction system's det2.
+    R = |r|^2 and T = |t|^2 are computed on first read and kept."""
 
     energy: np.ndarray
     beta: np.ndarray
     r: np.ndarray
     t: np.ndarray
-    big_r: np.ndarray
-    big_t: np.ndarray
     d_value: np.ndarray
     at_singularity: np.ndarray
+
+    @functools.cached_property
+    def big_r(self) -> np.ndarray:
+        return self._squared_modulus(self.r)
+
+    @functools.cached_property
+    def big_t(self) -> np.ndarray:
+        return self._squared_modulus(self.t)
+
+    def _squared_modulus(self, z: np.ndarray) -> np.ndarray:
+        """|z|^2 as abs(z) ** 2 takes it, inf at the singular entries."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(self.at_singularity, np.inf, power(np.hypot(z.real, z.imag), 2.0))
 
 
 def denominator(p: DeltaPotential, beta: float) -> complex:
@@ -104,12 +117,10 @@ def scattering_result(energy, beta, r_num, t_num, d) -> ScatteringResult:
     # Callers report non-finite rows; warnings would repeat them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
-        r, t = ([np.where(singular, np.nan, part) for part in cdiv(num, d)]
-                for num in (r_num, t_num))
-        big_r, big_t = (np.where(singular, np.inf, power(np.hypot(*z), 2.0))
-                        for z in (r, t))
-    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), big_r, big_t,
-                            as_complex(*d), singular)
+        r, t = ([np.where(singular, np.nan, part) for part in quotient]
+                for quotient in cdiv(r_num, t_num, by=d))
+    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), as_complex(*d),
+                            singular)
 
 
 def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:

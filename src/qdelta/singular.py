@@ -211,6 +211,16 @@ def unit_scale(v1, v2):
     return k, np.ldexp(v1, -k), np.ldexp(v2, -k)
 
 
+def unit_scale_underflows(v1, v2):
+    """Whether unit_scale takes the smaller of two nonzero strengths below 2^-1022,
+    the least normal float, where it loses bits and the branches would be
+    decided for another pair; broadcast. With |v| = m 2^e, m in [0.5, 1), the
+    smaller scales to m 2^(e_small - e_large), below 2^-1022 iff the exponents
+    differ by more than 1021."""
+    exponent_gap = np.abs(np.frexp(v1)[1] - np.frexp(v2)[1])
+    return (v1 != 0.0) & (v2 != 0.0) & (exponent_gap > 1021)
+
+
 def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     """Both closed-form singularity branches, broadcast over arrays of (v1, v2).
 

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,15 +18,18 @@ import pytest
 
 from qdelta import __version__
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
-from qdelta.scatter import DeltaPotential, ScatteringResult, sweep
+from qdelta.scatter import DeltaPotential, sweep
 from qdelta.singular import KAPPA, region_of, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
 
 
+_Row = namedtuple("_Row", "energy beta r t big_r big_t d_value at_singularity")
+
+
 def _rows(res):
     """The rows of sweep columns, each with Python scalar fields."""
-    return [ScatteringResult(*row) for row in zip(
+    return [_Row(*row) for row in zip(
         res.energy.tolist(), res.beta.tolist(), res.r.tolist(), res.t.tolist(),
         res.big_r.tolist(), res.big_t.tolist(), res.d_value.tolist(),
         res.at_singularity.tolist())]
@@ -188,6 +193,112 @@ def test_scan_underflowing_closed_forms_print_only_the_failure():
     assert proc.stdout == ""
     assert proc.stderr == ("numerical failure: the closed forms underflow at the feasible cell "
                            "(v1, v2) = (-2e-200, -2e-200)\n")
+
+
+_SCALE_GAP = ("differ too much in scale: scaled to unit size, the smaller falls below "
+              "2^-1022\n")
+
+
+@pytest.mark.parametrize("argv, failure", [
+    # The exact plus branch has g^2 = 2e-30 and E about 5e299.
+    (["ss", "--v1=-1e150", "--v2=-1e-180"],
+     "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
+    # The exact plus branch is feasible with E+ = 2e-360, which underflows.
+    (["ss", "--v1=-1e-180", "--v2=-1e150", "--json"],
+     "the strengths (v1, v2) = (-1e-180, -9.9999999999999998e+149) "),
+    (["scan", "--v1-min=-1e150", "--v1-max=-0.5e150", "--v2-min=-1e-180",
+      "--v2-max=-0.5e-180", "--n1=2", "--n2=2"],
+     "the strengths at the cell (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
+    (["plot", "--v1=-1e150", "--v2=-1e-180", "--branch=plus"],
+     "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
+])
+def test_strengths_too_far_apart_in_scale_exit_3(argv, failure, capsys, tmp_path):
+    # Scaled to unit size, the smaller strength would be a subnormal, and the
+    # branches would be decided for another pair.
+    out = tmp_path / "out"
+    assert main([*argv, f"--out={out}"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: " + failure + _SCALE_GAP)
+    assert not out.exists()
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _exact_branches(v1: float, v2: float):
+    """Per branch (plus, minus): the reason of ss_branches' closed forms taken
+    exactly on the float pair (v1, v2), and, where the square root is real and
+    s = v1 + v2 nonzero, (g^2, beta, E) to 80 digits."""
+    x, y = Fraction(v1), Fraction(v2)
+    a, s, q = x - y, x + y, -2 * x * y      # h+ + h- = a and h+ h- = q
+    disc = s * s - 2 * q
+    if s == 0 or disc < 0:
+        reason = "DegenerateSum" if s == 0 else "ComplexSqrt"
+        return [(reason, None)] * 2
+    # The signs of h+ >= h-, from their sum and product.
+    if q < 0:
+        signs = (1, -1)
+    elif q > 0:
+        signs = (_sign(a), _sign(a))
+    else:
+        signs = (max(_sign(a), 0), min(_sign(a), 0))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        d_a, d_s, d_q, d_disc = (decimal.Decimal(f.numerator) / decimal.Decimal(f.denominator)
+                                 for f in (a, s, q, disc))
+        root = d_disc.sqrt()
+        far = (d_a + root.copy_sign(d_a)) / 2 if a else root / 2
+        near = d_q / far if a else -far
+        h = (far, near) if a >= 0 else (near, far)
+        branches = []
+        for t, other in ((0, 1), (1, 0)):
+            beta = -h[other]
+            values = (-d_s * h[t], beta, beta * beta / 2)
+            if _sign(s) * signs[t] >= 0:
+                reason = "NegativeGSquared"
+            elif signs[other] >= 0:
+                reason = "NonPositiveBeta"
+            else:
+                reason = "OK"
+            branches.append((reason, values))
+    return branches
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_ss_on_strengths_far_apart_in_scale_is_exact_or_fails(signs, capsys):
+    # min/max of |v1|, |v2| log-uniform on [1e-330, 1e-290], around the scale
+    # gap where unit_scale takes the smaller strength below 2^-1022; near
+    # max = 1e150 a feasible branch's g^2 and E stay normal most often.
+    rng = random.Random(sum(signs) + 2 * signs[0] + 11)
+    confirmed = 0
+    for _ in range(100):
+        large = 10.0 ** rng.uniform(140.0, 160.0)
+        small = large * 10.0 ** rng.uniform(-330.0, -290.0)
+        pair = (large, small) if rng.random() < 0.5 else (small, large)
+        v1, v2 = (sign * v for sign, v in zip(signs, pair))
+        code = main(["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json"])
+        out, err = capsys.readouterr()
+        # The smaller strength, scaled by 2^-k, is below 2^-1022 exactly when
+        # the binary exponents differ by more than 1021.
+        gap = abs(math.frexp(v1)[1] - math.frexp(v2)[1])
+        assert (_SCALE_GAP in err) == (v1 != 0.0 and v2 != 0.0 and gap > 1021), (v1, v2)
+        if code == 3:
+            assert err.startswith("numerical failure: "), (v1, v2)
+            continue
+        assert (code, err) == (0, ""), (v1, v2)
+        confirmed += 1
+        report, exact = json.loads(out), _exact_branches(v1, v2)
+        feasible = [reason == "OK" for reason, _ in exact]
+        assert report["classification"] == region_of(*feasible).value, (v1, v2)
+        for name, (reason, values) in zip(("plus", "minus"), exact):
+            rec = report["branches"][name]
+            assert rec["reason"] == reason, (v1, v2, name)
+            if reason != "OK":
+                continue
+            for got, want in zip((rec["g_squared"], rec["beta"], rec["energy"]), values):
+                ulp = decimal.Decimal(math.ulp(float(want)))
+                assert abs(decimal.Decimal(got) - want) <= 5 * ulp, (v1, v2, name, got, want)
+    assert confirmed >= 20
 
 
 @pytest.mark.parametrize("pair, failure", [
@@ -705,18 +816,19 @@ def test_ss_prints_no_numpy_warning():
 
 
 def test_ss_on_log_uniform_lossy_pairs_confirms_or_fails_honestly(capsys):
-    # v1 and v2 drawn as -10^U, U in [-150, 150]: every report confirms the
-    # plus branch's double root, or exits 3 on a closed form out of range, and
-    # no command warns.
+    # v1 and v2 drawn as -10^U, U in [-300, 300]: every report confirms the
+    # plus branch's double root, or exits 3 on a closed form out of range or on
+    # strengths too far apart in scale, and no command warns.
     rng = random.Random(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(200):
-            v1, v2 = (-10.0 ** rng.uniform(-150.0, 150.0) for _ in range(2))
+            v1, v2 = (-10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
             code = main(["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json"])
             out, err = capsys.readouterr()
             if code == 3:
-                assert err.startswith("numerical failure: the closed forms of the plus branch")
+                assert err.startswith(("numerical failure: the closed forms of the plus branch",
+                                       "numerical failure: the strengths (v1, v2) = ")), err
             else:
                 assert (code, err) == (0, ""), (v1, v2)
                 assert json.loads(out)["oracle"]["plus"]["double_root_multiplicity"] == 2, (v1, v2)

@@ -144,7 +144,7 @@ def test_cdiv_rounds_as_complex_quotient(parts):
     nonzero = [k for k, b in enumerate(zip(br, bi)) if b != (0.0, 0.0)]
     want = [complex(ar[k], ai[k]) / complex(br[k], bi[k]) for k in nonzero]
     with np.errstate(all="ignore"):
-        got = cdiv(a_arr, b_arr)
+        (got,) = cdiv(a_arr, by=b_arr)
     assert _hex(got[0][nonzero]) == _hex(z.real for z in want)
     assert _hex(got[1][nonzero]) == _hex(z.imag for z in want)
 
@@ -155,7 +155,7 @@ def test_cdiv_halves_where_the_scaled_denominator_overflows():
     a = (np.array([1.22e308, 1e308, -3e307]), np.array([0.0, 1e308, 1.5e308]))
     b = (np.array([1.22e308, 1.7e308, -1e308]), np.array([1.26e308, 1.7e308, 1.6e308]))
     with np.errstate(over="ignore"):
-        got = cdiv(a, b)
+        (got,) = cdiv(a, by=b)
     for k in range(3):
         ar, ai, br, bi = (Fraction(float(part[k])) for part in (*a, *b))
         norm = br * br + bi * bi
@@ -169,10 +169,27 @@ def test_cdiv_keeps_cpythons_quotient_by_an_infinite_part():
     a = (np.array([1.0, -2.0]), np.array([2.0, 1e308]))
     b = (np.array([math.inf, 1.7e308]), np.array([1.0, -math.inf]))
     with np.errstate(all="ignore"):
-        got = cdiv(a, b)
+        (got,) = cdiv(a, by=b)
     want = [complex(x, y) / complex(u, v) for x, y, u, v in zip(*a, *b)]
     assert _hex(got[0]) == _hex(z.real for z in want)
     assert _hex(got[1]) == _hex(z.imag for z in want)
+
+
+def test_cdiv_of_several_numerators_equals_one_call_each(parts):
+    # The parts draws, then rows where the scaled denominator overflows, a
+    # divisor with an infinite part, and signed zeros in numerator and divisor.
+    _, _, (ar, ai), (br, bi) = parts
+    ar = np.concatenate([ar, [1.22e308, 1e308, -3e307, 1.0, -2.0, 0.0, -0.0, -0.0]])
+    ai = np.concatenate([ai, [0.0, 1e308, 1.5e308, 2.0, 1e308, -0.0, 0.0, -0.0]])
+    br = np.concatenate([br, [1.22e308, 1.7e308, -1e308, math.inf, 1.7e308, -0.0, 3.0, -2.0]])
+    bi = np.concatenate([bi, [1.26e308, 1.7e308, 1.6e308, 1.0, -math.inf, 1.0, -0.0, -0.0]])
+    numerators = [(ar, ai), (ai[::-1], -ar), (ar * 0.5, bi)]
+    with np.errstate(all="ignore"):
+        together = cdiv(*numerators, by=(br, bi))
+        alone = [cdiv(a, by=(br, bi))[0] for a in numerators]
+    assert len(together) == len(numerators)
+    for got, want in zip(together, alone):
+        assert _hex(got[0]) == _hex(want[0]) and _hex(got[1]) == _hex(want[1])
 
 
 def test_modulus_rounds_as_abs(parts):

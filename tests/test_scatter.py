@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdelta.oracle import MatchMode, matching_solver
+from qdelta.qalg import power
 from qdelta.scatter import (DeltaPotential, amplitudes, denominator, dr_di,
                             energy_grid, sweep)
 from qdelta.singular import quartic_coeffs
@@ -74,6 +76,31 @@ def test_amplitudes_flags_singularity():
     assert res.at_singularity
     assert np.isnan(res.r) and np.isnan(res.t)
     assert math.isinf(res.big_r) and math.isinf(res.big_t)
+
+
+def _hex(values: np.ndarray) -> list[str]:
+    return [x.hex() for x in np.ravel(values).tolist()]
+
+
+# Near the float maximum, where qalg.cdiv halves the scaled denominator.
+_CDIV_OVERFLOW = (DeltaPotential.from_g_squared(8e153, 0.0, 0.0), [3e307, 3.1e307])
+
+
+@pytest.mark.parametrize("res", [
+    sweep(FIG_POT, 1.0, 3.0, 3),                                  # singular row at E = 2
+    amplitudes(*_CDIV_OVERFLOW),
+    matching_solver(*_CDIV_OVERFLOW, MatchMode.CONJUGATE),
+    amplitudes(FIG_POT, 1.0),
+    amplitudes(FIG_POT, 2.0),                                     # a 0-d singular call
+], ids=["singular-row", "cdiv-overflow", "cdiv-overflow-physical", "0-d", "0-d-singular"])
+def test_reflection_and_transmission_coefficients_are_read_once(res):
+    assert "big_r" not in vars(res) and "big_t" not in vars(res)
+    for got, z in ((res.big_r, res.r), (res.big_t, res.t)):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = np.where(res.at_singularity, np.inf, power(np.hypot(z.real, z.imag), 2.0))
+        assert type(got) is np.ndarray and got.shape == res.energy.shape
+        assert _hex(got) == _hex(want)
+    assert res.big_r is res.big_r and res.big_t is res.big_t
 
 
 def test_sweep_shape_and_order():

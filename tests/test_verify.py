@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qdelta import oracle, verify
+from qdelta import oracle, qalg, verify
 from qdelta.oracle import MatchMode, NumericalError
 from qdelta.scatter import DeltaPotential
 from qdelta.singular import (KAPPA, discriminant_bounded, discriminant_expanded,
@@ -55,6 +55,23 @@ def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
     check = verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence)
     assert not check.passed
     assert check.detail == detail
+
+
+def test_matching_check_computes_no_reflection_or_transmission_coefficient(monkeypatch):
+    # R = |r|^2 and T = |t|^2 go through scatter.power when first read; the
+    # check compares r and t only.
+    divergence = verify.mode_divergence_at_probe()
+    calls = []
+
+    def power(x, n):
+        calls.append(n)
+        return qalg.power(x, n)
+
+    monkeypatch.setattr("qdelta.scatter.power", power)
+    assert verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence).passed
+    assert calls == []
+    assert verify.amplitudes(DeltaPotential(1.0, 0.0, 1.0, 0.0), 1.0).big_r.shape == ()
+    assert calls == [2.0]
 
 
 def test_algebraic_identity_failure_names_the_draw(monkeypatch):
