@@ -9,6 +9,7 @@ rejections, --help and --version included.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import functools
 import json
@@ -20,6 +21,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import __version__, verify
+from .g17 import Formatter
 from .oracle import MatchMode, NumericalError, branch_roots, matching_solver
 from .qalg import modulus
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
@@ -270,31 +272,47 @@ def _check_finite(res: ScatteringResult) -> None:
                              "off the singularities")
 
 
-def _columns(res: ScatteringResult, rows: slice = slice(None)) -> list[list[float]]:
-    """The CSV_COLUMNS of a sweep's rows, as lists of Python floats."""
-    return [col[rows].tolist() for col in (
-        res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-        res.big_r, res.big_t)] + [modulus(res.d_value[rows]).tolist()]
+def _column_arrays(res: ScatteringResult) -> list[np.ndarray]:
+    """The first 8 CSV_COLUMNS of a sweep; absD is modulus(res.d_value)."""
+    return [res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
+            res.big_r, res.big_t]
 
 
-# Row templates in _fmt's format; one % operation per row.
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+def _columns(res: ScatteringResult) -> list[list[float]]:
+    """The CSV_COLUMNS of a sweep, as lists of Python floats."""
+    return [col.tolist() for col in _column_arrays(res)] + [modulus(res.d_value).tolist()]
+
+
 _CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0\n"
 
 # The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
-# per write: one block's Python floats and strings are freed before the next.
-_SWEEP_BLOCK, _SCAN_BLOCK = 2048, 8192
+# per write: one block's strings are freed before the next. A sweep block's
+# cells and the formatter's workspace, about 250 bytes a cell, are allocated
+# once per command and reused.
+_SWEEP_BLOCK, _SCAN_BLOCK = 512, 8192
 
 
 def rows_to_csv(res: ScatteringResult, out: TextIO) -> None:
-    """Write the sweep CSV to the text stream out, _SWEEP_BLOCK rows at a time;
-    rows on a singularity get the literal nan/inf/0e0 cells."""
+    """Write the sweep CSV to the text stream out, _SWEEP_BLOCK rows at a time,
+    each cell as '%.17g' formats it (g17.Formatter); rows on a singularity get
+    the literal nan/inf/0e0 cells."""
     out.write(",".join(CSV_COLUMNS) + "\n")
+    fmt = Formatter(_SWEEP_BLOCK, len(CSV_COLUMNS))
+    cells = np.empty((_SWEEP_BLOCK, len(CSV_COLUMNS)))
+    singular = np.flatnonzero(res.at_singularity).tolist()
     for start in range(0, res.energy.size, _SWEEP_BLOCK):
-        rows = slice(start, start + _SWEEP_BLOCK)
-        out.write("".join([_CSV_SINGULAR_ROW % cells[:2] if singular else _CSV_ROW % cells
-                           for cells, singular in zip(zip(*_columns(res, rows)),
-                                                      res.at_singularity[rows].tolist())]))
+        rows = slice(start, min(start + _SWEEP_BLOCK, res.energy.size))
+        block = cells[:rows.stop - start]
+        for j, col in enumerate(_column_arrays(res)):
+            block[:, j] = col[rows]
+        modulus(res.d_value[rows], out=block[:, -1])
+        first = 0
+        for i in singular[bisect.bisect_left(singular, start):
+                          bisect.bisect_left(singular, rows.stop)]:
+            out.write(fmt.text(block[first:i - start]))
+            out.write(_CSV_SINGULAR_ROW % (res.energy[i], res.beta[i]))
+            first = i - start + 1
+        out.write(fmt.text(block[first:]))
 
 
 def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Namespace) -> str:

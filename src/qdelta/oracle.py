@@ -251,6 +251,13 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> ScatteringRes
     v1, v2, cap_v2, cap_v3, energy = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.cap_v2, p.cap_v3, energy)))
     beta = beta_of(energy)
+    return scattering_result(energy, beta, *_cramer(v1, v2, cap_v2, cap_v3, beta, mode))
+
+
+def _cramer(v1, v2, cap_v2, cap_v3, beta, mode: MatchMode):
+    """matching_solver's (r_num, t_num, det2), as (re, im) pairs. Its
+    elimination temporaries are freed when it returns, before
+    scattering_result allocates the quotients."""
     # The real-quaternion strength is i (v1 + i v2) + cap_v2 j + cap_v3 k
     # = -v2 + v1 i + cap_v2 j + cap_v3 k; (a_ch, b_ch) is its qalg.symplectic_split.
     a_ch, b_ch = (-v2, v1), (cap_v2, -cap_v3)
@@ -264,8 +271,7 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> ScatteringRes
         lead = (i_beta[0] - v1c[0], i_beta[1] - v1c[1])   # i beta - V1
         diag = (beta + cj[0], 0.0 + cj[1])                # beta + cj
         (lr, li), (vr, vi), (cr, ci) = cmul(lead, diag), cmul(v1c, diag), cmul(c12, c21)
-        r_num, t_num, det2 = (vr + cr, vi + ci), cmul(i_beta, diag), (lr - cr, li - ci)
-    return scattering_result(energy, beta, r_num, t_num, det2)
+        return (vr + cr, vi + ci), cmul(i_beta, diag), (lr - cr, li - ci)
 
 
 def potential_from_ss_pairs(pair_a: tuple[float, float],

@@ -119,9 +119,9 @@ def cprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return as_complex(*cmul((a.real, a.imag), (b.real, b.imag)))
 
 
-def modulus(z: np.ndarray) -> np.ndarray:
-    """|z| for a complex array, as abs() takes it."""
-    return np.hypot(z.real, z.imag)
+def modulus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z| for a complex array, as abs() takes it, into out if given."""
+    return np.hypot(z.real, z.imag, out=out)
 
 
 def power(x, n):

@@ -574,12 +574,14 @@ def test_scan_full_size_output_is_pinned():
         "2096b880c8b4e44ea4188610478dfd2c36a1cb441d900f07269ab532e832d599"
 
 
-# The sweep CSV is written in blocks of 2,048 rows and the scan CSV in blocks
-# of whole v1 rows of about 8,192 cells, so these pin the bytes on either side
-# of the block edges: steps around one and two blocks, a singular row at row
-# 2047 (0-based, the last of the first block) and at row 2048 (the first of the
-# second), and a 3x9000 scan, one v1 row a block. The digests are those of the
-# rendering that built the whole table before writing it.
+# The sweep CSV is written in blocks of 512 rows (2,048 before) and the scan
+# CSV in blocks of whole v1 rows of about 8,192 cells, so these pin the bytes on
+# either side of the block edges: steps around one and two blocks, a singular
+# row at the last row of a block and at the first of the next (0-based rows
+# 2047 and 2048, 511 and 512), and a 3x9000 scan, one v1 row a block. The
+# digests are those of the rendering that built the whole table before writing
+# it, and, for the 512-row edges, of the per-row '%.17g' formatting that
+# g17.Formatter replaced.
 _REF_GRID = ("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05", "--emax=4")
 
 
@@ -624,6 +626,35 @@ _REF_GRID = ("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05", "--emax=4")
      "704061c833a877fba0f5e88159a61a052e247cce0346120ea8d64381f2f25fd9"),
     (tuple(_scan_argv((-4.0, 4.0), (-4.0, 4.0), 3, 9000)), None,
      "0bf10da8491797f95167af0f75bafe5f3bb498b2c02b31b55d15de7f450136ed"),
+    (("sweep", *_REF_GRID, "--steps=511"), None,
+     "8061415f6c99ff3f0bc2dbcfeb10adaa46ff7c2d634d2582591d23f8b90df8cc"),
+    (("sweep", *_REF_GRID, "--steps=512"), None,
+     "4723f0bce59dc9b9aaaafde99d566040504ff8f301ea03032007b5c37ca37e85"),
+    (("sweep", *_REF_GRID, "--steps=513"), None,
+     "db2299377dc73b59121edd4e9909a0e09b220fe9289c058981d64f992b9309c8"),
+    (("sweep", *_REF_GRID, "--steps=1025"), None,
+     "cd30d7e95ff287c362d0851bd091946b2ff8b629f50724ccc8575b5e3d0f49b1"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=511"), None,
+     "fa92525cb5fbf6e99596c7e733c7b0d43719d25a3722667588280b046eb943ff"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=512"), None,
+     "37eb47efd628cfd9b75f4e822fb6f4985203c24376e7ae0466ce2cf4ed4cd354"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=513"), None,
+     "91d4beab3b628534796b714ff95485eb3c30c575dc5a62d4d1edffe7fb13c4ce"),
+    (("sweep", "--model=physical", *_REF_GRID, "--steps=1025"), None,
+     "35acce71369d4ffe321d87fc2572784ab4cd503b97e9a977b85dc4d8ac08aa69"),
+    # E = 2 and the junction's E = 4.5 on grid node 511 or 512.
+    (("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05",
+      "--emax=3.9576320939334635", "--steps=1025"), 511,
+     "8524bfca8573c0baa09996605719c209df249e151aa48edb127f5d29a4b18429"),
+    (("sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05",
+      "--emax=3.9499999999999997", "--steps=1025"), 512,
+     "bc90e44035708c3a5ea762640b57eedb7d898fab4d2b4e6fffc8e86073383f58"),
+    (("sweep", "--model=physical", "--v1=-1", "--v2=2", "--g2=4", "--emin=0.05",
+      "--emax=8.967416829745599", "--steps=1025"), 511,
+     "cca414502c723a19e6bc883ccabcb639afcb4809e2df17ff89dd55e174155875"),
+    (("sweep", "--model=physical", "--v1=-1", "--v2=2", "--g2=4", "--emin=0.05",
+      "--emax=8.950000000000001", "--steps=1025"), 512,
+     "9ab98921377352d39af5dba3dd2b54351962349ae188add6c0ad969034b0be9a"),
 ])
 def test_csv_bytes_across_block_edges_are_pinned(argv, singular_row, digest, capsys,
                                                   tmp_path):
@@ -655,11 +686,21 @@ def _traced_peak_per_byte(argv: list[str], warm_up: list[str], out: Path) -> flo
 
 def test_sweep_csv_memory_does_not_grow_with_the_table(tmp_path):
     # The result arrays take 81 bytes a row and the CSV about 170, so the peak
-    # is about the bytes written; rendering the whole table before writing it
-    # peaked at 3.8 times them.
+    # is about the bytes written (0.93 times them); rendering the whole table
+    # before writing it peaked at 3.8 times them, and g17.Formatter's workspace
+    # for 2,048-row blocks at 1.72.
     ratio = _traced_peak_per_byte(["sweep", *_REF_GRID, "--steps=50000"],
                                   ["sweep", *_REF_GRID, "--steps=3"], tmp_path / "sweep.csv")
-    assert ratio < 1.5
+    assert ratio <= 1.0
+
+
+def test_physical_sweep_memory_holds_no_matching_temporaries(tmp_path):
+    # 1.30 times the bytes written; 1.76 while oracle.matching_solver kept its
+    # elimination temporaries alive through the quotients.
+    argv = ["sweep", "--model=physical", *_REF_GRID]
+    ratio = _traced_peak_per_byte([*argv, "--steps=50000"], [*argv, "--steps=3"],
+                                  tmp_path / "sweep.csv")
+    assert ratio <= 1.4
 
 
 def test_scan_csv_memory_does_not_grow_with_the_table(tmp_path):

@@ -1,0 +1,149 @@
+"""g17.Formatter against CPython's '%.17g', byte for byte."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qdelta import g17
+
+
+def _cpython(x: np.ndarray, cols: int = 1) -> str:
+    cells = ["%.17g" % v for v in x.tolist()]
+    return "".join(",".join(cells[i:i + cols]) + "\n" for i in range(0, len(cells), cols))
+
+
+def _assert_exact(x, cols: int = 1, rows: int | None = None) -> None:
+    """x, formatted through one formatter of `rows` rows a block (all of x by
+    default), equals CPython's text."""
+    x = np.asarray(x, dtype=float).reshape(-1, cols)
+    rows = rows or len(x)
+    fmt = g17.Formatter(rows, cols)
+    got = "".join(fmt.text(x[i:i + rows]) for i in range(0, len(x), rows))
+    want = _cpython(x.reshape(-1), cols)
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines()))
+                   if g != w)
+        pytest.fail(f"row {bad}: {got.splitlines()[bad]!r} != {want.splitlines()[bad]!r}")
+
+
+def _neighbours(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_hypothesis_floats(values):
+    _assert_exact(values)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20250).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64,
+                                                  endpoint=False)
+    _assert_exact(bits.view(np.float64), cols=8, rows=4096)
+
+
+def test_log_uniform_magnitudes_of_both_signs():
+    rng = np.random.default_rng(7)
+    x = np.exp(rng.uniform(math.log(1e-323), math.log(1.7e308), 9 * 22_222))
+    _assert_exact(x * rng.choice([-1.0, 1.0], x.size), cols=9, rows=512)
+
+
+def test_powers_of_ten_and_two_and_their_neighbours():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    _assert_exact(_neighbours(np.concatenate([tens, twos])))
+
+
+@pytest.mark.parametrize("x", [-5, -4, 16, 17])
+def test_both_notations_at_the_switching_exponents(x):
+    # %g takes fixed notation for -4 <= X < 17 and exponent notation otherwise.
+    rng = np.random.default_rng(x + 100)
+    edges = np.array([10.0 ** x, 10.0 ** (x + 1)])
+    inside = 10.0 ** x * rng.uniform(1.0, 10.0, 20_000)
+    short = np.round(inside, 3 - x)        # trailing zeros to drop
+    _assert_exact(np.concatenate([_neighbours(edges), inside, -inside, short]))
+
+
+def test_exact_ties_round_half_to_even():
+    # 1234567890123456.75 has 18 digits, the last a 5: '%.17g' rounds it to even.
+    ties = [1234567890123456.75, 1234567890123456.25, -2.5, 0.5, 7.0000000000000005e-1]
+    assert g17.Formatter(1, 1).text(np.array([[1234567890123456.75]])) == "1234567890123456.8\n"
+    _assert_exact(ties)
+
+
+def test_zeros_infinities_nans_and_subnormals():
+    tiny = np.finfo(float).tiny
+    _assert_exact([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   5e-324, -5e-324, tiny - 5e-324, tiny, -tiny, 1e-310, 1.7976931348623157e308,
+                   -1.7976931348623157e308])
+
+
+@pytest.mark.parametrize("size", [1, 15, 16, 17, 2049])
+def test_array_sizes(size):
+    # Strided writes into the records go wrong in some numpy loops from 16
+    # elements on; 2049 cells take five blocks of a 512-cell formatter.
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    _assert_exact(x)
+    _assert_exact(x, rows=512)
+    _assert_exact(x[:size // 9 * 9], cols=9, rows=57)
+
+
+def test_a_formatter_reused_on_shorter_blocks_keeps_no_stale_cells():
+    fmt = g17.Formatter(64, 3)
+    long = np.full((64, 3), -1.2345678901234567e-300)
+    assert fmt.text(long) == _cpython(long.reshape(-1), 3)
+    short = np.array([[1.0, 2.5, 0.0]])
+    assert fmt.text(short) == "1,2.5,0\n"
+    assert fmt.text(short[:0]) == ""
+
+
+def test_every_cell_through_the_fallback_gives_the_same_bytes(monkeypatch):
+    scaled = g17._scaled
+
+    def near_everywhere(bits, pidx, u, near, off):
+        digits = scaled(bits, pidx, u, near, off)
+        near[:] = True
+        return digits
+
+    monkeypatch.setattr(g17, "_scaled", near_everywhere)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(np.float64),
+                        rng.uniform(-10.0, 10.0, 20_000)])
+    _assert_exact(x, cols=8, rows=512)
+
+
+def _carries() -> list[float]:
+    """The doubles just below a power of ten whose 17 digits round up to it."""
+    found = []
+    for k in range(-307, 309):
+        power = Fraction(10) ** k
+        below = float(power)
+        if Fraction(below) >= power:
+            below = math.nextafter(below, 0.0)
+        if (power - Fraction(below)) / power * 10 ** 17 <= Fraction(1, 2):
+            found.append(below)
+    return found
+
+
+def test_misjudged_exponents_and_carries_take_the_fast_path(monkeypatch):
+    # The double 1e-305 lies just below 10^-305: floor(log10 x) gives X = -305,
+    # one too high; redone at X = -306, its 17 digits round up to 10^17.
+    carries = _carries()
+    assert len(carries) == 14 and "%.17g" % carries[0] == "1e-305"
+    passes = []
+    scaled = g17._scaled
+
+    def record(bits, pidx, u, near, off):
+        digits = scaled(bits, pidx, u, near, off)
+        passes.append((digits.copy(), near.copy(), off.copy()))
+        return digits
+
+    monkeypatch.setattr(g17, "_scaled", record)
+    _assert_exact(carries)
+    (first, _, first_off), (redo, redo_near, redo_off) = passes
+    assert first_off.all() and not (redo_near.any() or redo_off.any())
+    assert (redo == 10 ** 17).all()
