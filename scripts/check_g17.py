@@ -4,11 +4,12 @@
     python3 scripts/check_g17.py [--count N] [--seed S]
 
 Draws N uniformly random 64-bit patterns (default 10^7) from numpy's PCG64
-seeded with S, formats them 4,608 cells a block, and prints
-the cells whose text differs from CPython's, the first few of them, and the
-share of cells the kernel left to CPython: zeros, subnormals, infinities,
-nans, and fractions within 2^-7 of 1/2. Exits 1 if any cell differs. 10^7
-cells take about 8 s on a 2-core machine, most of it CPython's side.
+seeded with S, formats them with Formatter.cells, 4,608 cells a block, and
+prints the cells whose text differs from CPython's, the first few of them,
+and the share of cells the kernel left to CPython: zeros, subnormals,
+infinities, nans, and fractions within 2^-7 of 1/2. Exits 1 if any cell
+differs. 10^7 cells take about 8 s on a 2-core machine, most of it CPython's
+side.
 """
 
 import argparse
@@ -35,12 +36,10 @@ def main() -> int:
     while done < args.count:
         size = min(CHUNK, args.count - done)
         x = rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64)
-        for start in range(0, size, BLOCK):
-            block = x[start:start + BLOCK]
-            cells = fmt.text(block[:, None]).split("\n")[:-1]
-            fallbacks += fmt.fallbacks
-            mismatches += [(value, got) for value, got in zip(block.tolist(), cells)
-                           if got != "%.17g" % value]
+        cells = fmt.cells(x)
+        fallbacks += fmt.fallbacks
+        mismatches += [(value, got) for value, got in zip(x.tolist(), cells, strict=True)
+                       if got != "%.17g" % value]
         done += size
     print(f"{done} random bit patterns (seed {args.seed}): {len(mismatches)} mismatches, "
           f"{fallbacks} ({100.0 * fallbacks / done:.2f} %) formatted by CPython")

@@ -287,8 +287,8 @@ _CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0\n"
 
 # The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
 # per write: one block's strings are freed before the next. A sweep block's
-# cells and the formatter's workspace, about 250 bytes a cell, are allocated
-# once per command and reused.
+# cells and each formatter's workspace, about 250 bytes a cell, are allocated
+# once per command and reused; the scan's holds half a block's cells.
 _SWEEP_BLOCK, _SCAN_BLOCK = 512, 8192
 
 
@@ -424,7 +424,8 @@ _SCAN_TAILS = np.array([region_of(plus, minus).value + ("," if plus else ",,")
 def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
     """Write the scan CSV to the text stream out, a block of v1 rows at a time,
     each block joined in one pass from pre-formatted pieces: each v1 and v2
-    value is formatted once, and only feasible energies are formatted."""
+    value is formatted once, and of the energies only feasible ones (Formatter.cells)."""
+    fmt = Formatter(_SCAN_BLOCK // 2, 1)
     v1_pieces = np.array([f"\n{v1:.17g}," for v1 in scan.v1.tolist()], dtype=object)
     v2_pieces = np.array([f"{v2:.17g}," for v2 in scan.v2.tolist()], dtype=object)
     step = max(1, _SCAN_BLOCK // v2_pieces.size)
@@ -433,10 +434,8 @@ def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
         rows = slice(start, start + step)
         plus, minus = scan.plus.feasible[rows], scan.minus.feasible[rows]
         tails = _SCAN_TAILS[2 * plus + minus]
-        tails[plus] += np.array([f"{e:.17g}," for e in scan.plus.energy[rows][plus].tolist()],
-                                dtype=object)
-        tails[minus] += np.array([f"{e:.17g}" for e in scan.minus.energy[rows][minus].tolist()],
-                                 dtype=object)
+        tails[plus] += np.array(fmt.cells(scan.plus.energy[rows][plus]), dtype=object) + ","
+        tails[minus] += np.array(fmt.cells(scan.minus.energy[rows][minus]), dtype=object)
         # Cell (i, j) is the line "\n" + "v1[i]," + "v2[j]," + tail.
         pieces = np.empty(tails.shape + (3,), dtype=object)
         pieces[..., 0] = v1_pieces[rows, None]

@@ -14,9 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from qdelta import __version__
+from qdelta import __version__, g17
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.scatter import DeltaPotential, sweep
 from qdelta.singular import KAPPA, region_of, scan_region
@@ -553,8 +554,15 @@ def run_cli_bytes(*args):
     (((-2.0, 1.0), (-2.0, 2.0), 13, 17), {"None", "PlusOnly", "BothBranches"}),
     # a 1e-3-scale box
     (((-1e-3, 1e-3), (-2e-3, 1e-3), 9, 11), {"None", "PlusOnly"}),
+    # 8,190 plus energies in the first block, more than the scan formatter's
+    # workspace of 4,096 cells, and 2,610 in the second
+    (((-2.0, -0.01), (-2.0, -0.01), 120, 90), {"PlusOnly"}),
+    # energies from 6e-302 to 4e-300 and from 3e269 to 4e300: 3-digit exponents
+    (((-2e-150, 1e-150), (-2e-150, 2e-150), 13, 17), {"None", "PlusOnly", "BothBranches"}),
+    (((-2e150, 1e150), (-2e150, 2e150), 13, 17), {"None", "PlusOnly", "BothBranches"}),
 ])
-def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path):
+def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path, capsys,
+                                                     monkeypatch):
     expected = _scan_csv_per_cell(scan_region(*grid))
     assert {line.split(",")[2] for line in expected.splitlines()[1:]} == labels
     proc = run_cli_bytes(*_scan_argv(*grid))
@@ -563,6 +571,36 @@ def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path):
     out = tmp_path / "scan.csv"
     assert run_cli_bytes(*_scan_argv(*grid), f"--out={out}").stdout == b""
     assert out.read_bytes() == proc.stdout
+    # The same bytes with every energy left to CPython by g17's fallback.
+    scaled = g17._scaled
+
+    def near_everywhere(bits, pidx, u, near, off):
+        digits = scaled(bits, pidx, u, near, off)
+        near[:] = True
+        return digits
+
+    monkeypatch.setattr(g17, "_scaled", near_everywhere)
+    assert main(_scan_argv(*grid)) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_scan_formats_exactly_its_feasible_energies_through_g17(monkeypatch, capsys):
+    # The axis values stay f-strings, formatted once each; every feasible
+    # energy, and nothing else, goes through g17.Formatter.
+    grid = ((-9.3, 10.7), (-10.7, 9.3), 250, 250)
+    scan = scan_region(*grid)
+    passed = []
+    text = g17.Formatter.text
+
+    def spy(self, cells):
+        passed.append(np.size(cells))
+        return text(self, cells)
+
+    monkeypatch.setattr(g17.Formatter, "text", spy)
+    assert main(_scan_argv(*grid)) == 0
+    assert capsys.readouterr().out == _scan_csv_per_cell(scan)
+    assert sum(passed) == np.count_nonzero(scan.plus.feasible) + np.count_nonzero(
+        scan.minus.feasible) == 17_798
 
 
 def test_scan_full_size_output_is_pinned():
@@ -704,11 +742,13 @@ def test_physical_sweep_memory_holds_no_matching_temporaries(tmp_path):
 
 
 def test_scan_csv_memory_does_not_grow_with_the_table(tmp_path):
-    # Rendering the whole table before writing it peaked at 4.4 times the bytes.
+    # 2.07 times the bytes written, of which the energies' g17.Formatter
+    # workspace of 4,096 cells is 0.21; rendering the whole table before
+    # writing it peaked at 4.4, and an 8,192-cell workspace at 2.37.
     ratio = _traced_peak_per_byte(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250),
                                   _scan_argv((-1.0, 1.0), (-1.0, 1.0), 3, 3),
                                   tmp_path / "scan.csv")
-    assert ratio < 3.0
+    assert ratio <= 2.2
 
 
 @pytest.mark.parametrize("seed, returncode, digest", [

@@ -1,7 +1,11 @@
 """g17.Formatter against CPython's '%.17g', byte for byte."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +151,21 @@ def test_misjudged_exponents_and_carries_take_the_fast_path(monkeypatch):
     (first, _, first_off), (redo, redo_near, redo_off) = passes
     assert first_off.all() and not (redo_near.any() or redo_off.any())
     assert (redo == 10 ** 17).all()
+
+
+def test_formatter_cells_splits_across_its_workspace():
+    x = np.random.default_rng(5).uniform(-1e3, 1e3, 1000)
+    fmt = g17.Formatter(64, 1)
+    assert fmt.cells(x) == ["%.17g" % v for v in x.tolist()]
+    assert fmt.cells(x[:0]) == [] and fmt.fallbacks == 0
+
+
+def test_check_script_finds_no_mismatch():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "check_g17.py"),
+                           "--count", "50000", "--seed", "1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("50000 random bit patterns (seed 1): 0 mismatches")
