@@ -272,18 +272,13 @@ def _check_finite(res: ScatteringResult) -> None:
                              "off the singularities")
 
 
-def _column_arrays(res: ScatteringResult) -> list[np.ndarray]:
-    """The first 8 CSV_COLUMNS of a sweep; absD is modulus(res.d_value)."""
-    return [res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-            res.big_r, res.big_t]
-
-
-def _columns(res: ScatteringResult) -> list[list[float]]:
-    """The CSV_COLUMNS of a sweep, as lists of Python floats."""
-    return [col.tolist() for col in _column_arrays(res)] + [modulus(res.d_value).tolist()]
-
-
-_CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0\n"
+_CSV_SINGULAR_ROW = "%(E).17g,%(beta).17g,nan,nan,nan,nan,inf,inf,0e0\n"
+# Rows as json.dumps(indent=2) lays them out, each led by a comma; %r is its float text.
+_JSON_ROW, _JSON_SINGULAR_ROW = (
+    ",\n    {\n" + "".join(f'      "{key}": {cell},\n' for key, cell in zip(CSV_COLUMNS, cells))
+    + f'      "at_singularity": {flag}\n    }}'
+    for cells, flag in ((["%r"] * 9, "false"),
+                        (["%(E)r", "%(beta)r", *["null"] * 6, "%(absD)r"], "true")))
 
 # The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
 # per write: one block's strings are freed before the next. A sweep block's
@@ -292,42 +287,47 @@ _CSV_SINGULAR_ROW = "%.17g,%.17g,nan,nan,nan,nan,inf,inf,0e0\n"
 _SWEEP_BLOCK, _SCAN_BLOCK = 512, 8192
 
 
-def rows_to_csv(res: ScatteringResult, out: TextIO) -> None:
-    """Write the sweep CSV to the text stream out, _SWEEP_BLOCK rows at a time,
-    each cell as '%.17g' formats it (g17.Formatter); rows on a singularity get
-    the literal nan/inf/0e0 cells."""
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    fmt = Formatter(_SWEEP_BLOCK, len(CSV_COLUMNS))
+def _sweep_texts(res: ScatteringResult, text, singular_row: str) -> Iterator[str]:
+    """The sweep's rows, _SWEEP_BLOCK at a time: text(cells) of a block's CSV_COLUMNS
+    cells off the singularities, and singular_row % {column: cell} of one on them."""
     cells = np.empty((_SWEEP_BLOCK, len(CSV_COLUMNS)))
     singular = np.flatnonzero(res.at_singularity).tolist()
     for start in range(0, res.energy.size, _SWEEP_BLOCK):
         rows = slice(start, min(start + _SWEEP_BLOCK, res.energy.size))
         block = cells[:rows.stop - start]
-        for j, col in enumerate(_column_arrays(res)):
+        for j, col in enumerate((res.energy, res.beta, res.r.real, res.r.imag, res.t.real,
+                                 res.t.imag, res.big_r, res.big_t)):
             block[:, j] = col[rows]
         modulus(res.d_value[rows], out=block[:, -1])
         first = 0
         for i in singular[bisect.bisect_left(singular, start):
                           bisect.bisect_left(singular, rows.stop)]:
-            out.write(fmt.text(block[first:i - start]))
-            out.write(_CSV_SINGULAR_ROW % (res.energy[i], res.beta[i]))
+            yield text(block[first:i - start])
+            yield singular_row % dict(zip(CSV_COLUMNS, block[i - start].tolist()))
             first = i - start + 1
-        out.write(fmt.text(block[first:]))
+        yield text(block[first:])
 
 
-def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Namespace) -> str:
-    out_rows = [
-        {**{key: _num_or_none(x) for key, x in zip(CSV_COLUMNS, cells)},
-         "at_singularity": singular}
-        for cells, singular in zip(zip(*_columns(res)), res.at_singularity.tolist())]
-    doc = {
-        "model": args.model,
-        "potential": {"v1": p.v1, "v2": p.v2, "cap_v2": p.cap_v2,
-                      "cap_v3": p.cap_v3, "g_squared": p.g_squared},
-        "grid": {"e_min": args.emin, "e_max": args.emax, "steps": args.steps},
-        "rows": out_rows,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def rows_to_csv(res: ScatteringResult, out: TextIO) -> None:
+    """Write the sweep CSV to the text stream out, each cell as '%.17g' formats
+    it (g17.Formatter); rows on a singularity get the literal nan/inf/0e0 cells."""
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    out.writelines(_sweep_texts(res, Formatter(_SWEEP_BLOCK, len(CSV_COLUMNS)).text,
+                                _CSV_SINGULAR_ROW))
+
+
+def _rows_to_json(res: ScatteringResult, p: DeltaPotential, args: argparse.Namespace,
+                  out: TextIO) -> None:
+    """Write the sweep JSON to the text stream out, the bytes json.dumps(indent=2)
+    gives the whole document; _check_finite left no nan or inf off the singularities."""
+    head = json.dumps({"model": args.model, "potential": {**vars(p), "g_squared": p.g_squared},
+                       "grid": {"e_min": args.emin, "e_max": args.emax, "steps": args.steps}},
+                      indent=2, allow_nan=False)
+    texts = _sweep_texts(res, lambda cells: "".join(
+        [_JSON_ROW % row for row in map(tuple, cells.tolist())]), _JSON_SINGULAR_ROW)
+    out.write(head[:-2] + ',\n  "rows": [' + next(filter(None, texts))[1:])  # row 0: no comma
+    out.writelines(texts)
+    out.write("\n  ]\n}\n")
 
 
 def run_sweep(args: argparse.Namespace) -> int:
@@ -336,10 +336,10 @@ def run_sweep(args: argparse.Namespace) -> int:
     res = (sweep(p, args.emin, args.emax, args.steps) if args.model == "closed-form" else
            matching_solver(p, energy_grid(args.emin, args.emax, args.steps), MatchMode.CONJUGATE))
     _check_finite(res)
-    if args.format == "json":
-        _write_text(args.out, _rows_to_json(res, p, args))
-    else:
-        with _output(args.out) as out:
+    with _output(args.out) as out:
+        if args.format == "json":
+            _rows_to_json(res, p, args, out)
+        else:
             rows_to_csv(res, out)
     return EXIT_OK
 

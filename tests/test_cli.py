@@ -19,7 +19,9 @@ import pytest
 
 from qdelta import __version__, g17
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
-from qdelta.scatter import DeltaPotential, sweep
+from qdelta.oracle import MatchMode, matching_solver
+from qdelta.qalg import modulus
+from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep
 from qdelta.singular import KAPPA, region_of, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
@@ -107,7 +109,7 @@ def test_sweep_singular_row_tokens():
         assert row[8] == "0e0"
 
 
-def test_sweep_json_format():
+def test_sweep_json_format(capsys):
     proc = run_cli("sweep", "--v1", "1", "--v2", "0", "--g2", "1",
                    "--emin", "0.5", "--emax", "1.5", "--steps", "3",
                    "--format", "json")
@@ -119,6 +121,22 @@ def test_sweep_json_format():
     first = doc["rows"][0]
     assert first["E"] == 0.5 and not first["at_singularity"]
     assert first["R"] + first["T"] == pytest.approx(1.0, abs=1e-12)
+    # A row on the singularity, just above E = 2: r, t, R and T are null there
+    # and absD is the real |D|, where the CSV prints 0e0.
+    argv = ["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=2.000000000000001",
+            "--emax=3", "--steps=3"]
+    assert main([*argv, "--format=json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["at_singularity"] for row in rows] == [True, False, False]
+    singular = rows[0]
+    assert [singular[key] for key in ("re_r", "im_r", "re_t", "im_t", "R", "T")] == [None] * 6
+    absd = abs(denominator(DeltaPotential.from_g_squared(-0.5, 3.0, 3.75), singular["beta"]))
+    assert singular["absD"] == absd and 0.0 < absd < 1e-10
+    assert all(None not in row.values() for row in rows[1:])
+    assert main(argv) == 0
+    cells = capsys.readouterr().out.splitlines()[1].split(",")
+    assert [float(cell) for cell in cells[:2]] == [singular["E"], singular["beta"]]
+    assert cells[2:] == ["nan", "nan", "nan", "nan", "inf", "inf", "0e0"]
 
 
 def test_sweep_physical_model_matches_closed_form_for_real_strength():
@@ -708,6 +726,76 @@ def test_csv_bytes_across_block_edges_are_pinned(argv, singular_row, digest, cap
     assert out.read_bytes() == text.encode()
 
 
+def _sweep_json_per_row(argv: list[str]) -> str:
+    """The sweep JSON of argv built as a whole document: one dict per row, null
+    for each non-finite cell, and json.dumps(indent=2) of the lot."""
+    args = build_parser().parse_args(argv)
+    p = (DeltaPotential.from_g_squared(args.v1, args.v2, args.g2) if args.g2 is not None else
+         DeltaPotential(args.v1, args.v2, args.cap_v2, args.cap_v3 or 0.0))
+    res = (sweep(p, args.emin, args.emax, args.steps) if args.model == "closed-form" else
+           matching_solver(p, energy_grid(args.emin, args.emax, args.steps),
+                           MatchMode.CONJUGATE))
+    columns = [res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
+               res.big_r, res.big_t, modulus(res.d_value)]
+    rows = [{**{key: x if math.isfinite(x) else None for key, x in zip(HEADER.split(","), cells)},
+             "at_singularity": singular}
+            for cells, singular in zip(zip(*(col.tolist() for col in columns)),
+                                       res.at_singularity.tolist())]
+    doc = {"model": args.model,
+           "potential": {"v1": p.v1, "v2": p.v2, "cap_v2": p.cap_v2, "cap_v3": p.cap_v3,
+                         "g_squared": p.g_squared},
+           "grid": {"e_min": args.emin, "e_max": args.emax, "steps": args.steps},
+           "rows": rows}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_PHYSICAL_REF = ("--model=physical", "--v1=-1", "--v2=2", "--g2=4")
+_TINY_REF = ("--v1=-5e-151", "--v2=3e-150", "--g2=3.75e-300", "--emin=5e-302", "--emax=4e-300")
+_HUGE_REF = ("--v1=-5e149", "--v2=3e150", "--g2=3.75e300", "--emin=5e298", "--emax=4e300")
+
+
+# The JSON rows are written in the CSV's 512-row blocks, so these cover steps
+# around one and two blocks, a singular row first, last and on nodes 511-513,
+# signed zeros, and strengths near 1e-150 (every row singular: the floor of
+# scatter's singular test is absolute) and 1e150. singular_rows is None where
+# the rows are not placed by hand.
+@pytest.mark.parametrize("argv, singular_rows", [
+    *(((*model, *_REF_GRID, f"--steps={n}"), None)
+      for model in ((), ("--model=physical",)) for n in (2, 511, 512, 513, 1025)),
+    (("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=2", "--emax=4", "--steps=3"), [0]),
+    (("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05", "--emax=2", "--steps=513"), [512]),
+    *((("--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=0.05", f"--emax={emax}", "--steps=1025"),
+       [node]) for node, emax in ((511, 3.9576320939334635), (512, 3.9499999999999997),
+                                  (513, 3.9423976608187132))),
+    ((*_PHYSICAL_REF, "--emin=4.5", "--emax=8", "--steps=512"), [0]),
+    ((*_PHYSICAL_REF, "--emin=0.05", "--emax=4.5", "--steps=511"), [510]),
+    *(((*_PHYSICAL_REF, "--emin=0.05", f"--emax={emax}", "--steps=1025"), [node])
+      for node, emax in ((511, 8.967416829745599), (512, 8.950000000000001),
+                         (513, 8.932651072124758))),
+    *(((*model, *zeros, "--emin=1", "--emax=2", "--steps=5"), [])
+      for model in ((), ("--model=physical",))
+      for zeros in (("--v1=-0.0", "--v2=-0.0", "--V2=-0.0", "--V3=-0.0"),
+                    ("--v1=-0.0", "--v2=3", "--g2=-0.0"))),
+    *(((*model, *ref, "--steps=513"), None)
+      for model in ((), ("--model=physical",)) for ref in (_TINY_REF, _HUGE_REF)),
+    (("--v1=-5e149", "--v2=3e150", "--g2=3.75e300", "--emin=2e300", "--emax=4e300",
+      "--steps=3"), [0]),
+])
+def test_sweep_json_bytes_equal_the_whole_document_rendering(argv, singular_rows, capsys,
+                                                              tmp_path):
+    argv = ["sweep", *argv, "--format=json"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == _sweep_json_per_row(argv)
+    if singular_rows is not None:
+        rows = json.loads(text)["rows"]
+        assert [i for i, row in enumerate(rows) if row["at_singularity"]] == singular_rows
+    out = tmp_path / "sweep.json"
+    assert main([*argv, f"--out={out}"]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == text.encode()
+
+
 def _traced_peak_per_byte(argv: list[str], warm_up: list[str], out: Path) -> float:
     """The traced peak allocation of an in-process command writing to out, over
     the bytes it wrote; a small command of the same kind runs first, so lazy
@@ -730,6 +818,16 @@ def test_sweep_csv_memory_does_not_grow_with_the_table(tmp_path):
     ratio = _traced_peak_per_byte(["sweep", *_REF_GRID, "--steps=50000"],
                                   ["sweep", *_REF_GRID, "--steps=3"], tmp_path / "sweep.csv")
     assert ratio <= 1.0
+
+
+def test_sweep_json_memory_does_not_grow_with_the_table(tmp_path):
+    # The JSON rows go through the CSV's 512-row blocks, so the peak is the
+    # sweep's own arrays, 0.48 times the bytes written; one dict per row and
+    # json.dumps of the whole document peaked at 7.75 times them.
+    argv = ["sweep", *_REF_GRID, "--format=json"]
+    ratio = _traced_peak_per_byte([*argv, "--steps=50000"], [*argv, "--steps=3"],
+                                  tmp_path / "sweep.json")
+    assert ratio <= 0.6
 
 
 def test_physical_sweep_memory_holds_no_matching_temporaries(tmp_path):

@@ -123,10 +123,11 @@ def test_traced_functions_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("name", ["rows_to_csv", "scan_to_csv"])
+@pytest.mark.parametrize("name", ["rows_to_csv", "scan_to_csv", "_rows_to_json"])
 def test_csv_writers_are_not_generators(name):
     # A generator returns before it formats a row, so the traced span of
-    # cli.rows_to_csv would time nothing and its caller would take the time.
+    # cli.rows_to_csv would time nothing and its caller would take the time;
+    # the JSON sweep writer shares its row walker and writes as eagerly.
     from qdelta import cli
     assert not inspect.isgeneratorfunction(getattr(cli, name))
 
@@ -148,6 +149,8 @@ print(code, "numpy.random" in sys.modules, file=sys.stderr)
     (["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3"], False),
     (["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--out={tmp}/curves.svg"], False),
     (["verify", "--trials=20"], True),
+    (["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3",
+      "--format=json"], False),
 ])
 def test_only_verify_loads_numpy_random(argv, loads, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_RANDOM,
