@@ -7,7 +7,9 @@ Draws N uniformly random 64-bit patterns (default 10^7) from numpy's PCG64
 seeded with S, formats them with Formatter.cells, 4,608 cells a block, and
 prints the cells whose text differs from CPython's, the first few of them,
 and the share of cells the kernel left to CPython: zeros, subnormals,
-infinities, nans, and fractions within 2^-7 of 1/2. Exits 1 if any cell
+infinities, nans, scaled values whose fraction lies within 2^-7 of 1/2, and
+those whose integer part lies outside [10^16, 10^17 - 1), where the decimal
+exponent was one off or the 17 digits could round up. Exits 1 if any cell
 differs. 10^7 cells take about 8 s on a 2-core machine, most of it CPython's
 side.
 """

@@ -351,7 +351,7 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
     absd = abs(denominator(DeltaPotential.from_g_squared(v1, v2, sol.g_squared), sol.beta))
     if not math.isfinite(absd):
         raise NumericalError(f"the |D| of the {sol.branch.value} branch overflows")
-    *_, found, value, mult = branch_roots(v1, v2, sol.g_squared, sol.beta)
+    *_, found, value, mult = branch_roots(v1, v2, sol)
     found.require(0)
     return {"abs_denominator": absd, "double_root_beta": value.item() if mult else None,
             "double_root_multiplicity": mult.item() or None}
@@ -484,6 +484,8 @@ def run_plot(args: argparse.Namespace) -> int:
     _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)
     _check_finite(res)
+    # The markers are the pair's closed-form branches, decided at unit scale.
+    _require_unit_scale(args.v1, args.v2)
     markers = [sol.energy for sol in ss_closed_form(args.v1, args.v2)
                if sol.feasible and args.emin <= sol.energy <= args.emax]
     title = (f"v1={p.v1:g} v2={p.v2:g} g2={p.g_squared:.6g}")

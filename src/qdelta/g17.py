@@ -15,9 +15,9 @@ part and 64 bits of its fraction are two shifts of it. c_p's relative error
 of at most 2^-64 moves V by at most 10^17 2^-64 < 0.0055 of a unit of the
 17th digit, so V rounds exactly as |x| 10^(16-X) does unless its fraction
 lies within 2^-7 of 1/2. Those cells, about 1.6 % of them and every exact tie
-among them, and the zeros, subnormals, infinities and nans, go to CPython's
-'%.17g'. A cell whose 17 digits fall outside [10^16, 10^17), where X was one
-off or the rounding carried into an 18th digit, is redone with X + 1 or X - 1.
+among them, go to CPython's '%.17g', as do the cells whose V's integer part
+lies outside [10^16, 10^17 - 1): there X was one off, or the 17 digits could
+round up to 10^17. So do the zeros, subnormals, infinities and nans.
 
 Each cell's text goes into one 32-byte record that has a place for every
 character C's %g can print, and a mask zeroes the bytes the cell does not use:
@@ -154,7 +154,7 @@ def _scaled(bits: np.ndarray, pidx: np.ndarray, u: np.ndarray, near: np.ndarray,
     """V = |x| 10^p rounded to an integer, for the normal floats x whose bits
     are given and p at index pidx of the power table. near is set where V's
     fraction lies within 2^-7 of 1/2, and off where its integer part lies
-    outside [10^16, 10^17); u is scratch of 9 rows."""
+    outside [10^16, 10^17 - 1); u is scratch of 9 rows."""
     sig, shift = _tables()[:2]
     f, c, a, b, ll, hi, lo, t, d = u
     np.left_shift(bits, 11, out=f)
@@ -190,7 +190,7 @@ def _scaled(bits: np.ndarray, pidx: np.ndarray, u: np.ndarray, near: np.ndarray,
     t -= a
     np.right_shift(hi, t, out=d)                 # V's integer part
     np.subtract(d, np.uint64(10 ** 16), out=a)
-    np.greater_equal(a, np.uint64(9 * 10 ** 16), out=off)
+    np.greater_equal(a, np.uint64(9 * 10 ** 16 - 1), out=off)
     np.subtract(64, t, out=a)
     hi <<= a
     lo >>= t
@@ -227,9 +227,6 @@ class Formatter:
         (m, cols) with m at most rows, each followed by its separator."""
         x = np.ascontiguousarray(cells, dtype=np.float64).reshape(-1)
         n = x.size
-        if n == 0:
-            self.fallbacks = 0
-            return ""
         bits = x.view(np.uint64)
         u = self._u[:, :n]
         fallback, near, off = self._flags[:, :n]
@@ -249,23 +246,7 @@ class Formatter:
         np.subtract(16 - _P_MIN, xi, out=pidx)
         digits = _scaled(bits, pidx, u, near, off)
         fallback |= near
-        # Redo, with X one up or down, the cells whose V left [10^16, 10^17).
-        np.greater(off, fallback, out=off)
-        if off.any():
-            cells = np.flatnonzero(off)
-            # V < 10^16 rounds to at most 10^16, and V >= 10^17 to at least 10^17.
-            step = np.where(digits[cells] <= np.uint64(10 ** 16), -1, 1)
-            xi[cells] += step
-            redo_near, redo_off = np.empty((2, cells.size), dtype=bool)
-            digits[cells] = _scaled(bits[cells], pidx[cells] - step,
-                                    np.empty((9, cells.size), dtype=np.uint64),
-                                    redo_near, redo_off)
-            fallback[cells] = redo_near | redo_off
-        # V rounded up to 10^17 is 10^16 at the next X.
-        np.equal(digits, np.uint64(10 ** 17), out=off)
-        if off.any():
-            digits[off] = 10 ** 16
-            xi[off] += 1
+        fallback |= off
         return self._render(x, digits, xi, pidx, fallback)
 
     def cells(self, values: np.ndarray) -> list[str]:
@@ -347,8 +328,8 @@ class Formatter:
             while cell >= 0:
                 rec8[32 * cell:32 * cell + 31] = (b"%.17g" % values[cell]).ljust(31, b"\0")
                 cell = flags.find(1, cell + 1)
-        # The records less their zero bytes. No step but the rare redo makes a
-        # numpy array per block: numpy keeps freed ones below 1 KiB for reuse,
-        # and those, left where freed blocks of stdout's growing buffer were,
-        # split that memory for the next command's.
+        # The records less their zero bytes. No step makes a numpy array per
+        # block: numpy keeps freed ones below 1 KiB for reuse, and those, left
+        # where freed blocks of stdout's growing buffer were, split that memory
+        # for the next command's.
         return rec.tobytes().translate(None, b"\0").decode("ascii")

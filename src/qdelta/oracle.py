@@ -21,7 +21,7 @@ import numpy as np
 from .qalg import as_complex, cmul, cprod, maximum, modulus, power
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
-from .singular import QuarticCoeffs, quartic_coeffs, unit_scale
+from .singular import QuarticCoeffs, SSBranchSolution, quartic_coeffs, unit_scale
 
 
 class NumericalError(RuntimeError):
@@ -147,20 +147,22 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     return RootArrays(z, tags, _reconstructs(z, coeffs))
 
 
-def branch_roots(v1, v2, g2, beta) -> tuple[DeltaPotential, QuarticCoeffs, RootArrays,
-                                           np.ndarray, np.ndarray]:
-    """Per singularity branch (v1, v2, g^2) over the broadcast inputs, flattened
-    to rows: its potential scaled by 2^-k, with k and 2^-k v from unit_scale
-    and g^2 -> 4^-k g^2, that potential's quartic and roots, and the
+def branch_roots(v1, v2, sol: SSBranchSolution) -> tuple[DeltaPotential, QuarticCoeffs,
+                                                        RootArrays, np.ndarray, np.ndarray]:
+    """For the singularity branch sol of (v1, v2), over the broadcast inputs
+    flattened to rows: its potential scaled by 2^-k, with k and 2^-k v from
+    unit_scale and g^2 -> 4^-k g^2, that potential's quartic and roots, and the
     value, scaled back, and multiplicity of the real double root near 2^-k beta
     (nan and 0 where there is none). The model is homogeneous and the scaling
     exact, so the oracle's tolerances see every scale as the unit one.
     """
     k, v1, v2 = unit_scale(v1, v2)
+    # An infeasible branch takes g^2 = 1; no caller reads its row.
+    g2 = np.where(sol.feasible, sol.g_squared, 1.0)
     pot = DeltaPotential(v1, v2, np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
     coeffs = quartic_coeffs(pot)
     found = quartic_roots(coeffs)
-    beta, k, _ = np.broadcast_arrays(np.ldexp(beta, -k), k, coeffs.e)
+    beta, k, _ = np.broadcast_arrays(np.ldexp(sol.beta, -k), k, coeffs.e)
     value, mult = found.double_root(beta.ravel())
     return pot, coeffs, found, np.ldexp(value, k.ravel()), mult
 

@@ -348,9 +348,7 @@ def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckR
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
     def double_roots(start, v1, v2):
         plus, _ = ss_branches(v1, v2)
-        # An infeasible branch takes g^2 = 1; no check reads its row.
-        pot, coeffs, found, _, mult = oracle.branch_roots(
-            v1, v2, np.where(plus.feasible, plus.g_squared, 1.0), plus.beta)
+        pot, coeffs, found, _, mult = oracle.branch_roots(v1, v2, plus)
         a_factor, _, _ = discriminant_factored(pot)
         a_large = a_factor > 1e-8 * np.maximum(1.0, power(pot.g_squared, 4.0))
         # numpy compares a bare str member as a string, unequal to every verdict.
@@ -519,18 +517,12 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
         )
 
     def branch_betas(start, v1, v2):
-        sols = ss_branches(v1, v2)
-        # Rows are (branch, draw); an infeasible branch takes g^2 = 1.
-        *_, found, _, mult = oracle.branch_roots(
-            v1, v2, np.where([s.feasible for s in sols], [s.g_squared for s in sols], 1.0),
-            [s.beta for s in sols])
         checks = []
-        for offset, sol in zip((0, len(v1)), sols):
-            rows = slice(offset, offset + len(v1))
+        for sol in ss_branches(v1, v2):
+            *_, found, _, mult = oracle.branch_roots(v1, v2, sol)
             checks += [
-                (sol.feasible & ~found.reconstructs[rows],
-                 lambda n, k=offset: found.require(k + n)),
-                (sol.feasible & (mult[rows] == 0),
+                (sol.feasible & ~found.reconstructs, found.require),   # raises NumericalError
+                (sol.feasible & (mult == 0),
                  lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
                                     f"at {_pair_at(v1, v2, n)}"),
             ]

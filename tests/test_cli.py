@@ -230,6 +230,9 @@ _SCALE_GAP = ("differ too much in scale: scaled to unit size, the smaller falls 
      "the strengths at the cell (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
     (["plot", "--v1=-1e150", "--v2=-1e-180", "--branch=plus"],
      "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
+    # The markers are the pair's branches: the exact plus branch has E+ = 5e19.
+    (["plot", "--v1=-1e10", "--v2=-1e-320", "--g2=1", "--emin=1", "--emax=1e20", "--steps=50"],
+     "the strengths (v1, v2) = (-10000000000, -9.9998886718268301e-321) "),
 ])
 def test_strengths_too_far_apart_in_scale_exit_3(argv, failure, capsys, tmp_path):
     # Scaled to unit size, the smaller strength would be a subnormal, and the

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,24 +134,52 @@ def _carries() -> list[float]:
     return found
 
 
-def test_misjudged_exponents_and_carries_take_the_fast_path(monkeypatch):
-    # The double 1e-305 lies just below 10^-305: floor(log10 x) gives X = -305,
-    # one too high; redone at X = -306, its 17 digits round up to 10^17.
+def test_misjudged_exponents_and_carries_go_to_cpython():
+    # The double 1e-305 lies just below 10^-305 and its 17 digits round up to
+    # it. 1e23 lies below 10^23 too, but floor(log10 x) gives X = 23, one too
+    # high, so its V falls below 10^16.
     carries = _carries()
     assert len(carries) == 14 and "%.17g" % carries[0] == "1e-305"
-    passes = []
-    scaled = g17._scaled
-
-    def record(bits, pidx, u, near, off):
-        digits = scaled(bits, pidx, u, near, off)
-        passes.append((digits.copy(), near.copy(), off.copy()))
-        return digits
-
-    monkeypatch.setattr(g17, "_scaled", record)
+    misjudged = [1e23, 99.99999999999999, 0.09999999999999999]
+    assert [math.floor(math.log10(x)) for x in misjudged] == [23, 2, -1]
+    for x in carries + misjudged:
+        fmt = g17.Formatter(1, 1)
+        assert (fmt.text(np.array([[x]])), fmt.fallbacks) == ("%.17g\n" % x, 1), x
     _assert_exact(carries)
-    (first, _, first_off), (redo, redo_near, redo_off) = passes
-    assert first_off.all() and not (redo_near.any() or redo_off.any())
-    assert (redo == 10 ** 17).all()
+
+
+def test_an_empty_block_is_no_text_and_no_fallbacks():
+    fmt = g17.Formatter(4, 2)
+    assert (fmt.text(np.array([[0.0, math.nan]])), fmt.fallbacks) == ("0,nan\n", 2)
+    assert (fmt.text(np.empty((0, 2))), fmt.fallbacks) == ("", 0)
+
+
+def test_every_row_of_the_mask_table():
+    # Per row (layout of X, digit count k), the first of 500 seeded k-digit
+    # decimals m 10^(X-k+1) whose '%.17g' text has that layout and k digits up
+    # to the last nonzero one, and that the integer kernel formats itself.
+    rng = np.random.default_rng(11)
+    exponents = {21: [*range(-99, -4), *range(17, 100)],
+                 22: [*range(-300, -99), *range(100, 301)]}
+    fmt = g17.Formatter(1, 1)
+    found = {}
+    for category in range(23):
+        for k in range(1, 18):
+            for _ in range(500):
+                x = (int(rng.choice(exponents[category])) if category in exponents
+                     else category - 4)
+                m = int(rng.integers(10 ** (k - 1), 10 ** k)) // 10 * 10 + int(rng.integers(1, 10))
+                value = float(f"{rng.choice(['', '-'])}{m}e{x - k + 1}")
+                text = Decimal("%.17g" % value)
+                digits = "".join(map(str, text.as_tuple().digits)).rstrip("0")
+                if (g17._category(text.adjusted()), len(digits)) != (category, k):
+                    continue
+                fmt.text(np.array([[value]]))
+                if fmt.fallbacks == 0:
+                    found[category, k] = value
+                    break
+    assert len(found) == 23 * 17 == g17._tables()[3].shape[0]
+    _assert_exact(list(found.values()))
 
 
 def test_formatter_cells_splits_across_its_workspace():

@@ -2,7 +2,8 @@
 the exact sums may live, that the branch verdicts keep no guard floors, that
 the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
-threshold, that the CLI builds no quartic of its own, that the benchmark's
+threshold, that the CLI builds no quartic of its own, that g17 makes no numpy
+array per block, that the benchmark's
 traced functions exist and the CSV writers do their work when called, which
 commands load numpy.random, and that the package and its metadata agree on
 the version."""
@@ -112,6 +113,22 @@ def test_cli_builds_no_quartic():
     # The ss confirmation takes its quartic and roots from oracle.branch_roots.
     text = (ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8")
     assert "quartic_roots" not in text and "quartic_coeffs" not in text
+
+
+def test_g17_makes_no_array_per_block():
+    # A numpy array made per block is kept for reuse where freed blocks of
+    # stdout's growing buffer were, and splits that memory for the next
+    # command's; Formatter.__init__ makes the workspace every block reuses.
+    tree = ast.parse((ROOT / "src" / "qdelta" / "g17.py").read_text(encoding="utf-8"))
+    formatter = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "Formatter")
+    funcs = [node for node in tree.body + formatter.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("text", "_render", "_scaled")]
+    assert len(funcs) == 3
+    found = [f"{func.name}:{node.lineno}" for func in funcs for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+             and node.attr in ("empty", "zeros", "where", "flatnonzero", "concatenate")]
+    assert found == []
 
 
 def test_traced_functions_resolve():
