@@ -9,7 +9,7 @@ and one SVG per branch into the output directory.
 import argparse
 from pathlib import Path
 
-from qdelta.cli import rows_to_csv, ss_report
+from qdelta.cli import _output, rows_to_csv, ss_report
 from qdelta.oracle import minimize_dsq, potential_from_ss_pairs
 from qdelta.scatter import DeltaPotential, sweep
 from qdelta.singular import classify_region, ss_closed_form
@@ -48,17 +48,16 @@ def main() -> None:
 
         res = sweep(pot, args.emin, args.emax, args.steps)
         csv_path = outdir / f"curves_{sol.branch.value}.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        with _output(csv_path) as fh:
             rows_to_csv(res, fh)
         markers = [s.energy for s in (plus, minus)
                    if s.feasible and args.emin <= s.energy <= args.emax]
         svg_path = outdir / f"curves_{sol.branch.value}.svg"
-        svg_path.write_text(
-            render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
-                              res.big_t.tolist(), markers,
-                              f"v1={v1:g} v2={v2:g} g2={sol.g_squared:.6g} "
-                              f"({sol.branch.value} branch)"),
-            encoding="utf-8", newline="")
+        with _output(svg_path) as fh:
+            fh.write(render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
+                                       res.big_t.tolist(), markers,
+                                       f"v1={v1:g} v2={v2:g} g2={sol.g_squared:.6g} "
+                                       f"({sol.branch.value} branch)"))
         print(f"       wrote {csv_path} and {svg_path}")
 
 

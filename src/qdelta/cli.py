@@ -14,7 +14,9 @@ import contextlib
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from typing import Iterator, TextIO
 
@@ -246,13 +248,22 @@ def _check_grid(args: argparse.Namespace) -> None:
 
 
 @contextlib.contextmanager
-def _output(path: str | None) -> Iterator[TextIO]:
-    """The text stream a command writes to: stdout, or the file at path."""
+def _output(path: str | os.PathLike | None) -> Iterator[TextIO]:
+    """The text stream a command writes to: stdout, or the file at path,
+    overwritten in place and cut to the bytes written, also if the command
+    raises (O_TRUNC would first free every block, slow where freed blocks are
+    discarded). Devices and FIFOs are not cut."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8", newline="") as fh:
+        try:
             yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), fh.tell())
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -484,10 +495,13 @@ def run_plot(args: argparse.Namespace) -> int:
     _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)
     _check_finite(res)
-    # The markers are the pair's closed-form branches, decided at unit scale.
+    # The markers are the pair's closed-form branches, decided at unit scale;
+    # a feasible one out of the normal range fails as in ss.
     _require_unit_scale(args.v1, args.v2)
-    markers = [sol.energy for sol in ss_closed_form(args.v1, args.v2)
-               if sol.feasible and args.emin <= sol.energy <= args.emax]
+    feasible = [sol for sol in ss_closed_form(args.v1, args.v2) if sol.feasible]
+    for sol in feasible:
+        _require_normal(sol)
+    markers = [sol.energy for sol in feasible if args.emin <= sol.energy <= args.emax]
     title = (f"v1={p.v1:g} v2={p.v2:g} g2={p.g_squared:.6g}")
     svg = render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
                             res.big_t.tolist(), markers, title)

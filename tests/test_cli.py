@@ -17,9 +17,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qdelta import __version__, g17
+from qdelta import __version__, cli, g17
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
-from qdelta.oracle import MatchMode, matching_solver
+from qdelta.oracle import MatchMode, NumericalError, matching_solver
 from qdelta.qalg import modulus
 from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep
 from qdelta.singular import KAPPA, region_of, scan_region
@@ -339,13 +339,17 @@ def test_ss_out_of_range_prints_only_the_failure(pair, failure, extra):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"numerical failure: {failure}\n")
 
 
-@pytest.mark.parametrize("pair", [("--v1=-1e-200", "--v2=-2e-200"), ("--v1=-1e-160", "--v2=-1")],
-                         ids=["zero", "subnormal"])
-def test_plot_of_an_underflowing_branch_prints_only_the_failure(pair, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("--v1=-1e-200", "--v2=-2e-200", "--branch=plus"),
+    ("--v1=-1e-160", "--v2=-1", "--branch=plus"),
+    # The plus branch is no curve here, only a marker, at E+ = 2e-320.
+    ("--v1=-1e-160", "--v2=-1", "--g2=1", "--emin=1e-320", "--emax=1", "--steps=50"),
+], ids=["zero", "subnormal", "subnormal-marker"])
+def test_plot_of_an_underflowing_branch_prints_only_the_failure(argv, tmp_path):
     # ss reports the same branch as a numerical failure; plot must not draw
-    # the potential with g^2 = 0 or at a subnormal energy.
+    # the potential with g^2 = 0 or at a subnormal energy, nor mark it there.
     out = tmp_path / "curves.svg"
-    proc = run_cli("plot", *pair, "--branch=plus", f"--out={out}")
+    proc = run_cli("plot", *argv, f"--out={out}")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "numerical failure: the closed forms of the plus branch underflow\n")
     assert not out.exists()
@@ -931,11 +935,87 @@ def test_plot_deterministic_bytes(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_io_failure_exit_1(tmp_path):
+def test_io_failure_exit_1(tmp_path, capsys):
     proc = run_cli("sweep", "--v1", "0", "--v2", "0", "--g2", "0",
                    "--emin", "1", "--emax", "2", "--steps", "2",
                    "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv"))
     assert proc.returncode == 1
+    # A directory cannot be opened for writing.
+    assert main(["ss", "--v1=-0.5", "--v2=3", f"--out={tmp_path}"]) == 1
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+# Every command's --out goes through cli._output; a plot writes only there.
+_OUT_COMMANDS = {
+    "sweep-csv": ["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=3",
+                  "--steps=1200"],
+    "sweep-json": ["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=3",
+                   "--steps=600", "--format=json"],
+    "scan": ["scan", "--v1-min=-1", "--v1-max=1", "--v2-min=-1", "--v2-max=1", "--n1=40",
+             "--n2=30"],
+    "ss-text": ["ss", "--v1=-0.5", "--v2=3"],
+    "ss-json": ["ss", "--v1=-0.5", "--v2=3", "--json"],
+    "verify": ["verify", "--seed=1", "--trials=50"],
+    "plot": ["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--steps=300"],
+}
+
+
+def _fresh_output(argv, path, capsys):
+    """The bytes a command prints to stdout, or, for plot, writes to a fresh path."""
+    if argv[0] == "plot":
+        assert main([*argv, f"--out={path}"]) == 0
+        capsys.readouterr()
+        return path.read_bytes()
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("target", ["missing", "longer", "shorter"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_overwrites_an_existing_file_in_place(command, target, tmp_path, capsys,
+                                                  monkeypatch):
+    # An existing file is written from its start and cut to the bytes written,
+    # never truncated on open (O_TRUNC frees all its disk blocks first).
+    argv = _OUT_COMMANDS[command]
+    want = _fresh_output(argv, tmp_path / "fresh", capsys)
+    out = tmp_path / "out"
+    if target != "missing":
+        size = 2 * len(want) + 5000 if target == "longer" else len(want) // 2
+        out.write_bytes((b"junk\xff\n" * size)[:size])
+        inode = out.stat().st_ino
+    flags = []
+    os_open = os.open
+
+    def spy(path, flag, *rest):
+        flags.append(flag)
+        return os_open(path, flag, *rest)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main([*argv, f"--out={out}"]) == 0
+    monkeypatch.undo()
+    assert capsys.readouterr().out == (want.decode() if command == "verify" else "")
+    assert out.read_bytes() == want
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    if target != "missing":
+        assert out.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_to_dev_null(command):
+    assert main([*_OUT_COMMANDS[command], "--out=/dev/null"]) == 0
+
+
+def test_a_writer_that_raises_leaves_exactly_its_partial_text(tmp_path, capsys, monkeypatch):
+    def rows_to_csv(res, out):
+        out.write("E,beta\n1,")
+        raise NumericalError("stopped partway")
+
+    monkeypatch.setattr(cli, "rows_to_csv", rows_to_csv)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"old text, longer than the partial one\n" * 1000)
+    assert main([*_OUT_COMMANDS["sweep-csv"], f"--out={out}"]) == 3
+    assert capsys.readouterr() == ("", "numerical failure: stopped partway\n")
+    assert out.read_bytes() == b"E,beta\n1,"
 
 
 def test_main_callable_in_process(capsys):

@@ -3,10 +3,10 @@ the exact sums may live, that the branch verdicts keep no guard floors, that
 the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
 threshold, that the CLI builds no quartic of its own, that g17 makes no numpy
-array per block, that the benchmark's
-traced functions exist and the CSV writers do their work when called, which
-commands load numpy.random, and that the package and its metadata agree on
-the version."""
+array per block, that every file is written through cli._output, that the
+benchmark's traced functions exist and the CSV writers do their work when
+called, which commands load numpy.random, and that the package and its
+metadata agree on the version."""
 
 import ast
 import importlib
@@ -129,6 +129,26 @@ def test_g17_makes_no_array_per_block():
              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
              and node.attr in ("empty", "zeros", "where", "flatnonzero", "concatenate")]
     assert found == []
+
+
+def _file_opens(tree: ast.AST) -> list:
+    """The calls of open, os.open, Path.open and Path.write_text/write_bytes."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "open"
+                 or getattr(node.func, "attr", None) in ("open", "write_text", "write_bytes"))]
+
+
+def test_every_file_is_written_through_cli_output():
+    # cli._output overwrites a file in place, without O_TRUNC; a second way
+    # to open a file would free the old file's disk blocks again.
+    tree = ast.parse((ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8"))
+    output = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_output")
+    assert [ast.unparse(call.func) for call in _file_opens(output)] == ["open", "os.open"]
+    calls = [f"{path.name}:{call.lineno}"
+             for path in SOURCES + sorted((ROOT / "scripts").glob("*.py"))
+             for call in _file_opens(ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == [f"cli.py:{call.lineno}" for call in _file_opens(output)]
 
 
 def test_traced_functions_resolve():
