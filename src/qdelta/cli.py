@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__, verify
 from .g17 import Formatter
 from .oracle import MatchMode, NumericalError, branch_roots, matching_solver
-from .qalg import modulus
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
@@ -274,9 +273,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _check_finite(res: ScatteringResult) -> None:
     """Raise NumericalError at the first row off the singularities with a
     non-finite cell, which would otherwise print as a silent nan or inf."""
-    with np.errstate(over="ignore"):   # a |d| that overflows is reported as non-finite
-        finite = np.logical_and.reduce([np.isfinite(col) for col in (
-            res.beta, res.r, res.t, res.big_r, res.big_t, modulus(res.d_value))])
+    finite = np.logical_and.reduce([np.isfinite(col) for col in (
+        res.beta, res.r, res.t, res.big_r, res.big_t, res.abs_d)])
     bad = np.flatnonzero(~(finite | res.at_singularity))
     if bad.size:
         raise NumericalError(f"non-finite amplitudes at E={_fmt(res.energy[bad[0]])} "
@@ -307,9 +305,8 @@ def _sweep_texts(res: ScatteringResult, text, singular_row: str) -> Iterator[str
         rows = slice(start, min(start + _SWEEP_BLOCK, res.energy.size))
         block = cells[:rows.stop - start]
         for j, col in enumerate((res.energy, res.beta, res.r.real, res.r.imag, res.t.real,
-                                 res.t.imag, res.big_r, res.big_t)):
+                                 res.t.imag, res.big_r, res.big_t, res.abs_d)):
             block[:, j] = col[rows]
-        modulus(res.d_value[rows], out=block[:, -1])
         first = 0
         for i in singular[bisect.bisect_left(singular, start):
                           bisect.bisect_left(singular, rows.stop)]:

@@ -11,13 +11,21 @@ decimal exponent, from floor(log10|x|), the scaled value V = |x| 10^(16-X)
 rounds to the 17 digits, an integer in [10^16, 10^17). 10^p is kept as a
 64-bit significand c_p rounded to nearest and a binary exponent, so f c_p is
 an exact 128-bit product, formed from 32-bit halves in uint64, and V's integer
-part and 64 bits of its fraction are two shifts of it. c_p's relative error
-of at most 2^-64 moves V by at most 10^17 2^-64 < 0.0055 of a unit of the
-17th digit, so V rounds exactly as |x| 10^(16-X) does unless its fraction
-lies within 2^-7 of 1/2. Those cells, about 1.6 % of them and every exact tie
-among them, go to CPython's '%.17g', as do the cells whose V's integer part
-lies outside [10^16, 10^17 - 1): there X was one off, or the 17 digits could
-round up to 10^17. So do the zeros, subnormals, infinities and nans.
+part and 64 bits of its fraction are two shifts of it.
+
+Where 5^p < 2^64, for p from 0 to 27 (X from -11 to 16, nearly every sweep
+cell and scan energy), 10^p = 5^p 2^p fits c_p without rounding, so f c_p
+holds V exactly: V is x's 53-bit significand times 5^p, fewer than 2^117
+units of its last bit, and as V >= 10^16 > 2^53 that unit is 2^-63 or more,
+so V's fraction is within the 64 bits kept. There V is rounded exactly,
+and only an exact tie goes to CPython's '%.17g', which rounds it half to
+even. For the other p, c_p's relative error of at most 2^-64 moves V by at most
+10^17 2^-64 < 0.0055 of a unit of the 17th digit, so V rounds exactly as
+|x| 10^(16-X) does unless its fraction lies within 2^-7 of 1/2: those cells,
+about 1.6 % of them, ties among them, go to CPython. So do the cells whose
+V's integer part lies outside [10^16, 10^17 - 1), where X was one off or the
+17 digits could round up to 10^17, and the zeros, subnormals, infinities
+and nans.
 
 Each cell's text goes into one 32-byte record that has a place for every
 character C's %g can print, and a mask zeroes the bytes the cell does not use:
@@ -50,7 +58,7 @@ _X_SPAN = 330
 
 _M32 = np.uint64(0xFFFF_FFFF)
 _HALF = 1 << 63
-_NEAR = 1 << 57          # fractions within 2^-7 of 1/2: [2^63 - 2^57, 2^63 + 2^57)
+_NEAR = 1 << 57          # the window of fractions 2^-7 from 1/2 where 10^p is inexact
 _ZEROS = 0x3030_3030_3030_3030
 # Record word 0: "-", "0.000", an unused byte and, in byte 7, the first digit.
 _WORD0 = int.from_bytes(b"-0.000\0\0", "little")
@@ -118,48 +126,56 @@ def _mask_row(category: int, k: int) -> np.ndarray:
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The significands c_p and shift bases 1022 - k_p (mod 2^64) of 10^p,
-    the per-X layout rows and the mask rows, built once, on first use."""
+def _tables() -> tuple[np.ndarray, ...]:
+    """The significands c_p, shift bases 1022 - k_p (mod 2^64) and near-1/2
+    windows of 10^p, the digit values of each 4-digit group (the most
+    significant in the lowest byte), the per-X layout rows and the mask rows,
+    built once, on first use. The window is 0 where 5^p < 2^64: there c_p 2^k_p
+    is 10^p."""
     powers = [_significand(p) for p in range(_P_MIN, _P_MAX + 1)]
     sig = np.array([c for c, _ in powers], dtype=np.uint64)
     shift = np.array([(1022 - k) % (1 << 64) for _, k in powers], dtype=np.uint64)
+    window = np.array([0 if 0 <= p and 5 ** p < 1 << 64 else _NEAR
+                       for p in range(_P_MIN, _P_MAX + 1)], dtype=np.uint64)
+    group = np.arange(10_000, dtype=np.uint64)
+    quads = sum(group // 10 ** (3 - i) % 10 << 8 * i for i in range(4))
     layout = np.array([_x_row(x) for x in range(-_X_SPAN, _X_SPAN + 1)], dtype=np.uint64).T.copy()
     masks = np.array([_mask_row(cat, k) for cat in range(23)
                       for k in range(1, 18)]).view(np.uint64)
-    for table in (sig, shift, layout, masks):
+    for table in (sig, shift, window, quads, layout, masks):
         table.flags.writeable = False
-    return sig, shift, layout, masks
+    return sig, shift, window, quads, layout, masks
 
 
 def _digits8(n: np.ndarray, t: np.ndarray, r: np.ndarray) -> None:
     """Replace each n < 10^8 by its 8 decimal digit values, one per byte, the
-    most significant in the lowest byte: split 8 digits into two lanes of 4,
-    4 into 2 and 2 into 1, each quotient a multiply and shift that is exact
-    below 10^8, 10^4 and 100; t and r are scratch of n's shape."""
-    for mul, shift, mask, base, lane in ((109951163, 40, 0x3FFF, 10_000, 32),
-                                         (10486, 20, 0x7F_0000_007F, 100, 16),
-                                         (103, 10, 0x000F_000F_000F_000F, 10, 8)):
-        np.multiply(n, mul, out=t)
-        t >>= shift
-        t &= mask
-        np.multiply(t, base, out=r)
-        n -= r
-        n <<= lane
-        n |= t
+    most significant in the lowest byte: the high and low 4 digits, split by a
+    multiply and shift that is exact below 10^8, each looked up in the table
+    of 4-digit groups; t and r are scratch of n's shape."""
+    quads = _tables()[3]
+    np.multiply(n, 109951163, out=t)
+    t >>= 40                                     # n // 10^4
+    np.multiply(t, 10_000, out=r)
+    np.subtract(n, r, out=r)                     # n % 10^4
+    quads.take(t.view(np.intp), out=n, mode="clip")   # intp indices: take copies no others
+    quads.take(r.view(np.intp), out=t, mode="clip")
+    t <<= 32
+    n |= t
 
 
 def _scaled(bits: np.ndarray, pidx: np.ndarray, u: np.ndarray, near: np.ndarray,
             off: np.ndarray) -> np.ndarray:
     """V = |x| 10^p rounded to an integer, for the normal floats x whose bits
     are given and p at index pidx of the power table. near is set where V's
-    fraction lies within 2^-7 of 1/2, and off where its integer part lies
-    outside [10^16, 10^17 - 1); u is scratch of 9 rows."""
-    sig, shift = _tables()[:2]
+    fraction lies within p's window of 1/2: 2^-7, or only at 1/2 itself where
+    0 <= p <= 27, since there f c_p and its fraction are exact. off is set
+    where V's integer part lies outside [10^16, 10^17 - 1); u is scratch of 9
+    rows."""
+    sig, shift, window = _tables()[:3]
     f, c, a, b, ll, hi, lo, t, d = u
     np.left_shift(bits, 11, out=f)
     f |= np.uint64(_HALF)                        # the implicit bit, now bit 63
-    np.take(sig, pidx, out=c, mode="clip")
+    sig.take(pidx, out=c, mode="clip")
     # The 128-bit product hi:lo = f c, from 32-bit halves.
     np.bitwise_and(f, _M32, out=a)
     np.bitwise_and(c, _M32, out=b)
@@ -184,7 +200,7 @@ def _scaled(bits: np.ndarray, pidx: np.ndarray, u: np.ndarray, near: np.ndarray,
     ll &= _M32
     lo |= ll
     # V = hi:lo / 2^(64 + s), s = 1022 - k_p - the biased binary exponent, in [2, 15].
-    np.take(shift, pidx, out=t, mode="clip")
+    shift.take(pidx, out=t, mode="clip")
     np.right_shift(bits, 52, out=a)
     a &= 0x7FF
     t -= a
@@ -195,8 +211,12 @@ def _scaled(bits: np.ndarray, pidx: np.ndarray, u: np.ndarray, near: np.ndarray,
     hi <<= a
     lo >>= t
     hi |= lo                                     # V's fraction, times 2^64
-    np.subtract(hi, np.uint64(_HALF - _NEAR), out=a)
-    np.less(a, np.uint64(2 * _NEAR), out=near)
+    # |fraction - 1/2| <= w, as fraction - 1/2 + w <= 2 w modulo 2^64.
+    window.take(pidx, out=t, mode="clip")
+    np.add(hi, t, out=a)
+    a -= np.uint64(_HALF)
+    t += t
+    np.less_equal(a, t, out=near)
     hi >>= 63
     d += hi                                      # rounded to nearest
     return d
@@ -209,7 +229,7 @@ class Formatter:
     def __init__(self, rows: int, cols: int) -> None:
         n = rows * cols
         self.fallbacks = 0
-        self._u = np.empty((9, n), dtype=np.uint64)
+        self._u = np.empty(9 * n, dtype=np.uint64)
         self._pairs = np.empty((3, 2 * n), dtype=np.uint64)
         self._float = np.empty((2, n))
         self._exp = np.empty((3, n), dtype=np.int32)
@@ -228,17 +248,16 @@ class Formatter:
         x = np.ascontiguousarray(cells, dtype=np.float64).reshape(-1)
         n = x.size
         bits = x.view(np.uint64)
-        u = self._u[:, :n]
+        u = self._u[:9 * n].reshape(9, n)       # contiguous rows, as take's out needs
         fallback, near, off = self._flags[:, :n]
         xi, pidx = self._index[:, :n]
         lg = self._float[0, :n]
-        # Zeros, subnormals, infinities and nans are left to CPython.
-        np.right_shift(bits, 52, out=u[0])
-        u[0] &= 0x7FF
-        u[0] -= np.uint64(1)
-        np.greater_equal(u[0], 2046, out=fallback)
-        # X = floor(log10|x|), 0 for the cells left to CPython.
+        # Zeros, subnormals, infinities and nans are left to CPython: |x|'s
+        # bits less those of 2^-1022 lie outside [0, those of inf less them).
         np.abs(x, out=lg)
+        np.subtract(lg.view(np.uint64), np.uint64(1 << 52), out=u[0])
+        np.greater_equal(u[0], np.uint64(0x7FE << 52), out=fallback)
+        # X = floor(log10|x|), 0 for the cells left to CPython.
         np.copyto(lg, 1.0, where=fallback)
         np.log10(lg, out=lg)
         np.floor(lg, out=lg)
@@ -247,7 +266,7 @@ class Formatter:
         digits = _scaled(bits, pidx, u, near, off)
         fallback |= near
         fallback |= off
-        return self._render(x, digits, xi, pidx, fallback)
+        return self._render(x, digits, xi, pidx, fallback, u)
 
     def cells(self, values: np.ndarray) -> list[str]:
         """The '%.17g' text of each value of a 1-d float64 array, for a formatter
@@ -259,11 +278,10 @@ class Formatter:
         self.fallbacks = fallbacks
         return texts
 
-    def _render(self, x, digits, xi, key, fallback) -> str:
-        """Lay out, mask, compact and decode the records of the digits; key is
-        scratch."""
+    def _render(self, x, digits, xi, key, fallback, u) -> str:
+        """Lay out, mask, compact and decode the records of the digits; key and
+        the 9 rows of u are scratch."""
         n = x.size
-        u = self._u[:, :n]
         rec, mask = self._record[:n], self._mask[:n]
         w, t, r = (row[:2 * n] for row in self._pairs)
         # The first digit, in record byte 7, and the words of the other 16.
@@ -291,11 +309,10 @@ class Formatter:
         np.maximum(e[0], e[1], out=key)
         w |= np.uint64(_ZEROS)
         # The layout of each cell's X.
-        layout, masks = _tables()[2:]
+        layout, masks = _tables()[4:]
         xi += _X_SPAN
-        for column, row in zip(layout, u):
-            np.take(column, xi, out=row, mode="clip")
-        lay = u
+        lay = u[:len(layout)]
+        layout.take(xi, axis=1, out=lay, mode="clip")
         # Insert the point: the bytes from it on move up one, the last into byte 24.
         high, carry = t[:n], t[n:]
         np.bitwise_and(w1, lay[_NLOW1], out=high)
@@ -314,7 +331,7 @@ class Formatter:
         rec[:, 3] |= lay[_WORD3]
         rec[:, 3] |= self._sep[:n]
         key += lay[_KEY].view(np.int64)
-        np.take(masks, key, axis=0, out=mask, mode="clip")
+        masks.take(key, axis=0, out=mask, mode="clip")
         np.right_shift(x.view(np.uint64), 63, out=u[0])
         u[0] *= np.uint64(0xFF)
         mask[:, 0] |= u[0]                       # the sign

@@ -53,14 +53,16 @@ class DeltaPotential:
 class ScatteringResult:
     """Amplitudes and coefficients over the broadcast inputs of amplitudes, sweep
     or oracle.matching_solver, with r and t nan and R and T inf at singular
-    entries; d_value is their denominator, D or the junction system's det2.
-    R = |r|^2 and T = |t|^2 are computed on first read and kept."""
+    entries; d_value is their denominator, D or the junction system's det2, and
+    abs_d its modulus, inf where it overflows. R = |r|^2 and T = |t|^2 are
+    computed on first read and kept."""
 
     energy: np.ndarray
     beta: np.ndarray
     r: np.ndarray
     t: np.ndarray
     d_value: np.ndarray
+    abs_d: np.ndarray
     at_singularity: np.ndarray
 
     @functools.cached_property
@@ -116,11 +118,12 @@ def scattering_result(energy, beta, r_num, t_num, d) -> ScatteringResult:
     over the energies, with the spectral singularities flagged and filled."""
     # Callers report non-finite rows; warnings would repeat them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        singular = np.hypot(*d) < TOL_SINGULAR * np.maximum(1.0, beta * beta)
-        r, t = ([np.where(singular, np.nan, part) for part in quotient]
-                for quotient in cdiv(r_num, t_num, by=d))
-    return ScatteringResult(energy, beta, as_complex(*r), as_complex(*t), as_complex(*d),
-                            singular)
+        r, t = (np.asarray(as_complex(*quotient)) for quotient in cdiv(r_num, t_num, by=d))
+        # |d| is taken after the division, so that it is not held at its peak.
+        abs_d = np.hypot(*d)
+        singular = abs_d < TOL_SINGULAR * np.maximum(1.0, beta * beta)
+    r[singular] = t[singular] = complex(np.nan, np.nan)
+    return ScatteringResult(energy, beta, r, t, as_complex(*d), abs_d, singular)
 
 
 def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:

@@ -628,6 +628,27 @@ def test_scan_formats_exactly_its_feasible_energies_through_g17(monkeypatch, cap
         scan.minus.feasible) == 17_798
 
 
+def test_benchmark_sized_sweep_and_scan_leave_no_cell_to_cpython(monkeypatch, tmp_path):
+    # Every sweep cell and scan energy here has X in [-11, 16], where g17 takes
+    # the 17 digits from an exact product: only an exact tie, which none of
+    # them is, would go to CPython's '%.17g'.
+    fallbacks = []
+    text = g17.Formatter.text
+
+    def spy(self, cells):
+        out = text(self, cells)
+        fallbacks.append(self.fallbacks)
+        return out
+
+    monkeypatch.setattr(g17.Formatter, "text", spy)
+    assert main(["sweep", *_REF_GRID, "--steps=50000", f"--out={tmp_path / 'sweep.csv'}"]) == 0
+    sweep_calls = len(fallbacks)
+    assert main([*_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250),
+                 f"--out={tmp_path / 'scan.csv'}"]) == 0
+    assert sweep_calls >= 98 and len(fallbacks) > sweep_calls
+    assert sum(fallbacks) == 0
+
+
 def test_scan_full_size_output_is_pinned():
     # 62,500 cells of a box shifted off [-10, 10]^2; the digest is that of the
     # per-cell rendering that the assembly from pieces replaced.
@@ -818,10 +839,10 @@ def _traced_peak_per_byte(argv: list[str], warm_up: list[str], out: Path) -> flo
 
 
 def test_sweep_csv_memory_does_not_grow_with_the_table(tmp_path):
-    # The result arrays take 81 bytes a row and the CSV about 170, so the peak
+    # The result arrays take 89 bytes a row and the CSV about 170, so the peak
     # is about the bytes written (0.93 times them); rendering the whole table
-    # before writing it peaked at 3.8 times them, and g17.Formatter's workspace
-    # for 2,048-row blocks at 1.72.
+    # before writing it peaked at 3.8 times them, and 2,048-row blocks, with
+    # four times g17.Formatter's workspace, at 1.18.
     ratio = _traced_peak_per_byte(["sweep", *_REF_GRID, "--steps=50000"],
                                   ["sweep", *_REF_GRID, "--steps=3"], tmp_path / "sweep.csv")
     assert ratio <= 1.0

@@ -79,6 +79,71 @@ def test_exact_ties_round_half_to_even():
     _assert_exact(ties)
 
 
+def _v_fraction(x: float) -> Fraction:
+    """The fraction of V = |x| 10^(16 - X), X = floor(log10|x|), exactly."""
+    v = abs(Fraction(x)) * Fraction(10) ** (16 - math.floor(math.log10(abs(x))))
+    return v - math.floor(v)
+
+
+def _near_half(x: float, within: Fraction = Fraction(1, 128)) -> bool:
+    """V's fraction lies within `within` of 1/2 (2^-7, the kernel's window
+    where 10^p is inexact) but is not 1/2."""
+    return 0 < abs(_v_fraction(x) - Fraction(1, 2)) <= within
+
+
+def _formatted(x: list[float]) -> tuple[str, int]:
+    fmt = g17.Formatter(max(len(x), 1), 1)
+    return fmt.text(np.array(x).reshape(-1, 1)), fmt.fallbacks
+
+
+@pytest.mark.parametrize("x", range(-11, 17))
+def test_only_exact_ties_go_to_cpython_where_ten_to_the_p_is_exact(x):
+    # For p = 16 - X in [0, 27], 5^p < 2^64, so c_p is 10^p exactly and f c_p
+    # holds V and its fraction exactly: the kernel rounds every cell itself but
+    # the exact ties, which '%.17g' rounds half to even. For X >= 13 the
+    # fraction's grain, 10^p ulp(x) modulo 1, is 2^-6 or coarser, so no cell
+    # lies in the 2^-7 window there but the ties.
+    rng = np.random.default_rng(x + 40)
+    values = (10.0 ** x * rng.uniform(1.5, 9.5, 3000)).tolist()
+    near = [v for v in values if _near_half(v)]
+    assert bool(near) == (x <= 12), len(near)
+    near += [-v for v in near]
+    assert _formatted(near) == (_cpython(np.array(near)), 0)
+    ties = sum(_v_fraction(v) == Fraction(1, 2) for v in values)
+    both = values + [-v for v in values]
+    assert _formatted(both) == (_cpython(np.array(both)), 2 * ties)
+
+
+def test_exact_ties_keep_going_to_cpython():
+    # A tie is x = odd 2^-(p+1) with V = odd 5^p / 2 in [10^16, 10^17), which
+    # some double meets for p in [1, 24], X in [-8, 15].
+    for p in range(1, 25):
+        x = float(Fraction(3 * 10 ** 16 // 5 ** p | 1, 2 ** (p + 1)))
+        assert _v_fraction(x) == Fraction(1, 2) and math.floor(math.log10(x)) == 16 - p
+        for value in (x, -x):
+            assert _formatted([value]) == ("%.17g\n" % value, 1), value
+    assert _formatted([1000000000000000.25]) == ("1000000000000000.2\n", 1)
+
+
+@pytest.mark.parametrize("x", [-13, -12, 17, 20])
+def test_near_half_cells_go_to_cpython_outside_the_exact_powers(x):
+    # p = 28 and p = -1 are the first powers past the exact ones: 10^p is
+    # rounded there, so a fraction within 2^-7 of 1/2 still goes to CPython.
+    # The cells taken lie within 2^-9 of 1/2, so that the kernel's fraction,
+    # off by at most 0.0055 there, surely lies in its window. From X = 17 to 19
+    # no double has one (V's fraction is a multiple of 0.2, 0.04 or 0.008), so
+    # the window table is checked too: 0 exactly for p in [0, 27].
+    window = g17._tables()[2]
+    assert (np.flatnonzero(window == 0) + g17._P_MIN).tolist() == list(range(28))
+    assert np.all(window[window != 0] == g17._NEAR)
+    rng = np.random.default_rng(x + 80)
+    near = [v for v in (10.0 ** x * rng.uniform(1.5, 9.5, 3000)).tolist()
+            if _near_half(v, Fraction(1, 512))]
+    assert bool(near) == (x != 17), len(near)
+    for value in near + [-v for v in near]:
+        assert _formatted([value]) == ("%.17g\n" % value, 1), value
+
+
 def test_zeros_infinities_nans_and_subnormals():
     tiny = np.finfo(float).tiny
     _assert_exact([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -178,7 +243,7 @@ def test_every_row_of_the_mask_table():
                 if fmt.fallbacks == 0:
                     found[category, k] = value
                     break
-    assert len(found) == 23 * 17 == g17._tables()[3].shape[0]
+    assert len(found) == 23 * 17 == g17._tables()[-1].shape[0]
     _assert_exact(list(found.values()))
 
 
@@ -197,4 +262,7 @@ def test_check_script_finds_no_mismatch():
                            "--count", "50000", "--seed", "1"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith("50000 random bit patterns (seed 1): 0 mismatches")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("50000 random bit patterns (seed 1): 0 mismatches")
+    assert lines[1].startswith("50000 log-uniform values in [1e-11, 1e17) (seed 1): 0 mismatches")
