@@ -40,6 +40,11 @@ CSV_COLUMNS = ("E", "beta", "re_r", "im_r", "re_t", "im_t", "R", "T", "absD")
 
 # The least normal float: a feasible branch's g^2 or E below it underflowed.
 _TINY = float(np.finfo(float).tiny)
+# _require_usable's failures, in the order of its checks.
+_UNUSABLE = ("the strengths (v1, v2) = ({}, {}) differ too much in scale: scaled to unit size, "
+             "the smaller falls below 2^-1022",
+             *(f"the closed forms of the {branch} branch {how} at (v1, v2) = ({{}}, {{}})"
+               for how in ("overflow", "underflow") for branch in ("plus", "minus")))
 
 _NUM_OR_NULL = {"type": ["number", "null"]}
 _BRANCH_SCHEMA = {
@@ -211,31 +216,30 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
         return DeltaPotential.from_g_squared(args.v1, args.v2, args.g2)
     if args.cap_v2 is not None:
         return DeltaPotential(args.v1, args.v2, args.cap_v2, args.cap_v3 or 0.0)
-    _require_unit_scale(args.v1, args.v2)
     plus, minus = ss_closed_form(args.v1, args.v2)
+    _require_usable(args.v1, args.v2, plus, minus)
     sol = plus if branch == "plus" else minus
     if not sol.feasible:
         raise UsageError(f"the {branch} branch is infeasible here "
                          f"({sol.reason.value}); give --g2 or --V2 explicitly")
-    _require_normal(sol)
     return DeltaPotential.from_g_squared(args.v1, args.v2, sol.g_squared)
 
 
-def _require_normal(sol: SSBranchSolution) -> None:
-    for how, outside in (("overflow", math.isinf), ("underflow", lambda x: not x >= _TINY)):
-        if outside(sol.g_squared) or outside(sol.energy):
-            raise NumericalError(f"the closed forms of the {sol.branch.value} branch {how}")
-
-
-def _require_unit_scale(v1, v2, what: str = "strengths") -> None:
-    """Raise NumericalError at the first (v1, v2), in row-major order, whose
-    closed-form branches would be decided for another pair: see
-    singular.unit_scale_underflows."""
+def _require_usable(v1, v2, plus: SSBranchSolution, minus: SSBranchSolution) -> None:
+    """Raise NumericalError at the first (v1, v2), in row-major order, where the
+    branches plus and minus (floats for a pair, arrays for a grid) are unusable,
+    naming the first check that fails there: unit_scale lost a strength (see
+    singular.unit_scale_underflows); a feasible g^2 or E overflowed, to print as
+    inf; one underflowed to 0 or a subnormal, a wrong value; plus before minus."""
     lost = unit_scale_underflows(v1, v2)
-    if lost.any():
-        v1, v2 = (np.broadcast_to(v, lost.shape)[lost][0] for v in (v1, v2))
-        raise NumericalError(f"the {what} (v1, v2) = ({_fmt(v1)}, {_fmt(v2)}) differ too much "
-                             "in scale: scaled to unit size, the smaller falls below 2^-1022")
+    outside = [sol.feasible & ((sol.g_squared == math.inf) | (sol.energy == math.inf))
+               for sol in (plus, minus)]
+    outside += [sol.feasible & ((sol.g_squared < _TINY) | (sol.energy < _TINY))
+                for sol in (plus, minus)]
+    hit = outside[0] | outside[1] | outside[2] | outside[3] | lost
+    if np.count_nonzero(hit):
+        first = [np.broadcast_to(x, hit.shape)[hit][0] for x in (v1, v2, lost, *outside)]
+        raise NumericalError(_UNUSABLE[first[2:].index(True)].format(*map(_fmt, first[:2])))
 
 
 def _check_grid(args: argparse.Namespace) -> None:
@@ -355,7 +359,6 @@ def run_sweep(args: argparse.Namespace) -> int:
 def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | None:
     if not sol.feasible:
         return None
-    _require_normal(sol)
     absd = abs(denominator(DeltaPotential.from_g_squared(v1, v2, sol.g_squared), sol.beta))
     if not math.isfinite(absd):
         raise NumericalError(f"the |D| of the {sol.branch.value} branch overflows")
@@ -378,8 +381,8 @@ def _branch_record(sol: SSBranchSolution) -> dict:
 
 def ss_report(v1: float, v2: float) -> dict:
     """The singularity report emitted by the ss command (SS_REPORT_SCHEMA)."""
-    _require_unit_scale(v1, v2)
     plus, minus = ss_closed_form(v1, v2)
+    _require_usable(v1, v2, plus, minus)
     return {
         "v1": v1, "v2": v2,
         "g2_plus": _num_or_none(plus.g_squared),
@@ -461,17 +464,7 @@ def run_scan(args: argparse.Namespace) -> int:
             raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
     scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
                        args.n1, args.n2)
-    _require_unit_scale(scan.v1[:, None], scan.v2, "strengths at the cell")
-    # A feasible branch's g^2 or E that overflowed would print as a silent inf
-    # energy, and one that underflowed to 0 or a subnormal as a wrong one.
-    plus, minus = scan.plus, scan.minus
-    for how, outside in (("overflow", np.isinf), ("underflow", lambda x: x < _TINY)):
-        failed = (plus.feasible & (outside(plus.g_squared) | outside(plus.energy))
-                  | minus.feasible & (outside(minus.g_squared) | outside(minus.energy)))
-        if failed.any():
-            i, j = np.argwhere(failed)[0]
-            raise NumericalError(f"the closed forms {how} at the feasible cell "
-                                 f"(v1, v2) = ({_fmt(scan.v1[i])}, {_fmt(scan.v2[j])})")
+    _require_usable(scan.v1[:, None], scan.v2, scan.plus, scan.minus)
     with _output(args.out) as out:
         scan_to_csv(scan, out)
     return EXIT_OK
@@ -492,13 +485,11 @@ def run_plot(args: argparse.Namespace) -> int:
     _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)
     _check_finite(res)
-    # The markers are the pair's closed-form branches, decided at unit scale;
-    # a feasible one out of the normal range fails as in ss.
-    _require_unit_scale(args.v1, args.v2)
-    feasible = [sol for sol in ss_closed_form(args.v1, args.v2) if sol.feasible]
-    for sol in feasible:
-        _require_normal(sol)
-    markers = [sol.energy for sol in feasible if args.emin <= sol.energy <= args.emax]
+    # The markers are the pair's closed-form branches, which fail as in ss.
+    branches = ss_closed_form(args.v1, args.v2)
+    _require_usable(args.v1, args.v2, *branches)
+    markers = [sol.energy for sol in branches
+               if sol.feasible and args.emin <= sol.energy <= args.emax]
     title = (f"v1={p.v1:g} v2={p.v2:g} g2={p.g_squared:.6g}")
     svg = render_curves_svg(res.energy.tolist(), res.big_r.tolist(),
                             res.big_t.tolist(), markers, title)

@@ -245,10 +245,10 @@ def matching_solver(p: DeltaPotential, energy, mode: MatchMode) -> ScatteringRes
         [ i beta - V1   V3 - i V2 ] (r, rt) = (V1, -(V3 + i V2)),
         [ V3 + i V2     beta + cj ]
 
-    has determinant det2 = -det4 (i D in Continued mode), the result's d_value,
-    and Cramer's rule gives r and t their own numerators. All of it rounds as
-    CPython's complex arithmetic does, so each row equals its one system's
-    evaluation bit for bit.
+    has determinant det2 = -det4 (i D in Continued mode), whose modulus is the
+    result's abs_d, and Cramer's rule gives r and t their own numerators. All
+    of it rounds as CPython's complex arithmetic does, so each row equals its
+    one system's evaluation bit for bit.
     """
     v1, v2, cap_v2, cap_v3, energy = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p.v1, p.v2, p.cap_v2, p.cap_v3, energy)))

@@ -53,15 +53,14 @@ class DeltaPotential:
 class ScatteringResult:
     """Amplitudes and coefficients over the broadcast inputs of amplitudes, sweep
     or oracle.matching_solver, with r and t nan and R and T inf at singular
-    entries; d_value is their denominator, D or the junction system's det2, and
-    abs_d its modulus, inf where it overflows. R = |r|^2 and T = |t|^2 are
+    entries; abs_d is the modulus of their denominator, D or the junction
+    system's det2, inf where it overflows. R = |r|^2 and T = |t|^2 are
     computed on first read and kept."""
 
     energy: np.ndarray
     beta: np.ndarray
     r: np.ndarray
     t: np.ndarray
-    d_value: np.ndarray
     abs_d: np.ndarray
     at_singularity: np.ndarray
 
@@ -123,7 +122,7 @@ def scattering_result(energy, beta, r_num, t_num, d) -> ScatteringResult:
         abs_d = np.hypot(*d)
         singular = abs_d < TOL_SINGULAR * np.maximum(1.0, beta * beta)
     r[singular] = t[singular] = complex(np.nan, np.nan)
-    return ScatteringResult(energy, beta, r, t, as_complex(*d), abs_d, singular)
+    return ScatteringResult(energy, beta, r, t, abs_d, singular)
 
 
 def amplitudes(p: DeltaPotential, energy) -> ScatteringResult:

@@ -249,8 +249,8 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
         for branch, h, h_other in ((Branch.PLUS, h_plus, h_minus),
                                    (Branch.MINUS, h_minus, h_plus)):
             code = shared_code | (s * h >= 0.0) * np.uint8(2) | (h_other >= 0.0)
-            beta = np.ldexp(-h_other, k)
-            solutions.append(SSBranchSolution(branch, np.ldexp(-s * h, 2 * k), beta,
+            beta = np.ldexp(-h_other, k) + 0.0   # + 0.0: a zero prints as 0, not -0
+            solutions.append(SSBranchSolution(branch, np.ldexp(-s * h, 2 * k) + 0.0, beta,
                                               0.5 * beta * beta, code == 0, _REASONS[code]))
     return solutions[0], solutions[1]
 

@@ -20,21 +20,20 @@ import pytest
 from qdelta import __version__, cli, g17
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.oracle import MatchMode, NumericalError, matching_solver
-from qdelta.qalg import modulus
 from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep
 from qdelta.singular import KAPPA, region_of, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
 
 
-_Row = namedtuple("_Row", "energy beta r t big_r big_t d_value at_singularity")
+_Row = namedtuple("_Row", "energy beta r t big_r big_t abs_d at_singularity")
 
 
 def _rows(res):
     """The rows of sweep columns, each with Python scalar fields."""
     return [_Row(*row) for row in zip(
         res.energy.tolist(), res.beta.tolist(), res.r.tolist(), res.t.tolist(),
-        res.big_r.tolist(), res.big_t.tolist(), res.d_value.tolist(),
+        res.big_r.tolist(), res.big_t.tolist(), res.abs_d.tolist(),
         res.at_singularity.tolist())]
 
 
@@ -66,7 +65,8 @@ def test_sweep_csv_roundtrip(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == HEADER
     assert len(lines) == 101
-    cols = sweep(DeltaPotential.from_g_squared(-0.5, 3.0, 3.75), 0.05, 4.0, 100)
+    p = DeltaPotential.from_g_squared(-0.5, 3.0, 3.75)
+    cols = sweep(p, 0.05, 4.0, 100)
     energies = []
     for line, res in zip(lines[1:], _rows(cols)):
         cells = line.split(",")
@@ -79,7 +79,7 @@ def test_sweep_csv_roundtrip(tmp_path):
         assert float(cells[5]) == res.t.imag
         assert float(cells[6]) == res.big_r
         assert float(cells[7]) == res.big_t
-        assert float(cells[8]) == abs(res.d_value)
+        assert float(cells[8]) == res.abs_d == abs(denominator(p, res.beta))
     assert all(a < b for a, b in zip(energies, energies[1:]))
 
 
@@ -201,7 +201,7 @@ def test_scan_overflowing_closed_forms_print_only_the_failure(box, cell):
     proc = run_cli("scan", *box)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("numerical failure: the closed forms overflow at the feasible cell "
+    assert proc.stderr == ("numerical failure: the closed forms of the plus branch overflow at "
                            f"(v1, v2) = {cell}\n")
 
 
@@ -210,7 +210,7 @@ def test_scan_underflowing_closed_forms_print_only_the_failure():
                    "--v2-max=-1e-200", "--n1=2", "--n2=2")
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("numerical failure: the closed forms underflow at the feasible cell "
+    assert proc.stderr == ("numerical failure: the closed forms of the plus branch underflow at "
                            "(v1, v2) = (-2e-200, -2e-200)\n")
 
 
@@ -227,7 +227,7 @@ _SCALE_GAP = ("differ too much in scale: scaled to unit size, the smaller falls 
      "the strengths (v1, v2) = (-1e-180, -9.9999999999999998e+149) "),
     (["scan", "--v1-min=-1e150", "--v1-max=-0.5e150", "--v2-min=-1e-180",
       "--v2-max=-0.5e-180", "--n1=2", "--n2=2"],
-     "the strengths at the cell (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
+     "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
     (["plot", "--v1=-1e150", "--v2=-1e-180", "--branch=plus"],
      "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "),
     # The markers are the pair's branches: the exact plus branch has E+ = 5e19.
@@ -241,6 +241,34 @@ def test_strengths_too_far_apart_in_scale_exit_3(argv, failure, capsys, tmp_path
     assert main([*argv, f"--out={out}"]) == 3
     assert capsys.readouterr() == ("", "numerical failure: " + failure + _SCALE_GAP)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("v1, v2, failure", [
+    ("-1e150", "-1e-180", "the strengths (v1, v2) = (-9.9999999999999998e+149, -1e-180) "
+     + _SCALE_GAP[:-1]),
+    # g+^2 = 2 sqrt(2) v^2 overflows, while V1^2 = 2i v^2 in the sweep does not.
+    ("-8.5e153", "-8.5e153", "the closed forms of the plus branch overflow at (v1, v2) = "
+     "(-8.4999999999999993e+153, -8.4999999999999993e+153)"),
+    ("-1e-160", "-1", "the closed forms of the plus branch underflow at (v1, v2) = "
+     "(-9.9999999999999999e-161, -1)"),
+    # The plus branch is usable, the minus branch's E- underflows.
+    ("-1e-200", "1", "the closed forms of the minus branch underflow at (v1, v2) = "
+     "(-9.9999999999999998e-201, 1)"),
+], ids=["scale-gap", "overflow", "underflow", "minus-underflow"])
+def test_every_command_fails_an_unusable_pair_alike(v1, v2, failure, capsys, tmp_path):
+    # ss, plot and scan decide a pair's branches through one gate, so they
+    # print one failure for it; the scan's first cell is the pair.
+    v1_max, v2_max = (repr(float(v) + abs(float(v)) / 2) for v in (v1, v2))
+    out = tmp_path / "out"
+    for argv in (["ss", f"--v1={v1}", f"--v2={v2}"],
+                 ["ss", f"--v1={v1}", f"--v2={v2}", "--json"],
+                 ["plot", f"--v1={v1}", f"--v2={v2}", "--branch=plus"],
+                 ["plot", f"--v1={v1}", f"--v2={v2}", "--g2=1"],
+                 ["scan", f"--v1-min={v1}", f"--v1-max={v1_max}", f"--v2-min={v2}",
+                  f"--v2-max={v2_max}", "--n1=2", "--n2=2"]):
+        assert main([*argv, f"--out={out}"]) == 3, argv
+        assert capsys.readouterr() == ("", f"numerical failure: {failure}\n"), argv
+        assert not out.exists()
 
 
 def _sign(x: Fraction) -> int:
@@ -325,11 +353,14 @@ def test_ss_on_strengths_far_apart_in_scale_is_exact_or_fails(signs, capsys):
 
 @pytest.mark.parametrize("pair, failure", [
     # g+^2 and E+ underflow to 0.
-    (("--v1=-1e-200", "--v2=-2e-200"), "the closed forms of the plus branch underflow"),
+    (("--v1=-1e-200", "--v2=-2e-200"), "the closed forms of the plus branch underflow at "
+     "(v1, v2) = (-9.9999999999999998e-201, -2e-200)"),
     # E+ is about 2 v1^2, a subnormal, while g+^2 is about v2^2 = 1.
-    (("--v1=-1e-160", "--v2=-1"), "the closed forms of the plus branch underflow"),
+    (("--v1=-1e-160", "--v2=-1"), "the closed forms of the plus branch underflow at "
+     "(v1, v2) = (-9.9999999999999999e-161, -1)"),
     # The plus branch is feasible, and its g+^2 and E+ overflow to inf.
-    (("--v1=-1e200", "--v2=-2e200"), "the closed forms of the plus branch overflow"),
+    (("--v1=-1e200", "--v2=-2e200"), "the closed forms of the plus branch overflow at "
+     "(v1, v2) = (-9.9999999999999997e+199, -1.9999999999999999e+200)"),
     # g+^2 = 3e154 and E+ = 1.125e308 are finite, but v1^2 in |D| overflows.
     (("--v1=-1.5e154", "--v2=-1"), "the |D| of the plus branch overflows"),
 ], ids=["zero", "subnormal", "overflow", "denominator"])
@@ -339,19 +370,20 @@ def test_ss_out_of_range_prints_only_the_failure(pair, failure, extra):
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"numerical failure: {failure}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("--v1=-1e-200", "--v2=-2e-200", "--branch=plus"),
-    ("--v1=-1e-160", "--v2=-1", "--branch=plus"),
+@pytest.mark.parametrize("argv, pair", [
+    (("--v1=-1e-200", "--v2=-2e-200", "--branch=plus"), "(-9.9999999999999998e-201, -2e-200)"),
+    (("--v1=-1e-160", "--v2=-1", "--branch=plus"), "(-9.9999999999999999e-161, -1)"),
     # The plus branch is no curve here, only a marker, at E+ = 2e-320.
-    ("--v1=-1e-160", "--v2=-1", "--g2=1", "--emin=1e-320", "--emax=1", "--steps=50"),
+    (("--v1=-1e-160", "--v2=-1", "--g2=1", "--emin=1e-320", "--emax=1", "--steps=50"),
+     "(-9.9999999999999999e-161, -1)"),
 ], ids=["zero", "subnormal", "subnormal-marker"])
-def test_plot_of_an_underflowing_branch_prints_only_the_failure(argv, tmp_path):
+def test_plot_of_an_underflowing_branch_prints_only_the_failure(argv, pair, tmp_path):
     # ss reports the same branch as a numerical failure; plot must not draw
     # the potential with g^2 = 0 or at a subnormal energy, nor mark it there.
     out = tmp_path / "curves.svg"
     proc = run_cli("plot", *argv, f"--out={out}")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "numerical failure: the closed forms of the plus branch underflow\n")
+    failure = f"the closed forms of the plus branch underflow at (v1, v2) = {pair}"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"numerical failure: {failure}\n")
     assert not out.exists()
 
 
@@ -764,7 +796,7 @@ def _sweep_json_per_row(argv: list[str]) -> str:
            matching_solver(p, energy_grid(args.emin, args.emax, args.steps),
                            MatchMode.CONJUGATE))
     columns = [res.energy, res.beta, res.r.real, res.r.imag, res.t.real, res.t.imag,
-               res.big_r, res.big_t, modulus(res.d_value)]
+               res.big_r, res.big_t, res.abs_d]
     rows = [{**{key: x if math.isfinite(x) else None for key, x in zip(HEADER.split(","), cells)},
              "at_singularity": singular}
             for cells, singular in zip(zip(*(col.tolist() for col in columns)),
@@ -1091,6 +1123,20 @@ def test_ss_confirms_lossy_singularities_at_every_scale(capsys):
             assert _oracle_at(scaled) == [
                 None if rec is None else (rec[0], math.ldexp(rec[1], k))
                 for rec in _oracle_at(unit)], (v1, v2, k)
+
+
+@pytest.mark.parametrize("v1, v2", [("-1", "0"), ("0", "2"), ("-0.0", "-1")])
+def test_ss_prints_a_zero_branch_as_plus_zero(v1, v2, capsys):
+    # g^2 = -s h and beta = -h' of a zero h or h' are 0, not -0.
+    assert main(["ss", f"--v1={v1}", f"--v2={v2}"]) == 0
+    text = capsys.readouterr().out
+    assert main(["ss", f"--v1={v1}", f"--v2={v2}", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    values = [report[f"{key}_{name}"] for key in ("g2", "beta") for name in ("plus", "minus")]
+    values += [rec[key] for rec in report["branches"].values() for key in ("g_squared", "beta")]
+    zeros = [math.copysign(1.0, x) for x in values if x == 0.0]
+    assert zeros and zeros == [1.0] * len(zeros)
+    assert "g2=0\n" in text and "g2=-0\n" not in text
 
 
 def test_ss_prints_no_numpy_warning():

@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta import verify
-from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError,
+from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError, _cramer,
                            matching_solver, minimize_dsq, potential_from_ss_pairs,
                            quartic_roots)
-from qdelta.qalg import Quaternion, symplectic_split
-from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes
+from qdelta.qalg import Quaternion, as_complex, symplectic_split
+from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes, denominator
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
 
 coeff = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -277,7 +277,7 @@ def test_matching_singular_at_branch_point():
     m = matching_solver(p, 2.0, MatchMode.CONTINUED)
     assert m.at_singularity
     assert np.isnan(m.r) and np.isnan(m.t)
-    assert abs(m.d_value) <= 1e-10 * 4.0
+    assert m.abs_d <= 1e-10 * 4.0
 
 
 def test_matching_rejects_bad_energy():
@@ -434,7 +434,8 @@ def test_continued_determinant_is_i_times_the_closed_form_denominator():
     m, closed = matching_solver(pot, energy, MatchMode.CONTINUED), amplitudes(pot, energy)
     beta, size = np.sqrt(2.0 * energy), np.hypot(pot.v1, pot.v2)
     scale = beta * beta + 2.0 * size * beta + size * size + pot.g_squared
-    err = np.abs(m.d_value - 1j * closed.d_value)
+    det2 = as_complex(*_cramer(*rows[:, :4].T, beta, MatchMode.CONTINUED)[2])
+    err = np.abs(det2 - 1j * denominator(pot, beta))
     assert (err <= 4 * np.finfo(float).eps * scale).all(), (err / scale).max()
     assert np.array_equal(m.at_singularity, closed.at_singularity)
     assert m.at_singularity.tolist() == [False] * 2000 + [True, False, False]
@@ -451,8 +452,8 @@ def test_matching_arrays_equal_scalar_solves(mode):
         amps, singular, abs_det = _reduced_matching(pot, energy, mode)
         one = matching_solver(pot, energy, mode)
         singular_rows += singular
-        assert (one.at_singularity, abs(one.d_value)) == (singular, abs_det)
-        assert (bool(stacked.at_singularity[n]), abs(stacked.d_value[n])) == (singular, abs_det)
+        assert (one.at_singularity, one.abs_d) == (singular, abs_det)
+        assert (bool(stacked.at_singularity[n]), stacked.abs_d[n]) == (singular, abs_det)
         for got_one, got_row, want in zip(_amplitudes(one), _amplitudes(stacked), amps):
             got = complex(got_one), complex(got_row[n])
             if singular:
@@ -472,7 +473,7 @@ def test_matching_arrays_agree_with_lapack(mode):
         assert bool(stacked.at_singularity[n]) == singular
         if singular:
             continue
-        assert abs(abs(stacked.d_value[n]) - abs_det) <= 1e-13 * abs_det
+        assert abs(stacked.abs_d[n] - abs_det) <= 1e-13 * abs_det
         for got, want in zip(_amplitudes(stacked), amps):
             assert abs(got[n] - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -517,7 +518,7 @@ def test_matching_arrays_within_32_ulps_of_exact_solve(mode):
         pot = DeltaPotential(v1, v2, cap_v2, cap_v3)
         exact = _exact_solve(*_junction_system(pot, energy, mode)[:2])
         beta, v1c, c12, c21, cj = _channels(pot, energy, mode)
-        r_terms = (abs(v1c) * abs(beta + cj) + abs(c12 * c21)) / abs(stacked.d_value[n])
+        r_terms = (abs(v1c) * abs(beta + cj) + abs(c12 * c21)) / stacked.abs_d[n]
         for got, (re, im), scale in zip(_amplitudes(stacked), exact[:2], (r_terms, 0.0)):
             err = math.hypot(float(Fraction(got[n].real) - re), float(Fraction(got[n].imag) - im))
             size = max(math.hypot(float(re), float(im)), scale)

@@ -82,6 +82,9 @@ _DELETED_NAMES = (
     # matching_solver returns the ScatteringResult that scatter.scattering_result builds.
     r"\b(MatchingAmplitudes|MATCH_SINGULAR_TOL|_physical_sweep|r_tilde|t_tilde"
     r"|singular_system|det_mag)\b",
+    # cli._require_usable is the one gate of a pair's or a grid's branches, and
+    # ScatteringResult keeps only the denominator's modulus, abs_d.
+    r"\b(_require_normal|_require_unit_scale|d_value)\b",
 )
 
 
@@ -107,6 +110,18 @@ def test_one_singular_threshold():
                     above = parents[above]
                 uses.append((path.name, type(above).__name__))
     assert sorted(uses) == [("scatter.py", "Assign"), ("scatter.py", "Compare")]
+
+
+def test_one_branch_gate_in_the_cli():
+    # ss, scan and plot decide the scale gap and the normal range of the branches
+    # in cli._require_usable alone: the only reads of unit_scale_underflows and
+    # _TINY are in it.
+    tree = ast.parse((ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8"))
+    uses = {(node.id, getattr(top, "name", type(top).__name__))
+            for top in tree.body for node in ast.walk(top)
+            if getattr(node, "id", None) in ("unit_scale_underflows", "_TINY")}
+    assert sorted(uses) == [("_TINY", "Assign"), ("_TINY", "_require_usable"),
+                            ("unit_scale_underflows", "_require_usable")]
 
 
 def test_cli_builds_no_quartic():
