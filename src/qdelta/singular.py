@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import power
 from .scatter import DeltaPotential, uniform_grid
 
 # Lower bound of v1/v2 for singularity support at v2 > 0; root of k^2+6k+1=0.
@@ -60,10 +59,9 @@ def quartic_coeffs(p: DeltaPotential) -> QuarticCoeffs:
 
 def _discriminant_terms(q: QuarticCoeffs) -> tuple[float, ...]:
     b, c, d, e = q.b, q.c, q.d, q.e
-    b2, b3, b4 = power(b, 2), power(b, 3), power(b, 4)
-    c2, c3, c4 = power(c, 2), power(c, 3), power(c, 4)
-    d2, d3, d4 = power(d, 2), power(d, 3), power(d, 4)
-    e2, e3 = power(e, 2), power(e, 3)
+    b2, c2, d2, e2 = b * b, c * c, d * d, e * e
+    b3, c3, d3, e3 = b2 * b, c2 * c, d2 * d, e2 * e
+    b4, c4, d4 = b2 * b2, c2 * c2, d2 * d2
     return (
         256.0 * e3,
         -192.0 * b * d * e2,
@@ -120,7 +118,8 @@ def discriminant_factored(p: DeltaPotential) -> tuple[float, float, float]:
     s = v1 + v2
     bracket = g2 * g2 + g2 * (v1 * v1 - v2 * v2) - 2.0 * v1 * v2 * s * s
     a_factor = bracket * bracket
-    b_factor = 4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + power(v1 * v1 + v2 * v2, 2)
+    m = v1 * v1 + v2 * v2
+    b_factor = 4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + m * m
     return a_factor, b_factor, 64.0 * a_factor * b_factor
 
 
@@ -128,15 +127,16 @@ def pq_classifiers(q: QuarticCoeffs) -> tuple[float, float]:
     """P = 8c - 3b^2 and Q = 64e - 16c^2 + 16b^2 c - 16bd - 3b^4."""
     b, c, d, e = q.b, q.c, q.d, q.e
     p_val = 8.0 * c - 3.0 * b * b
-    q_val = 64.0 * e - 16.0 * c * c + 16.0 * b * b * c - 16.0 * b * d - 3.0 * power(b, 4)
+    q_val = 64.0 * e - 16.0 * c * c + 16.0 * b * b * c - 16.0 * b * d - 3.0 * (b * b * (b * b))
     return p_val, q_val
 
 
 def pq_simplified(p: DeltaPotential) -> tuple[float, float]:
     """P and Q reduced over this potential family; must match the raw forms."""
     v1, v2, g2 = p.v1, p.v2, p.g_squared
-    p_val = 4.0 * power(v1 - v2, 2)
-    q_val = 16.0 * (4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + power(v1 + v2, 4))
+    s2 = (v1 + v2) * (v1 + v2)
+    p_val = 4.0 * (v1 - v2) * (v1 - v2)
+    q_val = 16.0 * (4.0 * g2 * g2 + 4.0 * g2 * (v1 * v1 - v2 * v2) + s2 * s2)
     return p_val, q_val
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qdelta.scatter import DeltaPotential, denominator, dr_di
 from qdelta.singular import (BOUNDARY_DELTA_RTOL, KAPPA, Branch, QuarticCoeffs, Reason,
                              RegionClass, RootNature, _discriminant_terms, classify_region,
-                             discriminant_expanded, discriminant_factored,
+                             discriminant_bounded, discriminant_expanded, discriminant_factored,
                              pq_classifiers, pq_simplified, quartic_coeffs, region_of,
                              root_nature, scan_region, ss_branches, ss_closed_form)
 
@@ -117,15 +117,19 @@ def test_root_nature_ignores_power_of_two_scaling(k):
         assert root_nature(scaled) is root_nature(q)
 
 
-def _drawn_branch_quartics(n):
-    """The n quartics of both branches of n / 2 drawn pairs on [-10, 10]^2,
+def _drawn_branch_potentials(n):
+    """The n potentials of both branches of n / 2 drawn pairs on [-10, 10]^2,
     with a drawn g^2 in (0, 100] where a branch is infeasible."""
     rng = np.random.default_rng(2048)
     v1, v2 = rng.uniform(-10.0, 10.0, (2, n // 2))
     g2 = [np.where(sol.feasible, sol.g_squared, 100.0 * (1.0 - rng.random(n // 2)))
           for sol in ss_branches(v1, v2)]
-    pot = DeltaPotential(np.tile(v1, 2), np.tile(v2, 2), np.sqrt(np.concatenate(g2)), 0.0)
-    return quartic_coeffs(pot)
+    return DeltaPotential(np.tile(v1, 2), np.tile(v2, 2), np.sqrt(np.concatenate(g2)), 0.0)
+
+
+def _drawn_branch_quartics(n):
+    """The quartics of _drawn_branch_potentials(n)."""
+    return quartic_coeffs(_drawn_branch_potentials(n))
 
 
 def _quartic_rows(q):
@@ -172,6 +176,30 @@ def test_discriminant_expanded_arrays_equal_rows():
     assert [x.hex() for x in got.tolist()] == \
         [math.fsum(_discriminant_terms(row)).hex() for row in _quartic_rows(q)]
     assert discriminant_expanded(FIG_COEFFS) == math.fsum(_discriminant_terms(FIG_COEFFS))
+
+
+def _potential_rows(p):
+    return [DeltaPotential(*row) for row in zip(*(np.broadcast_to(x, p.v1.shape).tolist()
+                                                  for x in (p.v1, p.v2, p.cap_v2, p.cap_v3)))]
+
+
+def _hexes(values):
+    """Each entry of each value, as float.hex, one tuple per entry."""
+    return list(zip(*([x.hex() for x in np.asarray(v).tolist()] for v in values)))
+
+
+@pytest.mark.parametrize("form, draws, rows", [
+    (discriminant_bounded, _drawn_branch_quartics, _quartic_rows),
+    (discriminant_bounded, _drawn_quartics, _quartic_rows),
+    (pq_classifiers, _drawn_branch_quartics, _quartic_rows),
+    (pq_classifiers, _drawn_quartics, _quartic_rows),
+    (discriminant_factored, _drawn_branch_potentials, _potential_rows),
+    (pq_simplified, _drawn_branch_potentials, _potential_rows),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_quartic_forms_on_arrays_equal_rows(form, draws, rows):
+    # QuarticCoeffs promises each entry the bits of the call on its row's floats.
+    drawn = draws(2048)
+    assert _hexes(form(drawn)) == [tuple(x.hex() for x in form(row)) for row in rows(drawn)]
 
 
 def test_quartic_invariants_unitary_case():

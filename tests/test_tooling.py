@@ -1,6 +1,6 @@
-"""Checks on the source tree itself: where the scalar-rounding arithmetic and
-the exact sums may live, that the branch verdicts keep no guard floors, that
-the matching oracle calls no np.linalg, which scalar helpers, array twins and
+"""Checks on the source tree itself: where the scalar-rounding arithmetic, libm
+pow and the exact sums may live, that the branch verdicts keep no guard floors,
+that the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
 threshold, that the CLI builds no quartic of its own, that g17 makes no numpy
 array per block, that every file is written through cli._output, that the
@@ -44,6 +44,39 @@ def test_rounding_helpers_live_in_qalg(pattern, allowed):
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if re.search(pattern, line)]
     assert found == []
+
+
+def _calls_of(name: str) -> list[tuple[str, str]]:
+    """(file, dotted path of the enclosing classes and functions) of each call
+    of name, bare or as an attribute."""
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.append((path.name, ".".join(scope)))
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope, path)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], path)
+    return found
+
+
+def test_libm_pow_only_where_its_bits_are_printed_or_drawn():
+    # qalg.power gives x ** n the bits of CPython's; pow(x, 2) differs from x * x
+    # on about 0.08 % of doubles. Only the printed R and T, verify's drawn
+    # energies and the root oracle's reconstruction scale, whose scalar reference
+    # in the tests takes ** 4, need those bits: the tolerance algebra of singular
+    # and verify takes plain products, which round alike for a float and for
+    # each entry of an array.
+    assert sorted(_calls_of("power")) == [("oracle.py", "_reconstructs"),
+                                          ("scatter.py", "ScatteringResult._squared_modulus"),
+                                          ("verify.py", "_draw_v2_zero")]
+    tree = ast.parse((ROOT / "src" / "qdelta" / "singular.py").read_text(encoding="utf-8"))
+    assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name == "power"] == []
 
 
 def test_exact_sums_live_in_singular():

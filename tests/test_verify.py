@@ -3,14 +3,19 @@ failing draw as a draw-by-draw loop, also past the first block; a failing
 check stops at the end of the failing block, before its later stages."""
 
 import dataclasses
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qdelta import oracle, qalg, verify
+from qdelta import cli, oracle, qalg, verify
 from qdelta.oracle import MatchMode, NumericalError
 from qdelta.scatter import DeltaPotential
 from qdelta.singular import (KAPPA, discriminant_bounded, discriminant_expanded,
@@ -57,6 +62,29 @@ def test_matching_mismatch_names_the_draw(monkeypatch, mode, detail):
     assert check.detail == detail
 
 
+@pytest.mark.parametrize("off, passes", [(0.9e-9, True), (1.1e-9, False)])
+@pytest.mark.parametrize("mode, detail", [
+    (MatchMode.CONTINUED, f"Continued mode disagrees with closed form at draw {BAD_DRAW}"),
+    (MatchMode.CONJUGATE, f"Conjugate mode disagrees on v2=0 at draw {BAD_DRAW}"),
+])
+def test_matching_agreement_is_within_1e_9_of_the_larger_modulus(monkeypatch, mode, detail,
+                                                                   off, passes):
+    # r moved off by just under and just over the allowed 1e-9 max(1, |r|).
+    divergence = verify.mode_divergence_at_probe()
+    unpatched = verify.oracle.matching_solver
+    perturb = _ChangeAt((BAD_DRAW,), lambda r: r + off * max(1.0, abs(r)))
+
+    def solve(pot, energy, solve_mode):
+        m = unpatched(pot, energy, solve_mode)
+        return dataclasses.replace(m, r=perturb(m.r)) if solve_mode is mode else m
+
+    monkeypatch.setattr(verify.oracle, "matching_solver", solve)
+    check = verify.check_matching_equivalence(verify.stream(45), TRIALS, divergence)
+    assert perturb.seen > BAD_DRAW
+    assert check.passed is passes
+    assert passes or check.detail == detail
+
+
 def test_matching_check_computes_no_reflection_or_transmission_coefficient(monkeypatch):
     # R = |r|^2 and T = |t|^2 go through scatter.power when first read; the
     # check compares r and t only.
@@ -96,7 +124,10 @@ def _draw_where_plain_sum_is_inexact(seed: int) -> tuple[int, float, float, floa
         v1, v2, g2, _ = draws[n]
         q = quartic_coeffs(DeltaPotential.from_g_squared(v1, v2, g2))
         plain, exact = discriminant_bounded(q)[0], discriminant_expanded(q)
-        monomial = max(abs(q.e) ** 3 * 256.0, 27.0 * q.d ** 4, 27.0 * q.b ** 4 * q.e * q.e)
+        # _discriminant_gaps' largest monomial, in its products.
+        b2, d2 = q.b * q.b, q.d * q.d
+        monomial = max(abs(q.e * q.e * q.e) * 256.0, 27.0 * (d2 * d2),
+                       27.0 * (b2 * b2) * q.e * q.e)
         if n > verify._BLOCK and plain != exact and abs(exact) < 0.5 * monomial:
             return n, plain, exact, monomial
     raise AssertionError("no such draw")
@@ -374,3 +405,18 @@ def test_verify_solves_the_mode_probe_once_per_mode(monkeypatch):
     assert passed
     assert sorted(modes) == sorted(MatchMode)
     assert text.count(f"|dr| = {verify.mode_divergence_at_probe():.6e}") == 2
+
+
+def test_digest_script_hashes_the_printed_reports(capsys):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "verify_digests.py"),
+                           "--first", "6", "--last", "7", "--trials", "20"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    for seed in (6, 7):
+        cli.main(["verify", f"--seed={seed}", "--trials=20"])
+        want.append(f"{seed} 20 {hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}")
+    assert proc.stdout.splitlines() == want
