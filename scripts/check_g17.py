@@ -7,7 +7,7 @@ Draws N uniformly random 64-bit patterns (default 10^7) from numpy's PCG64
 seeded with S, and then N log-uniform values of both signs over [1e-11, 1e17),
 the decimal exponents -11 to 16 where 10^p is exact and the kernel rounds all
 but the exact ties itself; only about 4.6 % of the bit patterns fall there.
-Each set is formatted with Formatter.cells, 4,608 cells a block, and gets one
+Each set is formatted with Formatter.text, 4,608 cells a block, and gets one
 line: the cells whose text differs from CPython's, and the share of cells the
 kernel left to CPython: zeros, subnormals, infinities, nans, exact ties,
 scaled values whose fraction lies within 2^-7 of 1/2 where 10^p is inexact,
@@ -38,8 +38,10 @@ def check(what: str, draw, count: int) -> list[tuple[float, str]]:
     while done < count:
         size = min(CHUNK, count - done)
         x = draw(size)
-        cells = fmt.cells(x)
-        fallbacks += fmt.fallbacks
+        cells = []
+        for start in range(0, size, BLOCK):
+            cells += fmt.text(x[start:start + BLOCK, None])[:-1].split("\n")
+            fallbacks += fmt.fallbacks
         mismatches += [(value, got) for value, got in zip(x.tolist(), cells, strict=True)
                        if got != "%.17g" % value]
         done += size

@@ -55,7 +55,7 @@ _BRANCH_SCHEMA = {
         "branch": {"enum": ["plus", "minus"]},
         **dict.fromkeys(("g_squared", "beta", "energy"), _NUM_OR_NULL),
         "feasible": {"type": "boolean"},
-        "reason": {"enum": ["OK", "NegativeGSquared", "NonPositiveBeta",
+        "reason": {"enum": ["OK", "NegativeGSquared", "ZeroGSquared", "NonPositiveBeta",
                             "ComplexSqrt", "DegenerateSum"]},
     },
 }
@@ -294,9 +294,9 @@ _JSON_ROW, _JSON_SINGULAR_ROW = (
                         (["%(E)r", "%(beta)r", *["null"] * 6, "%(absD)r"], "true")))
 
 # The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
-# per write: one block's strings are freed before the next. A sweep block's
-# cells and each formatter's workspace, about 250 bytes a cell, are allocated
-# once per command and reused; the scan's holds half a block's cells.
+# per block: one block's strings are freed before the next. A sweep block's cells
+# and each formatter's workspace, about 250 bytes a cell, are allocated once per
+# command and reused; the scan's takes half a block's energies, minus and plus.
 _SWEEP_BLOCK, _SCAN_BLOCK = 512, 8192
 
 
@@ -426,33 +426,35 @@ def run_ss(args: argparse.Namespace) -> int:
 
 
 # Cell tails "label,E_plus,E_minus" with no energy filled in, indexed by
-# 2 * plus.feasible + minus.feasible; a feasible plus branch leaves its
-# E_plus cell and the comma after it to be appended.
-_SCAN_TAILS = np.array([region_of(plus, minus).value + ("," if plus else ",,")
-                        for plus in (False, True) for minus in (False, True)], dtype=object)
+# 2 * plus.feasible + minus.feasible; a feasible E_plus and its comma are appended.
+_SCAN_TAILS = [region_of(plus, minus).value + ("," if plus else ",,")
+               for plus in (False, True) for minus in (False, True)]
 
 
 def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
-    """Write the scan CSV to the text stream out, a block of v1 rows at a time,
-    each block joined in one pass from pre-formatted pieces: each v1 and v2
-    value is formatted once, and of the energies only feasible ones (Formatter.cells)."""
-    fmt = Formatter(_SCAN_BLOCK // 2, 1)
-    v1_pieces = np.array([f"\n{v1:.17g}," for v1 in scan.v1.tolist()], dtype=object)
-    v2_pieces = np.array([f"{v2:.17g}," for v2 in scan.v2.tolist()], dtype=object)
-    step = max(1, _SCAN_BLOCK // v2_pieces.size)
+    """Write the scan CSV to the text stream out, a block of v1 rows at a time.
+    Cell (i, j) is its head "v2[j],tail" from a table of 4 n2, picked by its two
+    flags, then its feasible energies, formatted a block at once (g17.Formatter)."""
+    size, n2 = _SCAN_BLOCK // 2, scan.v2.size
+    fmt = Formatter(size, 1)
+    v2_texts = [f"{v2:.17g}," for v2 in scan.v2.tolist()]
+    heads = np.array([v2 + tail for tail in _SCAN_TAILS for v2 in v2_texts], dtype=object)
+    step = max(1, _SCAN_BLOCK // n2)
     out.write("v1,v2,classification,E_plus,E_minus")
-    for start in range(0, v1_pieces.size, step):
+    for start in range(0, scan.v1.size, step):
         rows = slice(start, start + step)
         plus, minus = scan.plus.feasible[rows], scan.minus.feasible[rows]
-        tails = _SCAN_TAILS[2 * plus + minus]
-        tails[plus] += np.array(fmt.cells(scan.plus.energy[rows][plus]), dtype=object) + ","
-        tails[minus] += np.array(fmt.cells(scan.minus.energy[rows][minus]), dtype=object)
-        # Cell (i, j) is the line "\n" + "v1[i]," + "v2[j]," + tail.
-        pieces = np.empty(tails.shape + (3,), dtype=object)
-        pieces[..., 0] = v1_pieces[rows, None]
-        pieces[..., 1] = v2_pieces
-        pieces[..., 2] = tails
-        out.write("".join(pieces.ravel().tolist()))
+        cells = heads.take((2 * plus + minus) * n2 + np.arange(n2))
+        energies = np.concatenate((scan.minus.energy[rows][minus], scan.plus.energy[rows][plus]))
+        text = "".join([fmt.text(energies[i:i + size, None])
+                        for i in range(0, energies.size, size)])
+        # Minus energies first; a plus one's "\n" becomes ",", as E_minus follows.
+        *minus_texts, plus_text = text.split("\n", np.count_nonzero(minus))
+        cells[plus] += np.array(plus_text.replace("\n", ",\n").split("\n")[:-1], dtype=object)
+        cells[minus] += np.array(minus_texts, dtype=object)   # after E_plus
+        # Row i is "\nv1[i]," + cells[i, 0] + ... + "\nv1[i]," + cells[i, n2 - 1].
+        out.writelines(lead + lead.join(row) for lead, row in zip(
+            [f"\n{v1:.17g}," for v1 in scan.v1[rows].tolist()], cells.tolist()))
     out.write("\n")
 
 

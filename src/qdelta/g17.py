@@ -268,16 +268,6 @@ class Formatter:
         fallback |= off
         return self._render(x, digits, xi, pidx, fallback, u)
 
-    def cells(self, values: np.ndarray) -> list[str]:
-        """The '%.17g' text of each value of a 1-d float64 array, for a formatter
-        of one column: rows values a text call, whose fixed cost is that of ~1,500 cells."""
-        texts, fallbacks = [], 0
-        for start in range(0, values.size, self._sep.size):
-            texts += self.text(values[start:start + self._sep.size, None])[:-1].split("\n")
-            fallbacks += self.fallbacks
-        self.fallbacks = fallbacks
-        return texts
-
     def _render(self, x, digits, xi, key, fallback, u) -> str:
         """Lay out, mask, compact and decode the records of the digits; key and
         the 9 rows of u are scratch."""

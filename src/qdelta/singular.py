@@ -174,19 +174,18 @@ class Branch(str, Enum):
 
 class Reason(str, Enum):
     OK = "OK"
-    NEGATIVE_G_SQUARED = "NegativeGSquared"
     NON_POSITIVE_BETA = "NonPositiveBeta"
+    NEGATIVE_G_SQUARED = "NegativeGSquared"
+    ZERO_G_SQUARED = "ZeroGSquared"
     COMPLEX_SQRT = "ComplexSqrt"
     DEGENERATE_SUM = "DegenerateSum"
 
 
-# Indexed by a branch's failed-check bits (1 NonPositiveBeta, 2 NegativeGSquared,
-# 4 ComplexSqrt, 8 DegenerateSum): the highest set bit names the reason, so
-# DegenerateSum takes precedence over ComplexSqrt over NegativeGSquared over
-# NonPositiveBeta.
-_REASONS = np.array([(Reason.OK, Reason.NON_POSITIVE_BETA, Reason.NEGATIVE_G_SQUARED,
-                      Reason.COMPLEX_SQRT, Reason.DEGENERATE_SUM)[code.bit_length()]
-                     for code in range(16)], dtype=object)
+# Indexed by a branch's failed-check bits (1 NonPositiveBeta, 2 g^2 <= 0,
+# 4 g^2 == 0, 8 ComplexSqrt, 16 DegenerateSum): the highest set bit names the
+# reason, in Reason's order, so DegenerateSum takes precedence over ComplexSqrt
+# over ZeroGSquared over NegativeGSquared over NonPositiveBeta.
+_REASONS = np.array([list(Reason)[code.bit_length()] for code in range(32)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,8 @@ class SSBranchSolution:
     """One closed-form singularity branch; infeasibility is data, not an error.
 
     Fields are Python scalars from ss_closed_form and arrays over the
-    broadcast (v1, v2) from ss_branches.
+    broadcast (v1, v2) from ss_branches; code holds the failed-check bits,
+    which reason names only when read, so a grid builds no Reason array.
     """
 
     branch: Branch
@@ -202,7 +202,11 @@ class SSBranchSolution:
     beta: float | np.ndarray
     energy: float | np.ndarray
     feasible: bool | np.ndarray
-    reason: Reason | np.ndarray
+    code: int | np.ndarray
+
+    @property
+    def reason(self) -> Reason | np.ndarray:
+        return _REASONS[self.code]
 
 
 def unit_scale(v1, v2):
@@ -228,17 +232,18 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     the roots of h^2 - a h - 2 v1 v2, branch t in {+, -} has
         g_t^2 = -s h_t,    beta_t = -h_(-t),    E_t = beta_t^2 / 2:
     beta_t is a root of Dr, and g_t^2 makes Di vanish there. It is feasible
-    iff g_t^2 > 0 and beta_t > 0; s == 0 is DegenerateSum and a negative
-    s^2 + 4 v1 v2 ComplexSqrt. Of h_+-, the one whose sum would cancel comes
-    from their product -2 v1 v2. The verdict is taken on (v1, v2) scaled by a
-    power of two to max(|v1|, |v2|) in [0.5, 1), so it does not depend on the
-    units; g^2 and beta are scaled back exactly unless they under- or
-    overflow. For scalar (v1, v2) the reason is a Reason, not an array.
+    iff g_t^2 > 0 and beta_t > 0; s == 0 is DegenerateSum, a negative
+    s^2 + 4 v1 v2 ComplexSqrt and g_t^2 == 0 (v1 or v2 is 0) ZeroGSquared.
+    Of h_+-, the one whose sum would cancel comes from their product -2 v1 v2.
+    The verdict is taken on (v1, v2) scaled by a power of two to
+    max(|v1|, |v2|) in [0.5, 1), so it does not depend on the units; g^2 and
+    beta are scaled back exactly unless they under- or overflow. For scalar
+    (v1, v2) the reason is a Reason, not an array.
     """
     k, v1, v2 = unit_scale(v1, v2)
     a, s, q = v1 - v2, v1 + v2, -2.0 * v1 * v2
     disc = s * s - 2.0 * q
-    shared_code = (disc < 0.0) * np.uint8(4) | (s == 0.0) * np.uint8(12)
+    shared_code = (disc < 0.0) * np.uint8(8) | (s == 0.0) * np.uint8(24)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         root = np.sqrt(np.where(s == 0.0, np.nan, disc))
         far = 0.5 * (a + np.copysign(root, a))
@@ -248,10 +253,12 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
         solutions = []
         for branch, h, h_other in ((Branch.PLUS, h_plus, h_minus),
                                    (Branch.MINUS, h_minus, h_plus)):
-            code = shared_code | (s * h >= 0.0) * np.uint8(2) | (h_other >= 0.0)
+            sh = s * h
+            code = (shared_code | (sh >= 0.0) * np.uint8(2) | (sh == 0.0) * np.uint8(4)
+                    | (h_other >= 0.0))
             beta = np.ldexp(-h_other, k) + 0.0   # + 0.0: a zero prints as 0, not -0
-            solutions.append(SSBranchSolution(branch, np.ldexp(-s * h, 2 * k) + 0.0, beta,
-                                              0.5 * beta * beta, code == 0, _REASONS[code]))
+            solutions.append(SSBranchSolution(branch, np.ldexp(-sh, 2 * k) + 0.0, beta,
+                                              0.5 * beta * beta, code == 0, code))
     return solutions[0], solutions[1]
 
 
@@ -260,7 +267,7 @@ def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolu
     as Python floats: the CLI's scalar code relies on their arithmetic, whose
     overflow to inf prints no numpy RuntimeWarning."""
     plus, minus = (SSBranchSolution(sol.branch, float(sol.g_squared), float(sol.beta),
-                                    float(sol.energy), bool(sol.feasible), sol.reason)
+                                    float(sol.energy), bool(sol.feasible), int(sol.code))
                    for sol in ss_branches(v1, v2))
     return plus, minus
 

@@ -17,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qdelta import __version__, cli, g17
+from qdelta import __version__, cli, g17, singular
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.oracle import MatchMode, NumericalError, matching_solver
 from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep
@@ -304,7 +304,9 @@ def _exact_branches(v1: float, v2: float):
         for t, other in ((0, 1), (1, 0)):
             beta = -h[other]
             values = (-d_s * h[t], beta, beta * beta / 2)
-            if _sign(s) * signs[t] >= 0:
+            if signs[t] == 0:
+                reason = "ZeroGSquared"
+            elif _sign(s) * signs[t] >= 0:
                 reason = "NegativeGSquared"
             elif signs[other] >= 0:
                 reason = "NonPositiveBeta"
@@ -617,6 +619,13 @@ def run_cli_bytes(*args):
     # energies from 6e-302 to 4e-300 and from 3e269 to 4e300: 3-digit exponents
     (((-2e-150, 1e-150), (-2e-150, 2e-150), 13, 17), {"None", "PlusOnly", "BothBranches"}),
     (((-2e150, 1e150), (-2e150, 2e150), 13, 17), {"None", "PlusOnly", "BothBranches"}),
+    # 1,092 BothBranches cells, whose E_plus must come before their E_minus
+    (((-0.3, -0.01), (1.0, 3.0), 30, 40), {"None", "BothBranches"}),
+    # one block of 3,600 BothBranches cells: 7,200 energies, more than the
+    # formatter's 4,096, so one text call holds minus and plus energies both
+    (((-0.15, -0.01), (1.0, 2.0), 40, 90), {"BothBranches"}),
+    # two v1 rows a block: 6,000 energies in the first, none in the second
+    (((-0.1, 0.5), (1.0, 2.0), 4, 3000), {"None", "BothBranches"}),
 ])
 def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path, capsys,
                                                      monkeypatch):
@@ -643,9 +652,11 @@ def test_scan_csv_bytes_equal_the_per_cell_rendering(grid, labels, tmp_path, cap
 
 def test_scan_formats_exactly_its_feasible_energies_through_g17(monkeypatch, capsys):
     # The axis values stay f-strings, formatted once each; every feasible
-    # energy, and nothing else, goes through g17.Formatter.
-    grid = ((-9.3, 10.7), (-10.7, 9.3), 250, 250)
-    scan = scan_region(*grid)
+    # energy, and nothing else, goes through g17.Formatter, a block's minus and
+    # plus energies together in as few calls as its workspace allows. Of the
+    # 250x250 box's 8 blocks, 4 hold 4,288-4,934 energies and 4 none; the
+    # 30x40 grid's one block holds 1,092 of each branch, one call, not two.
+    size = cli._SCAN_BLOCK // 2
     passed = []
     text = g17.Formatter.text
 
@@ -654,10 +665,41 @@ def test_scan_formats_exactly_its_feasible_energies_through_g17(monkeypatch, cap
         return text(self, cells)
 
     monkeypatch.setattr(g17.Formatter, "text", spy)
-    assert main(_scan_argv(*grid)) == 0
-    assert capsys.readouterr().out == _scan_csv_per_cell(scan)
-    assert sum(passed) == np.count_nonzero(scan.plus.feasible) + np.count_nonzero(
-        scan.minus.feasible) == 17_798
+    for grid, energies, calls in [(((-9.3, 10.7), (-10.7, 9.3), 250, 250), 17_798, 8),
+                                  (((-0.3, -0.01), (1.0, 3.0), 30, 40), 2_184, 1)]:
+        scan = scan_region(*grid)
+        passed.clear()
+        assert main(_scan_argv(*grid)) == 0
+        assert capsys.readouterr().out == _scan_csv_per_cell(scan)
+        assert sum(passed) == np.count_nonzero(scan.plus.feasible) + np.count_nonzero(
+            scan.minus.feasible) == energies
+        n1, n2 = grid[2:]
+        step = max(1, cli._SCAN_BLOCK // n2)
+        per_block = [np.count_nonzero(scan.plus.feasible[i:i + step])
+                     + np.count_nonzero(scan.minus.feasible[i:i + step])
+                     for i in range(0, n1, step)]
+        assert len(passed) == sum(-(-k // size) for k in per_block) == calls
+        assert max(passed) <= size
+
+
+def test_scan_reads_no_branch_reason(monkeypatch, capsys):
+    # A scan prints labels and energies only, so it never names a branch's
+    # failed check; ss does.
+    class Lookups:
+        def __init__(self, table):
+            self.table, self.codes = table, []
+
+        def __getitem__(self, code):
+            self.codes.append(code)
+            return self.table[code]
+
+    lookups = Lookups(singular._REASONS)
+    monkeypatch.setattr(singular, "_REASONS", lookups)
+    assert main(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250)) == 0
+    assert capsys.readouterr().out.count("\n") == 62_501
+    assert lookups.codes == []
+    assert main(["ss", "--v1=-0.5", "--v2=3"]) == 0
+    assert len(lookups.codes) == 2
 
 
 def test_benchmark_sized_sweep_and_scan_leave_no_cell_to_cpython(monkeypatch, tmp_path):
@@ -900,13 +942,15 @@ def test_physical_sweep_memory_holds_no_matching_temporaries(tmp_path):
 
 
 def test_scan_csv_memory_does_not_grow_with_the_table(tmp_path):
-    # 2.07 times the bytes written, of which the energies' g17.Formatter
-    # workspace of 4,096 cells is 0.21; rendering the whole table before
-    # writing it peaked at 4.4, and an 8,192-cell workspace at 2.37.
+    # 1.80 times the bytes written, reached in scan_region: its result arrays
+    # are 1.0 times the bytes and its temporaries 0.80. The writer adds 0.67 to
+    # those arrays, 0.30 of it the energies' g17.Formatter workspace of 4,096
+    # cells. Building a Reason array per branch and a 3-piece array per cell
+    # peaked at 2.07, rendering the whole table before writing it at 4.4.
     ratio = _traced_peak_per_byte(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250),
                                   _scan_argv((-1.0, 1.0), (-1.0, 1.0), 3, 3),
                                   tmp_path / "scan.csv")
-    assert ratio <= 2.2
+    assert ratio <= 1.9
 
 
 @pytest.mark.parametrize("seed, returncode, digest", [
@@ -1137,6 +1181,11 @@ def test_ss_prints_a_zero_branch_as_plus_zero(v1, v2, capsys):
     zeros = [math.copysign(1.0, x) for x in values if x == 0.0]
     assert zeros and zeros == [1.0] * len(zeros)
     assert "g2=0\n" in text and "g2=-0\n" not in text
+    # The branch of the zero g^2 fails as ZeroGSquared, not as NegativeGSquared.
+    jsonschema.validate(report, SS_REPORT_SCHEMA)
+    assert text.count("(ZeroGSquared) g2=0\n") == 1
+    assert [rec["reason"] == "ZeroGSquared" for rec in report["branches"].values()] == [
+        rec["g_squared"] == 0.0 for rec in report["branches"].values()]
 
 
 def test_ss_prints_no_numpy_warning():
@@ -1240,3 +1289,25 @@ def test_reproduce_reference_case_script(tmp_path):
             assert (tmp_path / f"curves_{branch}.{ext}").is_file()
     assert "v1=-0.5, v2=3" in proc.stdout
     assert proc.stdout.count("(x2)") == 2
+
+
+def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "cli_digests.py"),
+                           "--seed=3", "--count=4"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 2 * (5 + 4)
+                                           + ["sweep"] * 2 * 4 + ["plot"] * 4)
+    assert {line[1] for line in lines} == {"0", "3"}      # the 1e200-scale scan fails
+    out = tmp_path / "plot.svg"
+    for sha, code, *argv in lines:
+        out.unlink(missing_ok=True)
+        got = main([arg.replace("PLOT.svg", str(out)) for arg in argv])
+        printed = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else b""
+        text = printed.out.encode() + b"\0" + printed.err.encode() + b"\0" + written
+        assert (hashlib.sha256(text).hexdigest(), got) == (sha, int(code)), argv
+    assert lines[-1][-1] == "--out=PLOT.svg" and out.stat().st_size > 0

@@ -247,11 +247,14 @@ def test_every_row_of_the_mask_table():
     _assert_exact(list(found.values()))
 
 
-def test_formatter_cells_splits_across_its_workspace():
+def test_formatter_text_of_one_column_splits_into_the_cells():
+    # As cli.scan_to_csv and scripts/check_g17.py take it: a 1-d array through
+    # a one-column formatter, a workspace at a time, the text split at "\n".
     x = np.random.default_rng(5).uniform(-1e3, 1e3, 1000)
     fmt = g17.Formatter(64, 1)
-    assert fmt.cells(x) == ["%.17g" % v for v in x.tolist()]
-    assert fmt.cells(x[:0]) == [] and fmt.fallbacks == 0
+    text = "".join(fmt.text(x[i:i + 64, None]) for i in range(0, x.size, 64))
+    assert text.split("\n")[:-1] == ["%.17g" % v for v in x.tolist()]
+    assert (fmt.text(x[:0, None]), fmt.fallbacks) == ("", 0)
 
 
 def test_check_script_finds_no_mismatch():

@@ -270,19 +270,41 @@ def test_ss_closed_form_complex_sqrt():
 
 
 def test_ss_branches_reason_is_the_first_failed_check():
-    # On this grid every reason occurs, and on the minus branch hundreds of
-    # cells fail both the g^2 and the beta check.
+    # On this grid every reason occurs, g^2 = 0 on the axes v1 = 0 and v2 = 0,
+    # and on the minus branch hundreds of cells fail both the g^2 and the
+    # beta check.
     v1, v2 = np.meshgrid(np.linspace(-4.0, 4.0, 41), np.linspace(-4.0, 4.0, 41), indexing="ij")
     degenerate = v1 + v2 == 0.0
     complex_sqrt = (v1 + v2) ** 2 + 4.0 * v1 * v2 < 0.0
+    zero = 0
     for sol in ss_branches(v1, v2):
         with np.errstate(invalid="ignore"):
-            checks = [degenerate, complex_sqrt, sol.g_squared <= 0.0, sol.beta <= 0.0]
-        want = np.select(checks, ["DegenerateSum", "ComplexSqrt", "NegativeGSquared",
-                                  "NonPositiveBeta"], "OK")
+            checks = [degenerate, complex_sqrt, sol.g_squared == 0.0, sol.g_squared < 0.0,
+                      sol.beta <= 0.0]
+        want = np.select(checks, ["DegenerateSum", "ComplexSqrt", "ZeroGSquared",
+                                  "NegativeGSquared", "NonPositiveBeta"], "OK")
         assert [r.value for r in sol.reason.flat] == want.ravel().tolist()
         assert (sol.feasible == (want == "OK")).all()
-    assert (checks[2] & checks[3]).sum() > 100
+        assert (sol.code == 0).tolist() == sol.feasible.tolist()
+        zero += np.count_nonzero(want == "ZeroGSquared")
+    assert (checks[3] & checks[4]).sum() > 100
+    assert zero == np.count_nonzero(((v1 == 0.0) | (v2 == 0.0)) & ~degenerate)
+
+
+@pytest.mark.parametrize("v1, v2, reasons", [
+    (-1.0, 0.0, (Reason.ZERO_G_SQUARED, Reason.NEGATIVE_G_SQUARED)),
+    (0.0, 2.0, (Reason.ZERO_G_SQUARED, Reason.NON_POSITIVE_BETA)),
+    (-0.0, -1.0, (Reason.NON_POSITIVE_BETA, Reason.ZERO_G_SQUARED)),
+    (0.0, 0.0, (Reason.DEGENERATE_SUM, Reason.DEGENERATE_SUM)),
+])
+def test_a_zero_strength_reports_a_zero_g_squared(v1, v2, reasons):
+    # One h of h^2 - a h - 2 v1 v2 is 0, so its branch has g^2 = -s h = 0:
+    # neither negative nor feasible.
+    branches = ss_closed_form(v1, v2)
+    assert tuple(sol.reason for sol in branches) == reasons
+    for sol in branches:
+        assert not sol.feasible
+        assert (sol.g_squared == 0.0) == (sol.reason is Reason.ZERO_G_SQUARED)
 
 
 def test_classify_region_examples():
