@@ -9,17 +9,20 @@ and runs them in this process through qdelta.cli.main:
 - `scan` over random boxes at unit scale and at 1e-150, 1e150 and 1e200
   (where the closed forms overflow: exit 3), on grids of up to 40x300 cells
   and on 2-3 v1 rows of more than 8,192 cells;
-- `ss` and `ss --json` on log-uniform strengths of either sign, within
-  1e±3 or 1e±300 (some far enough apart in scale to fail), after five
-  fixed pairs with a zero or degenerate strength;
+- `ss`, `ss --json` and `ss --json --out` on five fixed pairs with a zero
+  or degenerate strength, on log-uniform strengths of either sign within
+  1e±3 or 1e±300 (some far enough apart in scale to fail), and on
+  unit-scale pairs from the lossy quadrant and the v2 > 0 band, whose
+  reports confirm one and two double roots;
 - `sweep` as CSV and as `--format=json`;
-- `plot --out`, whose SVG file is part of its digest.
+- `plot --out`, whose SVG file is part of its digest, as the JSON file is
+  of `ss --json --out`.
 
 Prints one line `sha256 exit-code command` per command: the digest of the
 bytes it wrote to stdout, a NUL, those it wrote to stderr, a NUL and those of
 its --out file (empty without one). Run it on two trees and diff the outputs
-to see which command's bytes a change moved. The default census of 130
-commands takes about 0.2 s on a 2-core machine.
+to see which command's bytes a change moved. The census holds 10 N + 15
+commands: the default of 215 takes about 0.35 s on a 2-core machine.
 """
 
 import argparse
@@ -33,6 +36,7 @@ from pathlib import Path
 from typing import Iterator
 
 from qdelta.cli import main as cli_main
+from qdelta.singular import KAPPA
 
 # Pairs whose branches have a zero g^2 or beta, or a degenerate sum.
 _EDGE_PAIRS = ((-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0))
@@ -47,8 +51,17 @@ def _axis(rng: random.Random, scale: float) -> tuple[float, float]:
     return lo, hi if hi > lo else lo + scale
 
 
-def census(rng: random.Random, count: int, plot_path: str) -> Iterator[list[str]]:
-    """The argv of each command, count of each kind, scans first."""
+def _unit_pair(rng: random.Random, k: int) -> tuple[float, float]:
+    """A lossy-quadrant pair for even k, a v2 > 0 band pair for odd k."""
+    if k % 2 == 0:
+        return -10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())
+    v2 = 0.1 + 9.9 * (1.0 - rng.random())
+    return KAPPA * v2 * (1.0 - rng.random()), v2
+
+
+def census(rng: random.Random, count: int, plot_path: str,
+           ss_path: str) -> Iterator[list[str]]:
+    """The argv of each command, count of each kind (three per ss pair), scans first."""
     for k in range(count):
         scale = (1.0, 1e-150, 1e150, 1e200)[k % 4]
         n1, n2 = (rng.randint(2, 3), rng.randint(8_193, 20_000)) if k % 5 == 4 else (
@@ -59,9 +72,11 @@ def census(rng: random.Random, count: int, plot_path: str) -> Iterator[list[str]
     spans = (3.0, 300.0)
     pairs = [*_EDGE_PAIRS, *((_strength(rng, spans[k % 2]), _strength(rng, spans[k % 2]))
                              for k in range(count))]
+    pairs += [_unit_pair(rng, k) for k in range(count)]
     for v1, v2 in pairs:
         yield ["ss", f"--v1={v1!r}", f"--v2={v2!r}"]
         yield ["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json"]
+        yield ["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json", f"--out={ss_path}"]
     for _ in range(count):
         e_min = 10.0 ** rng.uniform(-3.0, 1.0)
         argv = ["sweep", f"--v1={_strength(rng)!r}", f"--v2={_strength(rng)!r}",
@@ -96,11 +111,12 @@ def main() -> None:
     if args.count < 0:
         parser.error("--count must not be negative")
     with tempfile.TemporaryDirectory() as tmp:
-        plot_path = os.path.join(tmp, "plot.svg")
-        for argv in census(random.Random(args.seed), args.count, plot_path):
-            out_path = plot_path if argv[0] == "plot" else None
+        paths = {os.path.join(tmp, "plot.svg"): "PLOT.svg",
+                 os.path.join(tmp, "ss.json"): "SS.json"}
+        for argv in census(random.Random(args.seed), args.count, *paths):
+            out_path = next((path for path in paths if f"--out={path}" in argv), None)
             sha, code = digest(argv, out_path)
-            shown = [arg.replace(plot_path, "PLOT.svg") for arg in argv]
+            shown = [arg.replace(out_path, paths[out_path]) if out_path else arg for arg in argv]
             print(sha, code, " ".join(shown), flush=True)
 
 

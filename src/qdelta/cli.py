@@ -417,11 +417,40 @@ def _ss_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The ss report as json.dumps(indent=2) lays it out, a %s slot for each value,
+# indexed by 2 * (plus oracle record present) + (minus one present); an absent
+# record is one slot, for its null.
+_SS_JSON = [json.dumps({**dict.fromkeys(SS_REPORT_SCHEMA["required"][:-2]),
+                        "branches": dict.fromkeys(("plus", "minus"), dict.fromkeys(
+                            _BRANCH_SCHEMA["required"])),
+                        "oracle": {"plus": plus, "minus": minus}}, indent=2
+                       ).replace(": null", ": %s") + "\n"
+            for plus in (None, dict.fromkeys(_ORACLE_SCHEMA["required"]))
+            for minus in (None, dict.fromkeys(_ORACLE_SCHEMA["required"]))]
+# Renders a list of values as json does, C-encoded, split at the NULs (a string's
+# own NUL is escaped): float.__repr__, int.__repr__, null, true, false.
+_json_values = json.JSONEncoder(allow_nan=False, separators=("\0", ":")).encode
+
+
+def _ss_json(report: dict) -> str:
+    """The bytes of json.dumps(report, indent=2, allow_nan=False) + "\\n", and its
+    ValueError for a nan or an inf."""
+    *values, branches, confirmed = report.values()
+    for rec in (*branches.values(), *confirmed.values()):
+        values += [None] if rec is None else rec.values()
+    try:
+        texts = _json_values(values)[1:-1].split("\0")
+    except ValueError:  # named as json.dumps(indent=2) names it
+        bad = next(x for x in values if isinstance(x, float) and not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}") from None
+    return _SS_JSON[2 * (confirmed["plus"] is not None)
+                    + (confirmed["minus"] is not None)] % tuple(texts)
+
+
 def run_ss(args: argparse.Namespace) -> int:
     _require_finite(v1=args.v1, v2=args.v2)
     report = ss_report(args.v1, args.v2)
-    _write_text(args.out, json.dumps(report, indent=2, allow_nan=False) + "\n"
-                if args.as_json else _ss_text(report))
+    _write_text(args.out, _ss_json(report) if args.as_json else _ss_text(report))
     return EXIT_OK
 
 

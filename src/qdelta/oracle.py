@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import as_complex, cmul, cprod, maximum, modulus, power
+from .qalg import as_complex, cmul, maximum, modulus
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
 from .singular import QuarticCoeffs, SSBranchSolution, quartic_coeffs, unit_scale
@@ -50,28 +50,45 @@ class RootArrays:
 
     def double_root(self, beta) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the value and multiplicity of the first real root of
-        multiplicity >= 2 within 1e-6 of beta[n]; nan and 0 where there is none."""
+        multiplicity >= 2 within 1e-6 of beta[n], one beta for every row if
+        beta has one entry; nan and 0 where there is none."""
         near = ((self.roots.imag == 0.0) & (self.multiplicity_tags >= 2)
-                & (abs(self.roots.real - np.asarray(beta)[:, None]) <= 1e-6))
-        rows, first = np.arange(len(near)), near.argmax(axis=1)
-        return (np.where(near[rows, first], self.roots.real[rows, first], math.nan),
-                np.where(near[rows, first], self.multiplicity_tags[rows, first], 0))
+                & (abs(self.roots.real - np.asarray(beta).reshape(-1, 1)) <= 1e-6))
+        first = np.arange(len(near)), near.argmax(axis=1)
+        return (np.where(near, self.roots.real, math.nan)[first],
+                np.where(near, self.multiplicity_tags, 0)[first])
+
+
+_SUBDIAGONAL = np.eye(4, k=-1)
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrix of each row (b, c, d, e) of
     coeffs, from one solve over the stacked matrices."""
-    comp = np.zeros((len(coeffs), 4, 4))
-    comp[:, (1, 2, 3), (0, 1, 2)] = 1.0
+    comp = np.empty((len(coeffs), 4, 4))
+    comp[:] = _SUBDIAGONAL
     comp[:, :, 3] = -coeffs[:, ::-1]
     return np.linalg.eigvals(comp).astype(complex)
 
 
-# Index pairs (i, j), i < j, of the four roots, and the triples of the
-# quartic's d coefficient as (index into the pairs, third root), in the
-# order the re-expansion sums them.
-_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
-_TRIPLES = ((0, 0, 1, 3), (2, 3, 3, 3))
+# Index pairs (i, j), i < j, of the four roots; and for each code whose bit n
+# says whether root _J[n] lies within the tolerance of root _I[n], the root's
+# cluster head under the greedy rule, its fellow members and their count.
+_I, _J = np.triu_indices(4, 1)
+
+
+def _greedy_heads(code: int) -> list[int]:
+    """Per root, its cluster head under the greedy rule, for the closeness bits of code."""
+    close = {(i, j) for n, (i, j) in enumerate(zip(_I.tolist(), _J.tolist())) if code >> n & 1}
+    heads: list[int] = []
+    for j in range(4):
+        heads.append(min((h for h in heads if (h, j) in close), default=j))
+    return heads
+
+
+_HEADS = np.array([_greedy_heads(code) for code in range(64)])
+_MEMBERS = _HEADS[:, :, None] == _HEADS[:, None, :]
+_COUNTS = _MEMBERS.sum(axis=2)
 
 
 def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,41 +101,31 @@ def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     as CPython's sum() and complex division do, so it has their bits: a finite
     sum from 0 is never -0.0, so dividing each part is Smith's quotient.
     """
-    rows = np.arange(len(z))[:, None]
     tol = CLUSTER_RTOL * np.maximum(1.0, modulus(z))
-    diff = z[:, None, :] - z[:, :, None]
-    # close[n, i, j]: root j lies within the tolerance of root i (so of itself).
-    close = modulus(diff) <= tol[:, :, None]
-    head = np.zeros(z.shape, dtype=int)
-    is_head = np.ones(z.shape, dtype=bool)
-    for j in range(1, 4):
-        head[:, j] = (close[:, :j + 1, j] & is_head[:, :j + 1]).argmax(axis=1)
-        is_head[:, j] = head[:, j] == j
-    member = head[:, None, :] == np.arange(4)[:, None]
+    code = np.packbits(modulus(z[:, _J] - z[:, _I]) <= tol[:, _I], axis=1,
+                       bitorder="little")[:, 0]
     # Sums from 0 in member order; the + 0.0 turns the one -0.0 a sum from 0
     # cannot give (every term -0.0) into 0.0.
-    total = np.add.accumulate(np.where(member, z[:, None, :], 0.0), axis=2)[..., -1] + 0.0
-    total, count = total[rows, head], member.sum(axis=2)[rows, head]
-    return head, as_complex(total.real / count, total.imag / count), count
+    total = np.add.accumulate(np.where(_MEMBERS[code], z[:, None, :], 0.0), axis=2)[..., -1] + 0.0
+    count = _COUNTS[code]
+    return _HEADS[code], as_complex(total.real / count, total.imag / count), count
 
 
 def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per row, whether the roots re-expand to the quartic within the guard.
 
-    Each row decides as the one quartic's Python complex arithmetic would:
-    products are rounded as CPython rounds them, and sums, exact per part in
-    numpy too, run left to right.
+    prod (x - z_k) is formed by one multiply-accumulate per root in numpy's
+    complex arithmetic, not CPython's rounding: the residual only meets the
+    guard's 1e-6 tolerance, which absorbs the difference.
     """
-    i, j = _PAIRS
-    pair = cprod(z[:, i], z[:, j])
-    k, m = _TRIPLES
-    triple = cprod(pair[:, k], z[:, m])
-    got = np.stack((-np.add.accumulate(z, axis=1)[:, -1],
-                    np.add.accumulate(pair, axis=1)[:, -1],
-                    -np.add.accumulate(triple, axis=1)[:, -1],
-                    cprod(triple[:, 0], z[:, 3])), axis=1)
-    scale = maximum(1.0, np.abs(coeffs).max(axis=1), power(modulus(z).max(axis=1), 4.0))
-    off = modulus(got - coeffs) > _RECONSTRUCT_GUARD * scale[:, None]
+    got = np.zeros((len(z), 5), dtype=complex)
+    got[:, 0] = 1.0
+    for k in range(4):
+        got[:, 1:k + 2] -= z[:, k, None] * got[:, :k + 1]
+    top = modulus(z).max(axis=1)
+    top *= top
+    scale = maximum(1.0, np.abs(coeffs).max(axis=1), top * top)
+    off = modulus(got[:, 1:] - coeffs) > _RECONSTRUCT_GUARD * scale[:, None]
     return ~off.any(axis=1)
 
 
@@ -128,9 +135,10 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     over the stack of companion matrices.
 
     The real eigensolver returns complex roots in exact conjugate pairs. The
-    roots are clustered into multiplicity tags, clusters centred on the real
-    axis are snapped onto it, and each row is checked by re-expansion; a row
-    equals the one-row evaluation bit for bit.
+    roots are clustered into multiplicity tags and clusters centred on the real
+    axis are snapped onto it, each row's roots and tags with the bits of the
+    one-row evaluation; then each row is checked by re-expansion against a
+    tolerance (see _reconstructs).
     """
     coeffs = np.array(np.broadcast_arrays(q.b, q.c, q.d, q.e), dtype=float).reshape(4, -1).T
     if not np.isfinite(coeffs).all():
@@ -162,9 +170,8 @@ def branch_roots(v1, v2, sol: SSBranchSolution) -> tuple[DeltaPotential, Quartic
     pot = DeltaPotential(v1, v2, np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
     coeffs = quartic_coeffs(pot)
     found = quartic_roots(coeffs)
-    beta, k, _ = np.broadcast_arrays(np.ldexp(sol.beta, -k), k, coeffs.e)
-    value, mult = found.double_root(beta.ravel())
-    return pot, coeffs, found, np.ldexp(value, k.ravel()), mult
+    value, mult = found.double_root(np.ldexp(sol.beta, -k))
+    return pot, coeffs, found, np.ldexp(value, np.ravel(k)), mult
 
 
 _GRID_POINTS = 10_000

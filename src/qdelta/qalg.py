@@ -114,11 +114,6 @@ def cdiv(*numerators, by):
     return quotients
 
 
-def cprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays."""
-    return as_complex(*cmul((a.real, a.imag), (b.real, b.imag)))
-
-
 def modulus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|z| for a complex array, as abs() takes it, into out if given."""
     return np.hypot(z.real, z.imag, out=out)

@@ -546,6 +546,61 @@ def test_ss_json_degenerate_sum():
         assert doc["branches"][name]["g_squared"] is None
 
 
+def _ss_json_pairs():
+    """Lossy-quadrant pairs (one oracle confirmation), v2 > 0 band pairs (two),
+    the zero and degenerate pairs of scripts/cli_digests.py, and pairs of
+    either sign with one strength near 1e300 or 1e-300 and the other within
+    1e+-300, most of which exit 3."""
+    rng = random.Random(34)
+    lossy = [(-10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())) for _ in range(200)]
+    band = [(KAPPA * v2 * (1.0 - rng.random()), v2)
+            for v2 in (0.1 + 9.9 * (1.0 - rng.random()) for _ in range(200))]
+    edge = [(-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0)]
+    far = [(rng.choice((-1.0, 1.0)) * scale * (1.0 - rng.random()),
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0))
+           for scale in (1e300, 1e-300) for _ in range(100)]
+    far = [pair[::rng.choice((1, -1))] for pair in far]
+    return [(1, pair) for pair in lossy] + [(2, pair) for pair in band] + [
+        (None, pair) for pair in edge + far]
+
+
+def test_ss_json_bytes_equal_the_indented_json_dumps(capsys):
+    # run_ss fills a layout that json.dumps(indent=2) made, value by value.
+    printed = 0
+    for confirmations, (v1, v2) in _ss_json_pairs():
+        code = main(["ss", f"--v1={v1!r}", f"--v2={v2!r}", "--json"])
+        out, err = capsys.readouterr()
+        if code == 3 and confirmations is None:   # a closed form out of range
+            assert err.startswith("numerical failure: "), (v1, v2)
+            continue
+        report = ss_report(v1, v2)
+        assert (code, err) == (0, ""), (v1, v2)
+        assert out == json.dumps(report, indent=2, allow_nan=False) + "\n", (v1, v2)
+        confirmed = sum(rec is not None for rec in report["oracle"].values())
+        assert confirmations in (None, confirmed), (v1, v2)
+        printed += 1
+    assert printed >= 430
+
+
+@pytest.mark.parametrize("path, value", [
+    (("v1",), math.nan), (("E_minus",), math.inf),
+    (("branches", "minus", "energy"), -math.inf),
+    (("oracle", "plus", "abs_denominator"), math.nan),
+    (("oracle", "plus", "double_root_beta"), math.inf)])
+def test_ss_json_of_a_non_finite_value_fails_as_json_dumps(path, value, monkeypatch, capsys):
+    report = ss_report(-0.5, 3.0)
+    *parents, key = path
+    record = report
+    for name in parents:
+        record = record[name]
+    record[key] = value
+    with pytest.raises(ValueError) as want:
+        json.dumps(report, indent=2, allow_nan=False)
+    monkeypatch.setattr(cli, "ss_report", lambda v1, v2: report)
+    assert main(["ss", "--v1=-0.5", "--v2=3", "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {want.value}\n")
+
+
 def test_ss_text_output():
     proc = run_cli("ss", "--v1", "-0.5", "--v2", "3")
     assert proc.returncode == 0
@@ -1299,15 +1354,19 @@ def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
                            "--seed=3", "--count=4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
-    assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 2 * (5 + 4)
+    assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 3 * (5 + 2 * 4)
                                            + ["sweep"] * 2 * 4 + ["plot"] * 4)
     assert {line[1] for line in lines} == {"0", "3"}      # the 1e200-scale scan fails
-    out = tmp_path / "plot.svg"
+    files = {"PLOT.svg": tmp_path / "plot.svg", "SS.json": tmp_path / "ss.json"}
     for sha, code, *argv in lines:
+        name, out = next(((name, out) for name, out in files.items() if f"--out={name}" in argv),
+                         ("", tmp_path / "none"))
         out.unlink(missing_ok=True)
-        got = main([arg.replace("PLOT.svg", str(out)) for arg in argv])
+        got = main([arg.replace(name, str(out)) if name else arg for arg in argv])
         printed = capsys.readouterr()
         written = out.read_bytes() if out.exists() else b""
         text = printed.out.encode() + b"\0" + printed.err.encode() + b"\0" + written
         assert (hashlib.sha256(text).hexdigest(), got) == (sha, int(code)), argv
-    assert lines[-1][-1] == "--out=PLOT.svg" and out.stat().st_size > 0
+    assert lines[-1][-1] == "--out=PLOT.svg" and files["PLOT.svg"].stat().st_size > 0
+    assert sum(line[-1] == "--out=SS.json" for line in lines) == 5 + 2 * 4
+    assert files["SS.json"].stat().st_size > 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from qdelta import verify
 from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError, _cramer,
-                           matching_solver, minimize_dsq, potential_from_ss_pairs,
-                           quartic_roots)
+                           _reconstructs, matching_solver, minimize_dsq,
+                           potential_from_ss_pairs, quartic_roots)
 from qdelta.qalg import Quaternion, as_complex, symplectic_split
 from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes, denominator
 from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
@@ -147,16 +147,25 @@ def _scalar_quartic_roots(q):
             z = complex(z.real, 0.0)
         tagged += [(z, len(members))] * len(members)
     tagged.sort(key=lambda item: (item[0].real, item[0].imag))
-    r1, r2, r3, r4 = roots = tuple(z for z, _ in tagged)
+    roots = tuple(z for z, _ in tagged)
+    offs, bound = _scalar_residuals(roots, q)
+    if any(off > bound for off in offs):
+        return None
+    return roots, tuple(n for _, n in tagged)
+
+
+def _scalar_residuals(roots, q):
+    """|expanded - wanted| of each coefficient when the four roots are
+    multiplied out in Python complex arithmetic, and the guard they must not
+    exceed, 1e-6 max(1, |coefficients|, max |z|^4)."""
+    r1, r2, r3, r4 = roots
     expanded = (-(r1 + r2 + r3 + r4),
                 r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4,
                 -(r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4),
                 r1 * r2 * r3 * r4)
     want = (q.b, q.c, q.d, q.e)
     scale = max(1.0, *map(abs, want), max(abs(z) for z in roots) ** 4)
-    if any(abs(got - w) > 1e-6 * scale for got, w in zip(expanded, want)):
-        return None
-    return roots, tuple(n for _, n in tagged)
+    return [abs(got - w) for got, w in zip(expanded, want)], 1e-6 * scale
 
 
 def _root_bits(roots):
@@ -175,7 +184,8 @@ def _branch_quartics(rng, count):
             for v1, v2 in pairs for sol in ss_closed_form(v1, v2) if sol.feasible]
 
 
-def test_quartic_root_arrays_equal_scalar_roots():
+def _root_census():
+    """Random quartics, those of feasible branches, and a few with repeated roots."""
     rng = random.Random(2024)
     quartics = [QuarticCoeffs(*(rng.uniform(-20.0, 20.0) for _ in range(4)))
                 for _ in range(2000)]
@@ -184,6 +194,11 @@ def test_quartic_root_arrays_equal_scalar_roots():
     # tolerance), and two double roots.
     quartics += [QuarticCoeffs(0.0, 0.0, 0.0, 0.0), QuarticCoeffs(-4.0, 6.0, -4.0, 1.0),
                  QuarticCoeffs(-5.0, 9.0, -7.0, 2.0), QuarticCoeffs(0.0, -2.0, 0.0, 1.0)]
+    return quartics
+
+
+def test_quartic_root_arrays_equal_scalar_roots():
+    quartics = _root_census()
     found = quartic_roots(QuarticCoeffs(*np.array([(q.b, q.c, q.d, q.e) for q in quartics]).T))
     tags_seen = set()
     for n, q in enumerate(quartics):
@@ -195,6 +210,46 @@ def test_quartic_root_arrays_equal_scalar_roots():
         assert (_root_bits(one_roots), tuple(one_tags)) == (_root_bits(roots), tags)
         tags_seen.add(tags)
     assert {(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (4, 4, 4, 4)} <= tags_seen
+
+
+def _moved_root(roots, q, k, ratio, rng):
+    """roots with root k moved, in a random direction, so far that the largest
+    scalar residual is ratio times the guard, to a relative 1e-9 (rounding
+    root + move leaves about 1e-11)."""
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    step = complex(math.cos(angle), math.sin(angle)) * 1e-6 * max(1.0, abs(roots[k]))
+    for _ in range(20):
+        moved = list(roots)
+        moved[k] += step
+        offs, bound = _scalar_residuals(moved, q)
+        if abs(max(offs) / bound / ratio - 1.0) <= 1e-9:
+            return moved
+        step *= ratio * bound / max(offs)
+    raise AssertionError(f"no root move of {q} gives a residual of {ratio} guards")
+
+
+def test_reconstruction_guard_decides_as_python_complex_arithmetic():
+    # The multiply-accumulate rounds as numpy's complex product, not CPython's;
+    # with one root moved so that the residual lies within a factor 2 of the
+    # guard, every row still decides as the scalar reference, in a batch and
+    # alone, and a residual just above the guard fails.
+    rng = random.Random(34)
+    quartics = _root_census()
+    coeffs = np.array([(q.b, q.c, q.d, q.e) for q in quartics])
+    roots = quartic_roots(QuarticCoeffs(*coeffs.T)).roots.tolist()
+    ratios = [2.0 ** rng.uniform(-1.0, 1.0) for _ in quartics]
+    moved = np.array([_moved_root(z, q, n % 4, ratio, rng)
+                      for n, (z, q, ratio) in enumerate(zip(roots, quartics, ratios))])
+    want = [not any(off > bound for off in offs) for offs, bound in (
+        _scalar_residuals(z, q) for z, q in zip(moved.tolist(), quartics))]
+    assert 0.4 < sum(want) / len(want) < 0.6
+    got = _reconstructs(moved, coeffs)
+    assert got.tolist() == want
+    assert [bool(_reconstructs(moved[n:n + 1], coeffs[n:n + 1])[0])
+            for n in range(len(quartics))] == want
+    above = np.array([_moved_root(z, q, n % 4, 1.0 + 1e-7, rng)
+                      for n, (z, q) in enumerate(zip(roots, quartics))])
+    assert not _reconstructs(above, coeffs).any()
 
 
 def test_failed_reconstruction_raises(monkeypatch):

@@ -2,7 +2,8 @@
 pow and the exact sums may live, that the branch verdicts keep no guard floors,
 that the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
-threshold, that the CLI builds no quartic of its own, that g17 makes no numpy
+threshold, that the CLI formats no ss report with json's indenting encoder
+and builds no quartic of its own, that g17 makes no numpy
 array per block, that every file is written through cli._output, that the
 benchmark's traced functions exist and the CSV writers do their work when
 called, which commands load numpy.random, and that the package and its
@@ -66,13 +67,11 @@ def _calls_of(name: str) -> list[tuple[str, str]]:
 
 def test_libm_pow_only_where_its_bits_are_printed_or_drawn():
     # qalg.power gives x ** n the bits of CPython's; pow(x, 2) differs from x * x
-    # on about 0.08 % of doubles. Only the printed R and T, verify's drawn
-    # energies and the root oracle's reconstruction scale, whose scalar reference
-    # in the tests takes ** 4, need those bits: the tolerance algebra of singular
-    # and verify takes plain products, which round alike for a float and for
-    # each entry of an array.
-    assert sorted(_calls_of("power")) == [("oracle.py", "_reconstructs"),
-                                          ("scatter.py", "ScatteringResult._squared_modulus"),
+    # on about 0.08 % of doubles. Only the printed R and T and verify's drawn
+    # energies need those bits: the tolerance algebra of singular, verify and
+    # the root oracle's reconstruction takes plain products, which round alike
+    # for a float and for each entry of an array.
+    assert sorted(_calls_of("power")) == [("scatter.py", "ScatteringResult._squared_modulus"),
                                           ("verify.py", "_draw_v2_zero")]
     tree = ast.parse((ROOT / "src" / "qdelta" / "singular.py").read_text(encoding="utf-8"))
     assert [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -158,6 +157,18 @@ def test_one_branch_gate_in_the_cli():
             if getattr(node, "id", None) in ("unit_scale_underflows", "_TINY")}
     assert sorted(uses) == [("_TINY", "Assign"), ("_TINY", "_require_usable"),
                             ("unit_scale_underflows", "_require_usable")]
+
+
+def test_ss_json_is_not_written_by_the_indenting_encoder():
+    # json.dumps with an indent runs CPython's pure-Python encoder. The sweep
+    # writer takes it once per command, for its head, and the ss report's
+    # layout once per process, at import; each ss --json report fills that layout.
+    tree = ast.parse((ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8"))
+    calls = [top.name if isinstance(top, ast.FunctionDef) else ast.unparse(top.targets[0])
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"
+             and any(keyword.arg == "indent" for keyword in node.keywords)]
+    assert calls == ["_rows_to_json", "_SS_JSON"]
 
 
 def test_cli_builds_no_quartic():
