@@ -9,11 +9,11 @@ and runs them in this process through qdelta.cli.main:
 - `scan` over random boxes at unit scale and at 1e-150, 1e150 and 1e200
   (where the closed forms overflow: exit 3), on grids of up to 40x300 cells
   and on 2-3 v1 rows of more than 8,192 cells;
-- `ss`, `ss --json` and `ss --json --out` on five fixed pairs with a zero
-  or degenerate strength, on log-uniform strengths of either sign within
-  1e±3 or 1e±300 (some far enough apart in scale to fail), and on
-  unit-scale pairs from the lossy quadrant and the v2 > 0 band, whose
-  reports confirm one and two double roots;
+- `ss`, `ss --json` and `ss --json --out` on eight fixed pairs with a zero,
+  degenerate, equal, subnormal or overflowing strength, on log-uniform
+  strengths of either sign within 1e±3 or 1e±300 (some far enough apart in
+  scale to fail), and on unit-scale pairs from the lossy quadrant and the
+  v2 > 0 band, whose reports confirm one and two double roots;
 - `sweep` as CSV and as `--format=json`;
 - `plot --out`, whose SVG file is part of its digest, as the JSON file is
   of `ss --json --out`.
@@ -21,8 +21,8 @@ and runs them in this process through qdelta.cli.main:
 Prints one line `sha256 exit-code command` per command: the digest of the
 bytes it wrote to stdout, a NUL, those it wrote to stderr, a NUL and those of
 its --out file (empty without one). Run it on two trees and diff the outputs
-to see which command's bytes a change moved. The census holds 10 N + 15
-commands: the default of 215 takes about 0.35 s on a 2-core machine.
+to see which command's bytes a change moved. The census holds 10 N + 24
+commands: the default of 224 takes about 0.35 s on a 2-core machine.
 """
 
 import argparse
@@ -38,8 +38,11 @@ from typing import Iterator
 from qdelta.cli import main as cli_main
 from qdelta.singular import KAPPA
 
-# Pairs whose branches have a zero g^2 or beta, or a degenerate sum.
-_EDGE_PAIRS = ((-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0))
+# Pairs whose branches have a zero g^2 or beta, or a degenerate sum; equal
+# strengths; subnormal strengths, whose g^2 underflows; and strengths whose
+# g^2 overflows when scaled back (both exit 3).
+_EDGE_PAIRS = ((-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0),
+               (-2.0, -2.0), (-5e-324, -1e-321), (-1e200, -2e200))
 
 
 def _strength(rng: random.Random, span: float = 3.0) -> float:

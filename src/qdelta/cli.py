@@ -237,8 +237,8 @@ def _require_usable(v1, v2, plus: SSBranchSolution, minus: SSBranchSolution) -> 
     outside += [sol.feasible & ((sol.g_squared < _TINY) | (sol.energy < _TINY))
                 for sol in (plus, minus)]
     hit = outside[0] | outside[1] | outside[2] | outside[3] | lost
-    if np.count_nonzero(hit):
-        first = [np.broadcast_to(x, hit.shape)[hit][0] for x in (v1, v2, lost, *outside)]
+    if hit.any() if isinstance(hit, np.ndarray) else hit:
+        first = [np.broadcast_to(x, np.shape(hit))[hit][0] for x in (v1, v2, lost, *outside)]
         raise NumericalError(_UNUSABLE[first[2:].index(True)].format(*map(_fmt, first[:2])))
 
 

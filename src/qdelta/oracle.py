@@ -21,7 +21,7 @@ import numpy as np
 from .qalg import as_complex, cmul, maximum, modulus
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
-from .singular import QuarticCoeffs, SSBranchSolution, quartic_coeffs, unit_scale
+from .singular import QuarticCoeffs, SSBranchSolution, math_of, quartic_coeffs, unit_scale
 
 
 class NumericalError(RuntimeError):
@@ -68,7 +68,7 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     comp = np.empty((len(coeffs), 4, 4))
     comp[:] = _SUBDIAGONAL
     comp[:, :, 3] = -coeffs[:, ::-1]
-    return np.linalg.eigvals(comp).astype(complex)
+    return np.linalg.eigvals(comp).astype(complex, copy=False)
 
 
 # Index pairs (i, j), i < j, of the four roots; and for each code whose bit n
@@ -140,7 +140,10 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     one-row evaluation; then each row is checked by re-expansion against a
     tolerance (see _reconstructs).
     """
-    coeffs = np.array(np.broadcast_arrays(q.b, q.c, q.d, q.e), dtype=float).reshape(4, -1).T
+    fields = (q.b, q.c, q.d, q.e)
+    if math_of(*fields) is np:
+        fields = np.broadcast_arrays(*fields)
+    coeffs = np.array(fields, dtype=float).reshape(4, -1).T
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
     rows = np.arange(len(coeffs))[:, None]
@@ -164,14 +167,15 @@ def branch_roots(v1, v2, sol: SSBranchSolution) -> tuple[DeltaPotential, Quartic
     (nan and 0 where there is none). The model is homogeneous and the scaling
     exact, so the oracle's tolerances see every scale as the unit one.
     """
+    xp = math_of(v1, v2)
     k, v1, v2 = unit_scale(v1, v2)
     # An infeasible branch takes g^2 = 1; no caller reads its row.
-    g2 = np.where(sol.feasible, sol.g_squared, 1.0)
-    pot = DeltaPotential(v1, v2, np.sqrt(np.ldexp(g2, -2 * k)), 0.0)
+    g2 = xp.where(sol.feasible, sol.g_squared, 1.0)
+    pot = DeltaPotential(v1, v2, xp.sqrt(xp.ldexp(g2, -2 * k)), 0.0)
     coeffs = quartic_coeffs(pot)
     found = quartic_roots(coeffs)
-    value, mult = found.double_root(np.ldexp(sol.beta, -k))
-    return pot, coeffs, found, np.ldexp(value, np.ravel(k)), mult
+    value, mult = found.double_root(xp.ldexp(sol.beta, -k))
+    return pot, coeffs, found, np.ldexp(value, k.ravel() if xp is np else k), mult
 
 
 _GRID_POINTS = 10_000

@@ -9,9 +9,11 @@ branches and the (v1, v2) feasibility regions.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,9 +194,9 @@ _REASONS = np.array([list(Reason)[code.bit_length()] for code in range(32)], dty
 class SSBranchSolution:
     """One closed-form singularity branch; infeasibility is data, not an error.
 
-    Fields are Python scalars from ss_closed_form and arrays over the
-    broadcast (v1, v2) from ss_branches; code holds the failed-check bits,
-    which reason names only when read, so a grid builds no Reason array.
+    Fields are Python scalars for a pair of floats and arrays over the broadcast
+    (v1, v2) for arrays; code holds the failed-check bits, which reason names
+    only when read, so a grid builds no Reason array.
     """
 
     branch: Branch
@@ -209,10 +211,34 @@ class SSBranchSolution:
         return _REASONS[self.code]
 
 
+def math_of(*values):
+    """FloatMath if every value is a Python float, else numpy; see FloatMath."""
+    return FloatMath if all(isinstance(v, float) for v in values) else np
+
+
+def _ldexp(x: float, k: int) -> float:
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+# The numpy functions that ss_branches, unit_scale and oracle.branch_roots call
+# through math_of, picked once per call, on Python floats, with numpy's results
+# also where math raises: ldexp overflows to +-inf, the sqrt of a negative is nan.
+FloatMath = SimpleNamespace(
+    uint8=int, frexp=math.frexp, copysign=math.copysign, ldexp=_ldexp,
+    errstate=lambda **_: contextlib.nullcontext(),
+    where=lambda condition, x, y: x if condition else y,
+    maximum=lambda x, y: x if x >= y or x != x else y,
+    sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan)
+
+
 def unit_scale(v1, v2):
     """(k, 2^-k v1, 2^-k v2), the larger |2^-k v| in [0.5, 1); exact, broadcast."""
-    k = np.frexp(np.maximum(np.abs(v1), np.abs(v2)))[1]
-    return k, np.ldexp(v1, -k), np.ldexp(v2, -k)
+    xp = math_of(v1, v2)
+    k = xp.frexp(xp.maximum(abs(v1), abs(v2)))[1]
+    return k, xp.ldexp(v1, -k), xp.ldexp(v2, -k)
 
 
 def unit_scale_underflows(v1, v2):
@@ -221,12 +247,15 @@ def unit_scale_underflows(v1, v2):
     decided for another pair; broadcast. With |v| = m 2^e, m in [0.5, 1), the
     smaller scales to m 2^(e_small - e_large), below 2^-1022 iff the exponents
     differ by more than 1021."""
-    exponent_gap = np.abs(np.frexp(v1)[1] - np.frexp(v2)[1])
+    xp = math_of(v1, v2)
+    exponent_gap = abs(xp.frexp(v1)[1] - xp.frexp(v2)[1])
     return (v1 != 0.0) & (v2 != 0.0) & (exponent_gap > 1021)
 
 
 def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
-    """Both closed-form singularity branches, broadcast over arrays of (v1, v2).
+    """Both closed-form singularity branches of (v1, v2): Python floats for a
+    pair of Python floats, arrays over the broadcast inputs for arrays, from
+    one body in Python float arithmetic or numpy (math_of).
 
     With a = v1 - v2, s = v1 + v2 and h_+- = (a +- sqrt(s^2 + 4 v1 v2)) / 2,
     the roots of h^2 - a h - 2 v1 v2, branch t in {+, -} has
@@ -237,39 +266,36 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
     Of h_+-, the one whose sum would cancel comes from their product -2 v1 v2.
     The verdict is taken on (v1, v2) scaled by a power of two to
     max(|v1|, |v2|) in [0.5, 1), so it does not depend on the units; g^2 and
-    beta are scaled back exactly unless they under- or overflow. For scalar
-    (v1, v2) the reason is a Reason, not an array.
+    beta are scaled back exactly unless they under- or overflow.
     """
+    xp = math_of(v1, v2)
     k, v1, v2 = unit_scale(v1, v2)
     a, s, q = v1 - v2, v1 + v2, -2.0 * v1 * v2
     disc = s * s - 2.0 * q
-    shared_code = (disc < 0.0) * np.uint8(8) | (s == 0.0) * np.uint8(24)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        root = np.sqrt(np.where(s == 0.0, np.nan, disc))
-        far = 0.5 * (a + np.copysign(root, a))
-        near = np.where(a == 0.0, -far, q / far)
-        h_plus, h_minus = np.where(a < 0.0, near, far), np.where(a < 0.0, far, near)
+    shared_code = (disc < 0.0) * xp.uint8(8) | (s == 0.0) * xp.uint8(24)
+    with xp.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        root = xp.sqrt(xp.where(s == 0.0, math.nan, disc))
+        far = 0.5 * (a + xp.copysign(root, a))
+        near = xp.where(a == 0.0, -far, q / far)   # far != 0: root is nan at v1 == v2 == 0
+        h_plus, h_minus = xp.where(a < 0.0, near, far), xp.where(a < 0.0, far, near)
         del v1, v2, a, q, disc, root, far, near   # bounds the peak memory of a scan
         solutions = []
         for branch, h, h_other in ((Branch.PLUS, h_plus, h_minus),
                                    (Branch.MINUS, h_minus, h_plus)):
             sh = s * h
-            code = (shared_code | (sh >= 0.0) * np.uint8(2) | (sh == 0.0) * np.uint8(4)
+            code = (shared_code | (sh >= 0.0) * xp.uint8(2) | (sh == 0.0) * xp.uint8(4)
                     | (h_other >= 0.0))
-            beta = np.ldexp(-h_other, k) + 0.0   # + 0.0: a zero prints as 0, not -0
-            solutions.append(SSBranchSolution(branch, np.ldexp(-sh, 2 * k) + 0.0, beta,
+            beta = xp.ldexp(-h_other, k) + 0.0   # + 0.0: a zero prints as 0, not -0
+            solutions.append(SSBranchSolution(branch, xp.ldexp(-sh, 2 * k) + 0.0, beta,
                                               0.5 * beta * beta, code == 0, code))
     return solutions[0], solutions[1]
 
 
 def ss_closed_form(v1: float, v2: float) -> tuple[SSBranchSolution, SSBranchSolution]:
-    """Both closed-form singularity branches for one strength pair (v1, v2),
-    as Python floats: the CLI's scalar code relies on their arithmetic, whose
-    overflow to inf prints no numpy RuntimeWarning."""
-    plus, minus = (SSBranchSolution(sol.branch, float(sol.g_squared), float(sol.beta),
-                                    float(sol.energy), bool(sol.feasible), int(sol.code))
-                   for sol in ss_branches(v1, v2))
-    return plus, minus
+    """ss_branches of one strength pair (v1, v2) as Python floats: the CLI's scalar
+    code relies on their arithmetic, whose overflow to inf prints no numpy
+    RuntimeWarning."""
+    return ss_branches(float(v1), float(v2))
 
 
 class RegionClass(str, Enum):

@@ -548,14 +548,15 @@ def test_ss_json_degenerate_sum():
 
 def _ss_json_pairs():
     """Lossy-quadrant pairs (one oracle confirmation), v2 > 0 band pairs (two),
-    the zero and degenerate pairs of scripts/cli_digests.py, and pairs of
+    the fixed edge pairs of scripts/cli_digests.py, and pairs of
     either sign with one strength near 1e300 or 1e-300 and the other within
     1e+-300, most of which exit 3."""
     rng = random.Random(34)
     lossy = [(-10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())) for _ in range(200)]
     band = [(KAPPA * v2 * (1.0 - rng.random()), v2)
             for v2 in (0.1 + 9.9 * (1.0 - rng.random()) for _ in range(200))]
-    edge = [(-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0)]
+    edge = [(-1.0, 0.0), (0.0, 2.0), (-0.0, -1.0), (0.0, 0.0), (-0.5, 3.0),
+            (-2.0, -2.0), (-5e-324, -1e-321), (-1e200, -2e200)]
     far = [(rng.choice((-1.0, 1.0)) * scale * (1.0 - rng.random()),
             rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0))
            for scale in (1e300, 1e-300) for _ in range(100)]
@@ -1354,7 +1355,7 @@ def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
                            "--seed=3", "--count=4"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
-    assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 3 * (5 + 2 * 4)
+    assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 3 * (8 + 2 * 4)
                                            + ["sweep"] * 2 * 4 + ["plot"] * 4)
     assert {line[1] for line in lines} == {"0", "3"}      # the 1e200-scale scan fails
     files = {"PLOT.svg": tmp_path / "plot.svg", "SS.json": tmp_path / "ss.json"}
@@ -1368,5 +1369,5 @@ def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
         text = printed.out.encode() + b"\0" + printed.err.encode() + b"\0" + written
         assert (hashlib.sha256(text).hexdigest(), got) == (sha, int(code)), argv
     assert lines[-1][-1] == "--out=PLOT.svg" and files["PLOT.svg"].stat().st_size > 0
-    assert sum(line[-1] == "--out=SS.json" for line in lines) == 5 + 2 * 4
+    assert sum(line[-1] == "--out=SS.json" for line in lines) == 8 + 2 * 4
     assert files["SS.json"].stat().st_size > 0

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdelta import singular
 from qdelta.scatter import DeltaPotential, denominator, dr_di
 from qdelta.singular import (BOUNDARY_DELTA_RTOL, KAPPA, Branch, QuarticCoeffs, Reason,
                              RegionClass, RootNature, _discriminant_terms, classify_region,
                              discriminant_bounded, discriminant_expanded, discriminant_factored,
                              pq_classifiers, pq_simplified, quartic_coeffs, region_of,
-                             root_nature, scan_region, ss_branches, ss_closed_form)
+                             root_nature, scan_region, ss_branches, ss_closed_form,
+                             unit_scale, unit_scale_underflows)
 
 FIG_COEFFS = QuarticCoeffs(-7.0, 24.5, -46.0, 34.0)
 
@@ -517,6 +519,104 @@ def test_scan_region_equivalence_grids_hold_the_edge_cases():
     edge = scan_region((3 * KAPPA - 2.0, 3 * KAPPA), (-3.0, 3.0), 21, 31)
     assert (edge.v1[-1], edge.v2[-1]) == (3 * KAPPA, 3.0)
     assert any(r is Reason.COMPLEX_SQRT for r in edge.plus.reason.flat)
+
+
+def _trap_pairs():
+    """Pairs on which Python float arithmetic and numpy part ways unless the
+    float path takes care: drawn unit-scale, lossy and band-edge pairs; zero,
+    equal, opposite and ComplexSqrt pairs; subnormal pairs and pairs that
+    unit_scale_underflows flags; log-uniform pairs within 1e+-300; and pairs
+    whose g^2 or E overflows when scaled back."""
+    rng = random.Random(35)
+    unit = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(200)]
+    lossy = [(-10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())) for _ in range(200)]
+    band = []
+    for _ in range(50):
+        v2 = rng.uniform(0.1, 10.0)
+        for v1 in (KAPPA * v2, v2 / KAPPA):   # the two roots of s^2 + 4 v1 v2 = 0
+            for step in range(-3, 4):
+                band.append((v1 + step * math.ulp(v1), v2))
+    fixed = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, -1.0), (-0.0, -1.0),
+             (-1.0, 0.0), (2.0, 2.0), (-3.5, -3.5), (2.0, -2.0), (-0.5, 0.5), (1.0, -3.0),
+             (-1.0, 3.0), (-0.5, 3.0), (math.inf, 1.0), (1.0, -math.inf), (math.nan, 2.0),
+             (2.0, -math.nan)]
+    tiny = [(5e-324, 5e-324), (-5e-324, -1e-321), (1e-310, -3e-315), (-2e-308, 1e-320),
+            (5e-324, 1.0), (1.0, -1e-310), (1e-300, 1e300), (-1e-200, -1e200)]
+    far = [(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0),
+            rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0)) for _ in range(300)]
+    huge = [(-1e200, -2e200), (-1e160, -2e160), (1e155, -1.0000000001e155),
+            (-1.7976931348623157e308, -1.7976931348623157e308), (1.5e308, -1.7e308)]
+    return unit + lossy + band + fixed + tiny + far + huge
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_float_path_has_the_bits_of_the_array_path():
+    # A pair of Python floats runs ss_branches, unit_scale and
+    # unit_scale_underflows in Python float arithmetic and math; 0-d arrays
+    # run the same body in numpy, which warns of the infinite inputs.
+    pairs = _trap_pairs()
+    seen = set()
+    for v1, v2 in pairs:
+        arrays = np.array(v1), np.array(v2)
+        with np.errstate(invalid="ignore"):
+            want_branches = ss_branches(*arrays)
+        for got, want in zip(ss_branches(v1, v2), want_branches):
+            fields = (got.g_squared, got.beta, got.energy, got.feasible, got.code)
+            assert [type(x) for x in fields] == [float, float, float, bool, int], (v1, v2)
+            assert want.code.dtype == np.uint8
+            assert got.branch is want.branch
+            assert [_bits(x) for x in fields[:3]] == [
+                _bits(x) for x in (want.g_squared, want.beta, want.energy)], (v1, v2)
+            assert (got.feasible, got.code) == (bool(want.feasible), int(want.code)), (v1, v2)
+            assert got.reason is want.reason
+            seen.add(got.reason)
+            seen.update(name for name, x in (("g2 inf", got.g_squared), ("E inf", got.energy))
+                        if x == math.inf)
+        k, s1, s2 = unit_scale(v1, v2)
+        k_want, s1_want, s2_want = unit_scale(*arrays)
+        assert (type(k), type(s1), type(s2)) == (int, float, float)
+        assert (k, _bits(s1), _bits(s2)) == (int(k_want), _bits(s1_want), _bits(s2_want))
+        lost = unit_scale_underflows(v1, v2)
+        assert type(lost) is bool and lost == bool(unit_scale_underflows(*arrays)), (v1, v2)
+        seen.add("lost" if lost else "kept")
+    assert seen == {*Reason, "g2 inf", "E inf", "lost", "kept"}
+    # And one array of all the pairs gives each pair's bits as well.
+    v1, v2 = np.array(pairs).T
+    with np.errstate(invalid="ignore"):
+        columns = ss_branches(v1, v2)
+    for column, branch in zip(columns, zip(*(ss_branches(*p) for p in pairs))):
+        assert column.code.dtype == np.uint8
+        assert column.code.tolist() == [sol.code for sol in branch]
+        for name in ("g_squared", "beta", "energy"):
+            assert [_bits(x) for x in getattr(column, name)] == [
+                _bits(getattr(sol, name)) for sol in branch]
+
+
+class _AttributeRecorder:
+    """Stands in for a module and records the name of each attribute read."""
+
+    def __init__(self, module):
+        self.module, self.names = module, []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(self.module, name)
+
+
+def test_float_pairs_make_no_numpy_call(monkeypatch):
+    recorder = _AttributeRecorder(np)
+    monkeypatch.setattr(singular, "np", recorder)
+    plus, minus = ss_closed_form(-1.0, -2.0)
+    scaled, lost = unit_scale(-1.0, -2.0), unit_scale_underflows(-1.0, -2.0)
+    assert recorder.names == []
+    assert (plus.reason, minus.reason) == (Reason.OK, Reason.NEGATIVE_G_SQUARED)
+    assert (scaled, lost) == ((2, -0.25, -0.5), False)
+    ss_branches(np.array([-1.0]), np.array([-2.0]))
+    assert {"frexp", "maximum", "ldexp", "sqrt", "where", "copysign", "errstate",
+            "uint8"} <= set(recorder.names)
 
 
 def test_boundary_double_root_seeded_ensemble():
