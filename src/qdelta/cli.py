@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, verify
 from .g17 import Formatter
-from .oracle import MatchMode, NumericalError, branch_roots, matching_solver
+from .oracle import MatchMode, NumericalError, certify_double_root, matching_solver
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
@@ -362,10 +362,11 @@ def _oracle_confirmation(v1: float, v2: float, sol: SSBranchSolution) -> dict | 
     absd = abs(denominator(DeltaPotential.from_g_squared(v1, v2, sol.g_squared), sol.beta))
     if not math.isfinite(absd):
         raise NumericalError(f"the |D| of the {sol.branch.value} branch overflows")
-    *_, found, value, mult = branch_roots(v1, v2, sol)
-    found.require(0)
-    return {"abs_denominator": absd, "double_root_beta": value.item() if mult else None,
-            "double_root_multiplicity": mult.item() or None}
+    radius, root = certify_double_root(v1, v2, sol)
+    if math.isnan(radius):
+        raise NumericalError(f"the double root of the {sol.branch.value} branch cannot be "
+                             f"certified at (v1, v2) = ({_fmt(v1)}, {_fmt(v2)})")
+    return {"abs_denominator": absd, "double_root_beta": root, "double_root_multiplicity": 2}
 
 
 def _branch_record(sol: SSBranchSolution) -> dict:

@@ -1,12 +1,10 @@
-"""Independent numerical cross-checks for the closed forms.
-
-Three oracles, none of which reuses the closed-form amplitude or branch
-expressions: a general quartic root solver, a direct minimiser of |D(beta)|^2,
-and a first-principles solver of the junction conditions, a 4x4 complex linear
-system from the complex-pair split of the wave function. The root and matching
-solvers work on arrays: quartic_roots takes one eigenvalue solve over a stack of
-companion matrices, and matching_solver solves each junction system by exact
-elimination and Cramer's rule into its own numerators and determinant, which
+"""Independent numerical cross-checks for the closed forms, none of which
+reuses the closed-form amplitude or branch expressions: a general quartic root
+solver (one eigenvalue solve over a stack of companion matrices), a certificate
+of each singularity branch's double root, a direct minimiser of |D(beta)|^2, and
+a first-principles solver of the junction conditions, a 4x4 complex linear
+system from the complex-pair split of the wave function, solved over arrays by
+exact elimination and Cramer's rule into numerators and a determinant, which
 scatter.scattering_result divides, flags and fills as for the closed forms.
 """
 
@@ -21,7 +19,7 @@ import numpy as np
 from .qalg import as_complex, cmul, maximum, modulus
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
-from .singular import QuarticCoeffs, SSBranchSolution, math_of, quartic_coeffs, unit_scale
+from .singular import EPS, QuarticCoeffs, SSBranchSolution, math_of, unit_scale
 
 
 class NumericalError(RuntimeError):
@@ -31,6 +29,7 @@ class NumericalError(RuntimeError):
 CLUSTER_RTOL = 1e-6
 REAL_TAG_RTOL = 1e-8
 _RECONSTRUCT_GUARD = 1e-6
+DOUBLE_ROOT_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,6 @@ class RootArrays:
         """Raise NumericalError if row n fails to reconstruct its quartic."""
         if not self.reconstructs[n]:
             raise NumericalError("root set fails to reconstruct the quartic")
-
-    def double_root(self, beta) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the value and multiplicity of the first real root of
-        multiplicity >= 2 within 1e-6 of beta[n], one beta for every row if
-        beta has one entry; nan and 0 where there is none."""
-        near = ((self.roots.imag == 0.0) & (self.multiplicity_tags >= 2)
-                & (abs(self.roots.real - np.asarray(beta).reshape(-1, 1)) <= 1e-6))
-        first = np.arange(len(near)), near.argmax(axis=1)
-        return (np.where(near, self.roots.real, math.nan)[first],
-                np.where(near, self.multiplicity_tags, 0)[first])
 
 
 _SUBDIAGONAL = np.eye(4, k=-1)
@@ -158,24 +147,40 @@ def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     return RootArrays(z, tags, _reconstructs(z, coeffs))
 
 
-def branch_roots(v1, v2, sol: SSBranchSolution) -> tuple[DeltaPotential, QuarticCoeffs,
-                                                        RootArrays, np.ndarray, np.ndarray]:
-    """For the singularity branch sol of (v1, v2), over the broadcast inputs
-    flattened to rows: its potential scaled by 2^-k, with k and 2^-k v from
-    unit_scale and g^2 -> 4^-k g^2, that potential's quartic and roots, and the
-    value, scaled back, and multiplicity of the real double root near 2^-k beta
-    (nan and 0 where there is none). The model is homogeneous and the scaling
-    exact, so the oracle's tolerances see every scale as the unit one.
+def certify_double_root(v1, v2, sol: SSBranchSolution):
+    """(radius, root) of the double root of |D|^2 at the closed-form beta of branch
+    sol of (v1, v2), on floats or arrays (math_of); nan, nan where it is refused.
+
+    At unit scale (unit_scale, exact), Dr(beta + w) = Dr0 + Dr1 w + w^2 and
+    Di(beta + w) = Di0 + s w give |D|^2 = c0 + c1 w + c2 w^2 + c3 w^3 + w^4. Pellet's
+    test, |c2| r^2 > |c0| + |c1| r + |c3| r^3 + r^4 on bounds that cover every rounding,
+    proves that the exact quartic of the scaled floats has two roots within r of
+    beta; it must pass at r <= DOUBLE_ROOT_RTOL beta. root is the Newton point of
+    the derivative, beta - c1 / (2 c2); both are scaled back by 2^k.
     """
     xp = math_of(v1, v2)
     k, v1, v2 = unit_scale(v1, v2)
-    # An infeasible branch takes g^2 = 1; no caller reads its row.
-    g2 = xp.where(sol.feasible, sol.g_squared, 1.0)
-    pot = DeltaPotential(v1, v2, xp.sqrt(xp.ldexp(g2, -2 * k)), 0.0)
-    coeffs = quartic_coeffs(pot)
-    found = quartic_roots(coeffs)
-    value, mult = found.double_root(xp.ldexp(sol.beta, -k))
-    return pot, coeffs, found, np.ldexp(value, k.ravel() if xp is np else k), mult
+    with xp.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        beta, g2 = xp.ldexp(sol.beta, -k), xp.ldexp(sol.g_squared, -2 * k)
+        a, s, m = v1 - v2, v1 + v2, abs(v1) + abs(v2)
+        dr1, dr0, di0 = 2.0 * beta + a, (beta + a) * beta - 2.0 * v1 * v2, s * beta + (g2 + a * s)
+        c1, c2 = 2.0 * (dr0 * dr1 + di0 * s), dr1 * dr1 + s * s + 2.0 * dr0
+        # Each of dr1, dr0, di0 and c2 rounds n <= 5 times on a path, so it errs by at most
+        # gamma_n < 3 eps times the same sum of |terms| (Higham, ch. 3); the margins cover
+        # those sums' rounding. t_i >= 1/4 keeps a certified r above 1e-18: no underflow.
+        t1, t0, t_i = 2.0 * beta + m, (beta + m) * beta + 2.0 * abs(v1 * v2), m * beta + g2 + m * m
+        big1, big0, big_i, big_s = (abs(x) + 4.0 * EPS * t for x, t in (
+            (dr1, t1), (dr0, t0), (di0, t_i), (s, m)))
+        # |c0| <= top0, |c1| <= top1, |c3| <= 2 big1; c2 >= low2 > 0, or nan refuses.
+        top0, top1 = big0 * big0 + big_i * big_i, 2.0 * (big0 * big1 + big_i * big_s)
+        low2 = c2 - 6.0 * EPS * (t1 * t1 + m * m + 2.0 * t0)
+        c2, low2 = (xp.where(low2 > 0.0, x, math.nan) for x in (c2, low2))
+        # At r, (low2 / 2) r^2 = top1 r + top0: low2 r^2 / 2 is left for r^3 and r^4.
+        r = (top1 + xp.sqrt(top1 * top1 + 2.0 * low2 * top0)) / low2
+        rest = (top0 + r * (top1 + r * r * (2.0 * big1 + r))) * (1.0 + 16.0 * EPS)
+        ok = sol.feasible & (r <= DOUBLE_ROOT_RTOL * beta) & (low2 * r * r > rest)
+        return (xp.where(ok, xp.ldexp(r, k), math.nan),
+                xp.where(ok, xp.ldexp(beta - c1 / (2.0 * c2), k), math.nan))
 
 
 _GRID_POINTS = 10_000

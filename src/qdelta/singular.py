@@ -28,7 +28,7 @@ KAPPA = -3.0 + 2.0 * math.sqrt(2.0)
 # largest monomial ~1.7e8) classified as four distinct real roots.
 BOUNDARY_DELTA_RTOL = 1e-9
 
-_EPS = float(np.finfo(float).eps)
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def discriminant_bounded(q: QuarticCoeffs) -> tuple[float, float]:
     covers both with room for its own rounding.
     """
     terms = _discriminant_terms(q)
-    return sum(terms), 15.0 * _EPS * sum(abs(t) for t in terms)
+    return sum(terms), 15.0 * EPS * sum(abs(t) for t in terms)
 
 
 def discriminant_factored(p: DeltaPotential) -> tuple[float, float, float]:
@@ -223,8 +223,8 @@ def _ldexp(x: float, k: int) -> float:
         return math.copysign(math.inf, x)
 
 
-# The numpy functions that ss_branches, unit_scale and oracle.branch_roots call
-# through math_of, picked once per call, on Python floats, with numpy's results
+# The numpy functions that ss_branches, unit_scale and oracle.certify_double_root
+# call through math_of, picked once per call, on Python floats, with numpy's results
 # also where math raises: ldexp overflows to +-inf, the sqrt of a negative is nan.
 FloatMath = SimpleNamespace(
     uint8=int, frexp=math.frexp, copysign=math.copysign, ldexp=_ldexp,

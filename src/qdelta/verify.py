@@ -19,11 +19,11 @@ from .oracle import MatchMode
 from .qalg import (ONE, I, J, K, Quaternion, as_complex, maximum, modulus,
                    power, qconj, qmul, symplectic_join, symplectic_split)
 from .scatter import DeltaPotential, amplitudes, denominator, dr_di, sweep
-from .singular import (KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
+from .singular import (EPS, KAPPA, QuarticCoeffs, Reason, RegionClass, RootNature,
                        discriminant_bounded, discriminant_expanded,
                        discriminant_factored, pq_classifiers, pq_simplified,
                        quartic_coeffs, region_of, root_nature, scan_region,
-                       ss_branches, ss_closed_form)
+                       ss_branches, ss_closed_form, unit_scale)
 
 # Published singularity pairs (g^2, beta) quoted for the reference interaction.
 REFERENCE_PAIRS = ((3.75, 2.0), (5.0, 1.5))
@@ -33,8 +33,6 @@ REFERENCE_QUOTED_STRENGTH = "-10 - 0.5i"
 
 # Fixed probe where the Conjugate and Continued junction models must differ.
 MODE_PROBE = (-0.5, 3.0, 3.75, 1.0)   # v1, v2, g^2, energy
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -239,7 +237,7 @@ def _discriminant_gaps(coeffs: QuarticCoeffs,
     gap, allowed = gaps(delta_exp)
     # The verdict gap > allowed moves by at most (1 + 1e-6) |delta_exp - fsum|,
     # plus the rounding of gap and allowed themselves.
-    unsure = np.flatnonzero(np.abs(gap - allowed) <= 2.0 * (bound + _EPS * allowed))
+    unsure = np.flatnonzero(np.abs(gap - allowed) <= 2.0 * (bound + EPS * allowed))
     delta_exp[unsure] = discriminant_expanded(QuarticCoeffs(*(x[unsure] for x in (b, c, dd, e))))
     return gaps(delta_exp)
 
@@ -351,15 +349,16 @@ def check_double_root_boundary(rng: np.random.RandomState, pairs: int) -> CheckR
     roots: multiplicity 2 at beta+, A ~ 0, boundary verdict."""
     def double_roots(start, v1, v2):
         plus, _ = ss_branches(v1, v2)
-        pot, coeffs, found, _, mult = oracle.branch_roots(v1, v2, plus)
+        k, *unit = unit_scale(v1, v2)   # the potential at the certificate's unit scale
+        pot = _potential(*unit, np.ldexp(np.where(plus.feasible, plus.g_squared, 1.0), -2 * k))
+        coeffs = quartic_coeffs(pot)
         a_factor, _, _ = discriminant_factored(pot)
         a_large = a_factor > 1e-8 * np.maximum(1.0, np.square(np.square(pot.g_squared)))
         # numpy compares a bare str member as a string, unequal to every verdict.
         off_boundary = root_nature(coeffs) != np.array(RootNature.BOUNDARY_DOUBLE_ROOT, object)
         return (
             (~plus.feasible, lambda n: f"plus branch infeasible at {_pair_at(v1, v2, n)}"),
-            (~found.reconstructs, found.require),   # raises NumericalError
-            (mult == 0,
+            (np.isnan(oracle.certify_double_root(v1, v2, plus)[0]),
              lambda n: f"no real double root at beta+={plus.beta[n].item()!r} for "
                        f"{_pair_at(v1, v2, n)}"),
             (a_large, lambda n: f"A = {a_factor[n]:.3e} not ~0 at {_pair_at(v1, v2, n)}"),
@@ -508,7 +507,7 @@ def _ascending(z: np.ndarray) -> np.ndarray:
 
 def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckResult:
     """Random quartics reconstruct from their roots; every feasible branch
-    beta appears among the roots with multiplicity 2."""
+    has a certified double root at its beta."""
     n_coeff, n_branch = min(trials, 300), min(trials, 100)
 
     def reconstruction(start, *coeffs):
@@ -520,16 +519,10 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
         )
 
     def branch_betas(start, v1, v2):
-        checks = []
-        for sol in ss_branches(v1, v2):
-            *_, found, _, mult = oracle.branch_roots(v1, v2, sol)
-            checks += [
-                (sol.feasible & ~found.reconstructs, found.require),   # raises NumericalError
-                (sol.feasible & (mult == 0),
+        return [(sol.feasible & np.isnan(oracle.certify_double_root(v1, v2, sol)[0]),
                  lambda n, sol=sol: f"branch beta {sol.beta[n].item()!r} missing from roots "
-                                    f"at {_pair_at(v1, v2, n)}"),
-            ]
-        return checks
+                                    f"at {_pair_at(v1, v2, n)}")
+                for sol in ss_branches(v1, v2)]
     problem = (_first_failing_draw(rng, n_coeff, _draw_quartics, reconstruction)
                or _first_failing_draw(rng, n_branch, _draw_band, branch_betas))
     return _result("quartic-root-oracle", problem,

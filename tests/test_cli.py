@@ -1245,14 +1245,20 @@ def test_ss_prints_a_zero_branch_as_plus_zero(v1, v2, capsys):
 
 
 def test_ss_prints_no_numpy_warning():
+    # beta+ = 2e-20 is too small against the strengths for the rounded g^2 to
+    # keep a double root within 1e-6 beta+ of it: a numerical failure, on one
+    # line and with no numpy warning.
     proc = run_cli("ss", "--v1=-1e-20", "--v2=-1e100")
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("numerical failure: the double root of the plus branch cannot be "
+                           "certified at (v1, v2) = (-9.9999999999999995e-21, -1e+100)\n")
 
 
 def test_ss_on_log_uniform_lossy_pairs_confirms_or_fails_honestly(capsys):
     # v1 and v2 drawn as -10^U, U in [-300, 300]: every report confirms the
-    # plus branch's double root, or exits 3 on a closed form out of range or on
-    # strengths too far apart in scale, and no command warns.
+    # plus branch's double root within 1e-6 beta+ of beta+, or exits 3 on a
+    # closed form out of range, on strengths too far apart in scale or on a
+    # double root the certificate cannot reach, and no command warns.
     rng = random.Random(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1262,10 +1268,15 @@ def test_ss_on_log_uniform_lossy_pairs_confirms_or_fails_honestly(capsys):
             out, err = capsys.readouterr()
             if code == 3:
                 assert err.startswith(("numerical failure: the closed forms of the plus branch",
-                                       "numerical failure: the strengths (v1, v2) = ")), err
+                                       "numerical failure: the strengths (v1, v2) = ",
+                                       "numerical failure: the double root of the plus branch "
+                                       "cannot be certified at (v1, v2) = ")), err
             else:
                 assert (code, err) == (0, ""), (v1, v2)
-                assert json.loads(out)["oracle"]["plus"]["double_root_multiplicity"] == 2, (v1, v2)
+                report = json.loads(out)
+                confirm, beta = report["oracle"]["plus"], report["beta_plus"]
+                assert confirm["double_root_multiplicity"] == 2, (v1, v2)
+                assert abs(confirm["double_root_beta"] - beta) <= 1e-6 * beta, (v1, v2)
 
 
 def test_usage_errors_return_2_in_process(capsys):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from qdelta import verify
 from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError, _cramer,
-                           _reconstructs, matching_solver, minimize_dsq,
+                           _reconstructs, certify_double_root, matching_solver, minimize_dsq,
                            potential_from_ss_pairs, quartic_roots)
 from qdelta.qalg import Quaternion, as_complex, symplectic_split
 from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes, denominator
-from qdelta.singular import KAPPA, QuarticCoeffs, quartic_coeffs, ss_closed_form
+from qdelta.singular import (KAPPA, QuarticCoeffs, quartic_coeffs, ss_branches, ss_closed_form,
+                             unit_scale)
 
 coeff = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -114,16 +115,76 @@ def test_branch_betas_appear_as_double_roots():
             assert hits, (v1, v2, sol)
 
 
-def test_double_root_per_row():
-    # The figure quartic has a double root at 2 and a complex pair; the
-    # quartic with roots 1-4 has no double root; 2.1 is too far from 2.
-    found = quartic_roots(QuarticCoeffs([-7.0, -10.0, -7.0], [24.5, 35.0, 24.5],
-                                        [-46.0, -50.0, -46.0], [34.0, 24.0, 34.0]))
-    value, mult = found.double_root([2.0, 2.0, 2.1])
-    first = next(z.real for z, tag in zip(found.roots[0].tolist(),
-                                          found.multiplicity_tags[0].tolist()) if tag >= 2)
-    assert (value[0], mult[0]) == (first, 2)
-    assert np.isnan(value[1:]).all() and mult[1:].tolist() == [0, 0]
+def _exact_shifted_quartic(v1, v2, sol):
+    """The coefficients c0..c3 of |D(beta + w)|^2, exact in fractions, for the
+    unit-scaled floats the certificate takes: v, g^2 and beta scaled by 2^-k."""
+    k, v1, v2 = unit_scale(v1, v2)
+    v1, v2 = Fraction(v1), Fraction(v2)
+    beta, g2 = Fraction(math.ldexp(sol.beta, -k)), Fraction(math.ldexp(sol.g_squared, -2 * k))
+    a, s = v1 - v2, v1 + v2
+    dr0, dr1 = beta * beta + a * beta - 2 * v1 * v2, 2 * beta + a
+    di0 = s * beta + g2 + a * s
+    return k, (dr0 * dr0 + di0 * di0, 2 * (dr0 * dr1 + di0 * s),
+               dr1 * dr1 + s * s + 2 * dr0, 2 * dr1)
+
+
+def _certificate_pairs():
+    rng = random.Random(36)
+    box = [(-10.0 * (1.0 - rng.random()), -10.0 * (1.0 - rng.random())) for _ in range(300)]
+    band = [(KAPPA * v2 * (1.0 - rng.random()), v2)
+            for v2 in (0.1 + 9.9 * (1.0 - rng.random()) for _ in range(300))]
+    log_uniform = [(-(10.0 ** rng.uniform(-150.0, 150.0)),
+                    rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0))
+                   for _ in range(400)]
+    return box, band, log_uniform
+
+
+_NAMED_PAIRS = [(-0.5, 3.0), (-1e-8, -2e-8), (-1e10, -1e10), (-1e11, -1.0)]
+
+
+def test_certified_double_roots_pass_pellet_exactly():
+    # Pellet's inequality at the returned radius, for the exact quartic of the
+    # rounded unit-scaled inputs shifted to the exact beta; the float path has
+    # the bits of the array path.
+    box, band, log_uniform = _certificate_pairs()
+    certified = 0
+    for pairs, may_refuse in ((box + band + _NAMED_PAIRS, False), (log_uniform, True)):
+        for v1, v2 in pairs:
+            arrays = ss_branches(np.array([v1]), np.array([v2]))
+            for sol, sol_array in zip(ss_closed_form(v1, v2), arrays):
+                radius, root = certify_double_root(v1, v2, sol)
+                assert repr((radius, root)) == repr(tuple(x.item() for x in certify_double_root(
+                    np.array([v1]), np.array([v2]), sol_array)))
+                if math.isnan(radius):
+                    assert math.isnan(root) and (may_refuse or not sol.feasible), (v1, v2)
+                    continue
+                certified += 1
+                assert sol.feasible and radius <= 1e-6 * sol.beta
+                assert abs(root - sol.beta) <= radius
+                k, (c0, c1, c2, c3) = _exact_shifted_quartic(v1, v2, sol)
+                r = Fraction(math.ldexp(radius, -k))
+                assert abs(c2) * r * r > abs(c0) + abs(c1) * r + abs(c3) * r ** 3 + r ** 4, (
+                    v1, v2)
+    assert certified >= 300 + 600 + 100 + 5
+
+
+def test_certificate_agrees_with_the_eigenvalue_oracle():
+    # On 2,000 box and 2,000 band branches, quartic_roots' real double-root
+    # cluster lies within 1e-6 beta of the certificate's Newton point.
+    rng = np.random.RandomState(36)
+    u = 1.0 - rng.random_sample((3, 2000))
+    v2_band = 0.1 + 9.9 * u[2, :1000]
+    v1 = np.concatenate((-10.0 * u[0], KAPPA * v2_band * u[2, 1000:]))
+    v2 = np.concatenate((-10.0 * u[1], v2_band))
+    plus, minus = ss_branches(v1, v2)
+    for sol, rows in ((plus, slice(None)), (minus, slice(2000, None))):
+        radius, root = (x[rows] for x in certify_double_root(v1, v2, sol))
+        beta, g2 = sol.beta[rows], sol.g_squared[rows]
+        assert (radius <= 1e-6 * beta).all()
+        found = quartic_roots(quartic_coeffs(DeltaPotential(v1[rows], v2[rows], np.sqrt(g2), 0.0)))
+        double = (found.roots.imag == 0.0) & (found.multiplicity_tags == 2)
+        near = double & (abs(found.roots.real - root[:, None]) <= 1e-6 * beta[:, None])
+        assert near.any(axis=1).all(), np.flatnonzero(~near.any(axis=1))
 
 
 def _scalar_quartic_roots(q):

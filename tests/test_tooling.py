@@ -105,12 +105,13 @@ def test_matching_arrays_calls_no_linalg():
 
 
 _DELETED_NAMES = (
-    # RootArrays.double_root and the array root_nature replaced them.
+    # The double-root certificate and the array root_nature replaced them.
     r"\b(_coeffs_at|has_double_root|_double_root_near|real_double_root)\b",
     # amplitudes, matching_solver and quartic_roots work on arrays themselves.
     r"\b(amplitude_arrays|matching_arrays|quartic_root_arrays|RootSet)\b",
-    # oracle.branch_roots builds every branch's quartic.
-    r"\b_branch_roots\b",
+    # oracle.certify_double_root confirms every branch's double root, with no
+    # eigenvalue solve.
+    r"\bbranch_roots\b|\b_branch_roots\b|\.double_root\(",
     # matching_solver returns the ScatteringResult that scatter.scattering_result builds.
     r"\b(MatchingAmplitudes|MATCH_SINGULAR_TOL|_physical_sweep|r_tilde|t_tilde"
     r"|singular_system|det_mag)\b",
@@ -172,7 +173,8 @@ def test_ss_json_is_not_written_by_the_indenting_encoder():
 
 
 def test_cli_builds_no_quartic():
-    # The ss confirmation takes its quartic and roots from oracle.branch_roots.
+    # The ss confirmation is oracle.certify_double_root, which builds the
+    # quartic shifted to beta itself and solves no quartic.
     text = (ROOT / "src" / "qdelta" / "cli.py").read_text(encoding="utf-8")
     assert "quartic_roots" not in text and "quartic_coeffs" not in text
 

@@ -297,6 +297,20 @@ def _patch_root_calls(monkeypatch, *changes):
     return calls
 
 
+def _patch_certificate(monkeypatch, *refusals):
+    """Refuse the rows refusals[k] of the k-th certificate call."""
+    unpatched, calls = oracle.certify_double_root, []
+
+    def certify_double_root(v1, v2, sol):
+        radius, root = unpatched(v1, v2, sol)
+        rows = list(refusals[len(calls)]) if len(calls) < len(refusals) else []
+        calls.append(rows)
+        radius[rows], root[rows] = math.nan, math.nan
+        return radius, root
+
+    monkeypatch.setattr(verify.oracle, "certify_double_root", certify_double_root)
+
+
 def test_quaternion_algebra_resumes_after_a_failure(monkeypatch):
     bad = 123
     unpatched = verify.symplectic_join
@@ -337,8 +351,7 @@ def test_quartic_oracle_resumes_after_a_reconstruction_failure(monkeypatch):
 
 def test_quartic_oracle_names_the_first_missing_branch_root(monkeypatch):
     bad = 31
-    _patch_root_calls(monkeypatch, None, lambda found: _change_row(
-        found, bad, multiplicity_tags=1))
+    _patch_certificate(monkeypatch, [bad])   # the plus branch of the first block
     rng = verify.stream(9)
     check = verify.check_quartic_root_oracle(rng, 10000)
     ref = _advanced(9, 4 * 300)
@@ -365,16 +378,14 @@ def test_reconstruction_failure_raises_in_draw_order(monkeypatch):
 
 
 def test_double_root_boundary_failures_in_draw_order(monkeypatch):
-    _patch_root_calls(monkeypatch, lambda found: _change_row(found, 5, reconstructs=False))
-    with pytest.raises(NumericalError, match="fails to reconstruct"):
-        verify.check_double_root_boundary(verify.stream(46), 100)
-    _patch_root_calls(monkeypatch, lambda found: _change_row(
-        _change_row(found, 5, reconstructs=False), 4, multiplicity_tags=1))
-    check = verify.check_double_root_boundary(verify.stream(46), 100)
-    assert check.detail.startswith("no real double root at beta+=")
+    # A refused certificate fails the pair; of two, the earlier draw is named.
     ref = _advanced(46, 2 * 4)
-    v1, v2 = _scalar_lossy(ref)
-    assert check.detail.endswith(f" for ({v1!r},{v2!r})")
+    pairs = [_scalar_lossy(ref) for _ in range(2)]
+    for refused, (v1, v2) in (([5], pairs[1]), ([5, 4], pairs[0])):
+        _patch_certificate(monkeypatch, refused)
+        check = verify.check_double_root_boundary(verify.stream(46), 100)
+        assert check.detail.startswith("no real double root at beta+=")
+        assert check.detail.endswith(f" for ({v1!r},{v2!r})")
 
 
 # Suite seeds whose double-root-boundary check failed while the quartic's
