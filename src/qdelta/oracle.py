@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qalg import as_complex, cmul, maximum, modulus
+from .qalg import cmul, maximum, modulus
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
 from .singular import EPS, QuarticCoeffs, SSBranchSolution, math_of, unit_scale
@@ -26,8 +26,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to reach its required accuracy."""
 
 
-CLUSTER_RTOL = 1e-6
-REAL_TAG_RTOL = 1e-8
 _RECONSTRUCT_GUARD = 1e-6
 DOUBLE_ROOT_RTOL = 1e-6
 
@@ -35,11 +33,9 @@ DOUBLE_ROOT_RTOL = 1e-6
 @dataclass(frozen=True)
 class RootArrays:
     """quartic_roots' result: row n holds the four roots of quartic n,
-    ascending by (real, imag), each cluster of roots repeated as its centroid;
-    their multiplicity tags; and whether they reconstruct the quartic."""
+    ascending by (real, imag), and whether they reconstruct the quartic."""
 
     roots: np.ndarray
-    multiplicity_tags: np.ndarray
     reconstructs: np.ndarray
 
     def require(self, n: int) -> None:
@@ -58,46 +54,6 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     comp[:] = _SUBDIAGONAL
     comp[:, :, 3] = -coeffs[:, ::-1]
     return np.linalg.eigvals(comp).astype(complex, copy=False)
-
-
-# Index pairs (i, j), i < j, of the four roots; and for each code whose bit n
-# says whether root _J[n] lies within the tolerance of root _I[n], the root's
-# cluster head under the greedy rule, its fellow members and their count.
-_I, _J = np.triu_indices(4, 1)
-
-
-def _greedy_heads(code: int) -> list[int]:
-    """Per root, its cluster head under the greedy rule, for the closeness bits of code."""
-    close = {(i, j) for n, (i, j) in enumerate(zip(_I.tolist(), _J.tolist())) if code >> n & 1}
-    heads: list[int] = []
-    for j in range(4):
-        heads.append(min((h for h in heads if (h, j) in close), default=j))
-    return heads
-
-
-_HEADS = np.array([_greedy_heads(code) for code in range(64)])
-_MEMBERS = _HEADS[:, :, None] == _HEADS[:, None, :]
-_COUNTS = _MEMBERS.sum(axis=2)
-
-
-def _cluster(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy clustering of each row of roots sorted by (real, imag): a root
-    joins the first cluster whose first member lies within CLUSTER_RTOL *
-    max(1, |member|) of it, else starts a cluster. Returns, per root, the
-    index of its cluster's first member, the centroid and the member count.
-
-    The centroid is summed from 0 in member order and divided by the count
-    as CPython's sum() and complex division do, so it has their bits: a finite
-    sum from 0 is never -0.0, so dividing each part is Smith's quotient.
-    """
-    tol = CLUSTER_RTOL * np.maximum(1.0, modulus(z))
-    code = np.packbits(modulus(z[:, _J] - z[:, _I]) <= tol[:, _I], axis=1,
-                       bitorder="little")[:, 0]
-    # Sums from 0 in member order; the + 0.0 turns the one -0.0 a sum from 0
-    # cannot give (every term -0.0) into 0.0.
-    total = np.add.accumulate(np.where(_MEMBERS[code], z[:, None, :], 0.0), axis=2)[..., -1] + 0.0
-    count = _COUNTS[code]
-    return _HEADS[code], as_complex(total.real / count, total.imag / count), count
 
 
 def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -121,30 +77,18 @@ def _reconstructs(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def quartic_roots(q: QuarticCoeffs) -> RootArrays:
     """All four roots of each monic quartic over q's broadcast fields,
     flattened to rows, as companion-matrix eigenvalues: one eigenvalue solve
-    over the stack of companion matrices.
+    over the stack of companion matrices, each row sorted by (real, imag).
 
-    The real eigensolver returns complex roots in exact conjugate pairs. The
-    roots are clustered into multiplicity tags and clusters centred on the real
-    axis are snapped onto it, each row's roots and tags with the bits of the
-    one-row evaluation; then each row is checked by re-expansion against a
-    tolerance (see _reconstructs).
+    The real eigensolver returns complex roots in exact conjugate pairs and
+    real roots with imaginary part 0.0. Each row is checked by re-expansion
+    against a tolerance (see _reconstructs).
     """
-    fields = (q.b, q.c, q.d, q.e)
-    if math_of(*fields) is np:
-        fields = np.broadcast_arrays(*fields)
-    coeffs = np.array(fields, dtype=float).reshape(4, -1).T
+    coeffs = np.array(np.broadcast_arrays(q.b, q.c, q.d, q.e), dtype=float).reshape(4, -1).T
     if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
-    rows = np.arange(len(coeffs))[:, None]
     z = _companion_roots(coeffs)
-    z = z[rows, np.lexsort((z.imag, z.real))]
-    head, z, tags = _cluster(z)
-    z.imag[np.abs(z.imag) <= REAL_TAG_RTOL * np.maximum(1.0, np.abs(z.real))] = 0.0
-    # Stable by (real, imag), cluster by cluster, as sorting the expanded
-    # clusters in cluster order is.
-    order = np.lexsort((head, z.imag, z.real))
-    z, tags = z[rows, order], tags[rows, order]
-    return RootArrays(z, tags, _reconstructs(z, coeffs))
+    z = np.take_along_axis(z, np.lexsort((z.imag, z.real)), axis=1)
+    return RootArrays(z, _reconstructs(z, coeffs))
 
 
 def certify_double_root(v1, v2, sol: SSBranchSolution):

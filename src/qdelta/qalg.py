@@ -114,9 +114,9 @@ def cdiv(*numerators, by):
     return quotients
 
 
-def modulus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|z| for a complex array, as abs() takes it, into out if given."""
-    return np.hypot(z.real, z.imag, out=out)
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| for a complex array, as abs() takes it."""
+    return np.hypot(z.real, z.imag)
 
 
 def power(x, n):

@@ -514,7 +514,7 @@ def check_quartic_root_oracle(rng: np.random.RandomState, trials: int) -> CheckR
         found = oracle.quartic_roots(QuarticCoeffs(*coeffs))
         return (
             (~found.reconstructs, found.require),   # raises NumericalError
-            (np.any(_ascending(found.roots.conj()) != _ascending(found.roots), axis=1),
+            (np.any(_ascending(found.roots.conj()) != found.roots, axis=1),
              lambda n: f"root set not conjugate-closed at draw {start + n}"),
         )
 

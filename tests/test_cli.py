@@ -1201,9 +1201,9 @@ def _oracle_at(report):
 
 
 def test_ss_confirms_lossy_singularities_at_every_scale(capsys):
-    # The oracle's tolerances, CLUSTER_RTOL * max(1, |z|) among them, see the
-    # strengths scaled by a power of two, so no scale merges all four roots
-    # (v = -1e-8) or misses the double root at beta+ (v = -1e10).
+    # The certificate takes the strengths scaled by a power of two
+    # (unit_scale), so it confirms the double root at beta+ at small
+    # (v = -1e-8) and large (v = -1e10) strengths alike.
     for pair in (["--v1=-1e-8", "--v2=-2e-8"], ["--v1=-1e10", "--v2=-1e10"]):
         assert main(["ss", *pair, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

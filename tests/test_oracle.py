@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qdelta import verify
-from qdelta.oracle import (CLUSTER_RTOL, REAL_TAG_RTOL, MatchMode, NumericalError, _cramer,
-                           _reconstructs, certify_double_root, matching_solver, minimize_dsq,
+from qdelta.oracle import (MatchMode, NumericalError, _cramer, _reconstructs,
+                           certify_double_root, matching_solver, minimize_dsq,
                            potential_from_ss_pairs, quartic_roots)
 from qdelta.qalg import Quaternion, as_complex, symplectic_split
 from qdelta.scatter import TOL_SINGULAR, DeltaPotential, amplitudes, denominator
@@ -24,37 +24,34 @@ def _sorted(roots):
 
 
 def _one_quartic(q):
-    """The roots and multiplicity tags of one quartic, as lists; raises
-    NumericalError if the roots fail to reconstruct it."""
+    """The roots of one quartic, as a list; raises NumericalError if they
+    fail to reconstruct it."""
     found = quartic_roots(q)
     found.require(0)
-    return found.roots[0].tolist(), found.multiplicity_tags[0].tolist()
+    return found.roots[0].tolist()
 
 
 def test_roots_double_plus_complex_pair():
-    roots, tags = _one_quartic(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
-    doubles = [z for z, tag in zip(roots, tags) if tag == 2]
-    assert len(doubles) == 2 and doubles[0] == doubles[1]
-    assert doubles[0].imag == 0.0
-    assert abs(doubles[0].real - 2.0) <= 1e-7
-    pair = _sorted(z for z, tag in zip(roots, tags) if tag == 1)
+    roots = _one_quartic(QuarticCoeffs(-7.0, 24.5, -46.0, 34.0))
+    reals = [z for z in roots if z.imag == 0.0]
+    assert len(reals) == 2
+    assert all(abs(z.real - 2.0) <= 1e-7 for z in reals)
+    pair = _sorted(z for z in roots if z.imag != 0.0)
     assert abs(pair[0] - (1.5 - 2.5j)) <= 1e-9
     assert abs(pair[1] - (1.5 + 2.5j)) <= 1e-9
     assert pair[0] == pair[1].conjugate()
 
 
 def test_roots_four_distinct_real():
-    roots, tags = _one_quartic(QuarticCoeffs(-10.0, 35.0, -50.0, 24.0))
-    assert tags == [1, 1, 1, 1]
+    roots = _one_quartic(QuarticCoeffs(-10.0, 35.0, -50.0, 24.0))
     assert all(z.imag == 0.0 for z in roots)
     for got, want in zip(roots, (1.0, 2.0, 3.0, 4.0)):
         assert abs(got.real - want) <= 1e-9
 
 
 def test_roots_all_zero():
-    roots, tags = _one_quartic(QuarticCoeffs(0.0, 0.0, 0.0, 0.0))
+    roots = _one_quartic(QuarticCoeffs(0.0, 0.0, 0.0, 0.0))
     assert all(abs(z) <= 1e-6 for z in roots)
-    assert tags == [4, 4, 4, 4]
 
 
 def test_roots_reject_non_finite():
@@ -64,7 +61,7 @@ def test_roots_reject_non_finite():
 
 @given(coeff, coeff, coeff, coeff)
 def test_roots_reconstruct_coefficients(b, c, d, e):
-    r1, r2, r3, r4 = _one_quartic(QuarticCoeffs(b, c, d, e))[0]
+    r1, r2, r3, r4 = _one_quartic(QuarticCoeffs(b, c, d, e))
     got_b = -(r1 + r2 + r3 + r4)
     got_c = r1 * r2 + r1 * r3 + r1 * r4 + r2 * r3 + r2 * r4 + r3 * r4
     got_d = -(r1 * r2 * r3 + r1 * r2 * r4 + r1 * r3 * r4 + r2 * r3 * r4)
@@ -77,7 +74,7 @@ def test_roots_reconstruct_coefficients(b, c, d, e):
 @given(coeff, coeff, coeff, coeff)
 def test_roots_probe_reconstruction(b, c, d, e):
     q = QuarticCoeffs(b, c, d, e)
-    roots, _ = _one_quartic(q)
+    roots = _one_quartic(q)
     rng = random.Random(4321)
     bound = 1.0 + max(abs(b), abs(c), abs(d), abs(e))
     for _ in range(10):
@@ -91,7 +88,7 @@ def test_roots_probe_reconstruction(b, c, d, e):
 
 @given(coeff, coeff, coeff, coeff)
 def test_roots_conjugate_closed(b, c, d, e):
-    roots, _ = _one_quartic(QuarticCoeffs(b, c, d, e))
+    roots = _one_quartic(QuarticCoeffs(b, c, d, e))
     assert _sorted(z.conjugate() for z in roots) == _sorted(roots)
 
 
@@ -101,18 +98,17 @@ def test_branch_betas_appear_as_double_roots():
     for _ in range(50):
         v2 = 0.1 + 9.9 * rng.random()
         pairs.append((KAPPA * v2 * (0.05 + 0.9 * rng.random()), v2))
-    # Minus branch with a double root at beta ~ 1.5246 whose two copies carry
-    # imaginary noise above the real-snap band.
+    # Minus branch with a double root at beta ~ 1.5246 whose two eigenvalues
+    # split along the real axis, each about 5e-8 beta from it.
     pairs.append((-0.590572670391422, 4.1463089405197096))
     for v1, v2 in pairs:
         for sol in ss_closed_form(v1, v2):
             if not sol.feasible:
                 continue
             p = DeltaPotential.from_g_squared(v1, v2, sol.g_squared)
-            roots, tags = _one_quartic(quartic_coeffs(p))
-            hits = [z for z, tag in zip(roots, tags)
-                    if z.imag == 0.0 and tag >= 2 and abs(z.real - sol.beta) <= 1e-6]
-            assert hits, (v1, v2, sol)
+            roots = _one_quartic(quartic_coeffs(p))
+            hits = [z for z in roots if abs(z - sol.beta) <= 1e-6 * sol.beta]
+            assert len(hits) == 2, (v1, v2, sol)
 
 
 def _exact_shifted_quartic(v1, v2, sol):
@@ -169,8 +165,8 @@ def test_certified_double_roots_pass_pellet_exactly():
 
 
 def test_certificate_agrees_with_the_eigenvalue_oracle():
-    # On 2,000 box and 2,000 band branches, quartic_roots' real double-root
-    # cluster lies within 1e-6 beta of the certificate's Newton point.
+    # On 2,000 box and 2,000 band branches, exactly two of quartic_roots'
+    # eigenvalues lie within 1e-6 beta of the certificate's Newton point.
     rng = np.random.RandomState(36)
     u = 1.0 - rng.random_sample((3, 2000))
     v2_band = 0.1 + 9.9 * u[2, :1000]
@@ -182,37 +178,8 @@ def test_certificate_agrees_with_the_eigenvalue_oracle():
         beta, g2 = sol.beta[rows], sol.g_squared[rows]
         assert (radius <= 1e-6 * beta).all()
         found = quartic_roots(quartic_coeffs(DeltaPotential(v1[rows], v2[rows], np.sqrt(g2), 0.0)))
-        double = (found.roots.imag == 0.0) & (found.multiplicity_tags == 2)
-        near = double & (abs(found.roots.real - root[:, None]) <= 1e-6 * beta[:, None])
-        assert near.any(axis=1).all(), np.flatnonzero(~near.any(axis=1))
-
-
-def _scalar_quartic_roots(q):
-    """One quartic's companion eigenvalues, clustered, snapped and checked with
-    Python complex arithmetic: the reference each row of the stacked oracle
-    must reproduce bit for bit. None where the roots fail to reconstruct."""
-    comp = np.array([[0.0, 0.0, 0.0, -q.e], [1.0, 0.0, 0.0, -q.d],
-                     [0.0, 1.0, 0.0, -q.c], [0.0, 0.0, 1.0, -q.b]])
-    clusters = []
-    for z in _sorted(complex(z) for z in np.linalg.eigvals(comp)):
-        for members in clusters:
-            if abs(z - members[0]) <= CLUSTER_RTOL * max(1.0, abs(members[0])):
-                members.append(z)
-                break
-        else:
-            clusters.append([z])
-    tagged = []
-    for members in clusters:
-        z = sum(members) / len(members)
-        if abs(z.imag) <= REAL_TAG_RTOL * max(1.0, abs(z.real)):
-            z = complex(z.real, 0.0)
-        tagged += [(z, len(members))] * len(members)
-    tagged.sort(key=lambda item: (item[0].real, item[0].imag))
-    roots = tuple(z for z, _ in tagged)
-    offs, bound = _scalar_residuals(roots, q)
-    if any(off > bound for off in offs):
-        return None
-    return roots, tuple(n for _, n in tagged)
+        near = abs(found.roots - root[:, None]) <= 1e-6 * beta[:, None]
+        assert (near.sum(axis=1) == 2).all(), np.flatnonzero(near.sum(axis=1) != 2)
 
 
 def _scalar_residuals(roots, q):
@@ -251,26 +218,24 @@ def _root_census():
     quartics = [QuarticCoeffs(*(rng.uniform(-20.0, 20.0) for _ in range(4)))
                 for _ in range(2000)]
     quartics += _branch_quartics(rng, 500)
-    # Four equal roots, a triple root (rounding splits it beyond the cluster
-    # tolerance), and two double roots.
+    # Four equal roots, a triple root, and two double roots.
     quartics += [QuarticCoeffs(0.0, 0.0, 0.0, 0.0), QuarticCoeffs(-4.0, 6.0, -4.0, 1.0),
                  QuarticCoeffs(-5.0, 9.0, -7.0, 2.0), QuarticCoeffs(0.0, -2.0, 0.0, 1.0)]
     return quartics
 
 
 def test_quartic_root_arrays_equal_scalar_roots():
+    # Each stacked row has the bits of the eigenvalues of that row's own
+    # companion matrix, sorted by (real, imag), and reconstructs its quartic.
     quartics = _root_census()
     found = quartic_roots(QuarticCoeffs(*np.array([(q.b, q.c, q.d, q.e) for q in quartics]).T))
-    tags_seen = set()
     for n, q in enumerate(quartics):
-        roots, tags = _scalar_quartic_roots(q)
+        comp = np.array([[0.0, 0.0, 0.0, -q.e], [1.0, 0.0, 0.0, -q.d],
+                         [0.0, 1.0, 0.0, -q.c], [0.0, 0.0, 1.0, -q.b]])
+        roots = _sorted(complex(z) for z in np.linalg.eigvals(comp))
         assert bool(found.reconstructs[n])
         assert _root_bits(found.roots[n].tolist()) == _root_bits(roots)
-        assert tuple(found.multiplicity_tags[n].tolist()) == tags
-        one_roots, one_tags = _one_quartic(q)
-        assert (_root_bits(one_roots), tuple(one_tags)) == (_root_bits(roots), tags)
-        tags_seen.add(tags)
-    assert {(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1), (2, 2, 2, 2), (4, 4, 4, 4)} <= tags_seen
+        assert _root_bits(_one_quartic(q)) == _root_bits(roots)
 
 
 def _moved_root(roots, q, k, ratio, rng):
@@ -327,7 +292,6 @@ def test_failed_reconstruction_raises(monkeypatch):
                                         [-50.0, -46.0, 3.0], [24.0, 34.0, 4.0]))
     assert found.reconstructs.tolist() == [True, False, True]
     found.require(0)
-    assert found.multiplicity_tags[0].tolist() == [1, 1, 1, 1]
     with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):
         found.require(1)
     with pytest.raises(NumericalError, match="root set fails to reconstruct the quartic"):

@@ -1,5 +1,6 @@
 """Checks on the source tree itself: where the scalar-rounding arithmetic, libm
 pow and the exact sums may live, that the branch verdicts keep no guard floors,
+that no module keeps an unused import,
 that the matching oracle calls no np.linalg, which scalar helpers, array twins and
 matching records stay deleted, that one comparison holds the singular
 threshold, that the CLI formats no ss report with json's indenting encoder
@@ -121,6 +122,10 @@ _DELETED_NAMES = (
     # The scan writer formats its energies with Formatter.text, one call per
     # workspace, and Formatter.cells lost its last caller.
     r"\.cells\(|\bcells_per_call\b",
+    # quartic_roots returns the sorted companion eigenvalues as they are: no
+    # branch path reads a multiplicity since the certificate replaced it.
+    r"\b(multiplicity_tags|CLUSTER_RTOL|REAL_TAG_RTOL|_greedy_heads|_cluster|_HEADS|_MEMBERS"
+    r"|_COUNTS)\b",
 )
 
 
@@ -130,6 +135,20 @@ def test_scalar_double_root_helpers_are_gone():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
     for names in _DELETED_NAMES:
         assert [where for where, line in lines if re.search(names, line)] == [], names
+
+
+def test_src_has_no_unused_imports():
+    # A module-level import that no name or attribute base reads is dead.
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name.split('.')[0]}"
+                   for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 def test_one_singular_threshold():

@@ -276,8 +276,7 @@ def test_axis_draws_keep_every_value():
 
 
 def _change_row(found, n, **fields):
-    arrays = {"roots": found.roots.copy(), "multiplicity_tags": found.multiplicity_tags.copy(),
-              "reconstructs": found.reconstructs.copy()}
+    arrays = {"roots": found.roots.copy(), "reconstructs": found.reconstructs.copy()}
     for name, value in fields.items():
         arrays[name][n] = value
     return oracle.RootArrays(**arrays)
