@@ -20,16 +20,16 @@ import stat
 import sys
 from typing import Iterator, TextIO
 
-import numpy as np
-
-from . import __version__, verify
-from .g17 import Formatter
+from . import __version__
+from ._lazy import np
 from .oracle import MatchMode, NumericalError, certify_double_root, matching_solver
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
                       energy_grid, sweep)
 from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
                        ss_closed_form, unit_scale_underflows)
-from .svgplot import render_curves_svg
+
+# verify, g17 and svgplot are imported by the commands that use them, so that ss
+# neither compiles them nor executes the numpy their module-level code reads.
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -39,7 +39,7 @@ EXIT_NUMERICAL = 3
 CSV_COLUMNS = ("E", "beta", "re_r", "im_r", "re_t", "im_t", "R", "T", "absD")
 
 # The least normal float: a feasible branch's g^2 or E below it underflowed.
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min
 # _require_usable's failures, in the order of its checks.
 _UNUSABLE = ("the strengths (v1, v2) = ({}, {}) differ too much in scale: scaled to unit size, "
              "the smaller falls below 2^-1022",
@@ -237,9 +237,12 @@ def _require_usable(v1, v2, plus: SSBranchSolution, minus: SSBranchSolution) -> 
     outside += [sol.feasible & ((sol.g_squared < _TINY) | (sol.energy < _TINY))
                 for sol in (plus, minus)]
     hit = outside[0] | outside[1] | outside[2] | outside[3] | lost
-    if hit.any() if isinstance(hit, np.ndarray) else hit:
-        first = [np.broadcast_to(x, np.shape(hit))[hit][0] for x in (v1, v2, lost, *outside)]
-        raise NumericalError(_UNUSABLE[first[2:].index(True)].format(*map(_fmt, first[:2])))
+    if not (hit if isinstance(hit, bool) else hit.any()):
+        return
+    first = [v1, v2, lost, *outside]
+    if not isinstance(hit, bool):  # a grid's first unusable cell
+        first = [np.broadcast_to(x, hit.shape)[hit][0] for x in first]
+    raise NumericalError(_UNUSABLE[first[2:].index(True)].format(*map(_fmt, first[:2])))
 
 
 def _check_grid(args: argparse.Namespace) -> None:
@@ -323,6 +326,7 @@ def _sweep_texts(res: ScatteringResult, text, singular_row: str) -> Iterator[str
 def rows_to_csv(res: ScatteringResult, out: TextIO) -> None:
     """Write the sweep CSV to the text stream out, each cell as '%.17g' formats
     it (g17.Formatter); rows on a singularity get the literal nan/inf/0e0 cells."""
+    from .g17 import Formatter
     out.write(",".join(CSV_COLUMNS) + "\n")
     out.writelines(_sweep_texts(res, Formatter(_SWEEP_BLOCK, len(CSV_COLUMNS)).text,
                                 _CSV_SINGULAR_ROW))
@@ -465,6 +469,7 @@ def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
     """Write the scan CSV to the text stream out, a block of v1 rows at a time.
     Cell (i, j) is its head "v2[j],tail" from a table of 4 n2, picked by its two
     flags, then its feasible energies, formatted a block at once (g17.Formatter)."""
+    from .g17 import Formatter
     size, n2 = _SCAN_BLOCK // 2, scan.v2.size
     fmt = Formatter(size, 1)
     v2_texts = [f"{v2:.17g}," for v2 in scan.v2.tolist()]
@@ -505,7 +510,8 @@ def run_scan(args: argparse.Namespace) -> int:
 def run_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    passed, text = verify.run_and_render(args.seed, args.trials)
+    from .verify import run_and_render
+    passed, text = run_and_render(args.seed, args.trials)
     sys.stdout.write(text)
     if args.out is not None:
         _write_text(args.out, text)
@@ -513,6 +519,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def run_plot(args: argparse.Namespace) -> int:
+    from .svgplot import render_curves_svg
     p = _resolve_potential(args)
     _check_grid(args)
     res = sweep(p, args.emin, args.emax, args.steps)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
+from ._lazy import np
 
 # 10^p is tabled for p in [_P_MIN, _P_MAX], and the layout for X in
 # [-_X_SPAN, _X_SPAN]: a normal float has X in [-308, 308], and p = 16 - X.

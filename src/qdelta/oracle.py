@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .qalg import cmul, maximum, modulus
 from .scatter import (DeltaPotential, ScatteringResult, beta_of, denominator,
                       scattering_result)
@@ -44,14 +43,11 @@ class RootArrays:
             raise NumericalError("root set fails to reconstruct the quartic")
 
 
-_SUBDIAGONAL = np.eye(4, k=-1)
-
-
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of the companion matrix of each row (b, c, d, e) of
     coeffs, from one solve over the stacked matrices."""
     comp = np.empty((len(coeffs), 4, 4))
-    comp[:] = _SUBDIAGONAL
+    comp[:] = np.eye(4, k=-1)
     comp[:, :, 3] = -coeffs[:, ::-1]
     return np.linalg.eigvals(comp).astype(complex, copy=False)
 

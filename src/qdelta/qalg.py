@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ def symplectic_join(z1: complex, z2: complex) -> Quaternion:
 # cmul and cdiv take (re, im) pairs; a float x takes part as (x, 0.0), as in CPython.
 
 def as_complex(re, im):
-    """re + i im with both parts kept bit for bit: a complex number, or a
-    complex array when re is an array."""
-    if not isinstance(re, np.ndarray):
+    """re + i im with both parts kept bit for bit: a complex number when re is
+    a Python number, else a complex array."""
+    if isinstance(re, (int, float)):
         return complex(re, im)
     z = np.empty(re.shape, dtype=complex)
     z.real, z.imag = re, im

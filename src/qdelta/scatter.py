@@ -14,8 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .qalg import as_complex, cdiv, cmul, power
 
 

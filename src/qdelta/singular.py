@@ -10,13 +10,14 @@ branches and the (v1, v2) feasibility regions.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._lazy import np
 from .scatter import DeltaPotential, uniform_grid
 
 # Lower bound of v1/v2 for singularity support at v2 > 0; root of k^2+6k+1=0.
@@ -28,7 +29,7 @@ KAPPA = -3.0 + 2.0 * math.sqrt(2.0)
 # largest monomial ~1.7e8) classified as four distinct real roots.
 BOUNDARY_DELTA_RTOL = 1e-9
 
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,18 @@ class RootNature(str, Enum):
 
 # Indexed by a quartic's verdict bits (1 P < 0 and Q < 0, 2 delta < 0,
 # 4 delta ~ 0): the highest set bit names the verdict.
-_NATURES = np.array([(RootNature.NO_REAL, RootNature.ALL_FOUR_REAL, RootNature.TWO_DISTINCT_REAL,
-                      RootNature.BOUNDARY_DOUBLE_ROOT)[code.bit_length()]
-                     for code in range(8)], dtype=object)
+_NATURES = tuple((RootNature.NO_REAL, RootNature.ALL_FOUR_REAL, RootNature.TWO_DISTINCT_REAL,
+                  RootNature.BOUNDARY_DOUBLE_ROOT)[code.bit_length()] for code in range(8))
+
+
+@functools.cache
+def _objects(table: tuple) -> np.ndarray:
+    return np.array(table, dtype=object)
+
+
+def _entry(table: tuple, code):
+    """table[code] for an int code; an object array of entries for a code array."""
+    return table[code] if isinstance(code, int) else _objects(table)[code]
 
 
 def root_nature(q: QuarticCoeffs) -> RootNature | np.ndarray:
@@ -166,7 +176,7 @@ def root_nature(q: QuarticCoeffs) -> RootNature | np.ndarray:
     p_val, q_val = pq_classifiers(q)
     code = ((p_val < 0.0) & (q_val < 0.0) | (delta < 0.0) * np.uint8(2)
             | (abs(delta) <= BOUNDARY_DELTA_RTOL * np.max(np.abs(terms), axis=0)) * np.uint8(4))
-    return _NATURES[code]
+    return _entry(_NATURES, code)
 
 
 class Branch(str, Enum):
@@ -187,7 +197,7 @@ class Reason(str, Enum):
 # 4 g^2 == 0, 8 ComplexSqrt, 16 DegenerateSum): the highest set bit names the
 # reason, in Reason's order, so DegenerateSum takes precedence over ComplexSqrt
 # over ZeroGSquared over NegativeGSquared over NonPositiveBeta.
-_REASONS = np.array([list(Reason)[code.bit_length()] for code in range(32)], dtype=object)
+_REASONS = tuple(list(Reason)[code.bit_length()] for code in range(32))
 
 
 @dataclass(frozen=True)
@@ -208,7 +218,7 @@ class SSBranchSolution:
 
     @property
     def reason(self) -> Reason | np.ndarray:
-        return _REASONS[self.code]
+        return _entry(_REASONS, self.code)
 
 
 def math_of(*values):
@@ -306,14 +316,14 @@ class RegionClass(str, Enum):
 
 
 # Indexed by 2 * plus.feasible + minus.feasible.
-_REGIONS = np.array([RegionClass.NONE, RegionClass.MINUS_ONLY,
-                     RegionClass.PLUS_ONLY, RegionClass.BOTH_BRANCHES], dtype=object)
+_REGIONS = (RegionClass.NONE, RegionClass.MINUS_ONLY, RegionClass.PLUS_ONLY,
+            RegionClass.BOTH_BRANCHES)
 
 
 def region_of(plus_feasible, minus_feasible):
     """Region label from the two branch feasibility flags; flag arrays give a
     label array."""
-    return _REGIONS[2 * plus_feasible + minus_feasible]
+    return _entry(_REGIONS, 2 * plus_feasible + minus_feasible)
 
 
 def classify_region(v1: float, v2: float) -> RegionClass:

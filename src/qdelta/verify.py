@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle
+from ._lazy import np
 from .oracle import MatchMode
 from .qalg import (ONE, I, J, K, Quaternion, as_complex, maximum, modulus,
                    power, qconj, qmul, symplectic_join, symplectic_split)

@@ -1038,9 +1038,8 @@ def test_verify_deterministic_and_small(tmp_path):
 
 
 def test_verify_failure_exits_3(monkeypatch):
-    from qdelta import cli as cli_mod
-    monkeypatch.setattr(cli_mod.verify, "run_and_render",
-                        lambda seed, trials: (False, "forced failure\n"))
+    from qdelta import verify
+    monkeypatch.setattr(verify, "run_and_render", lambda seed, trials: (False, "forced failure\n"))
     assert main(["verify", "--trials", "10"]) == 3
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdelta import singular
+from qdelta import cli, oracle, qalg, scatter, singular
 from qdelta.scatter import DeltaPotential, denominator, dr_di
 from qdelta.singular import (BOUNDARY_DELTA_RTOL, KAPPA, Branch, QuarticCoeffs, Reason,
                              RegionClass, RootNature, _discriminant_terms, classify_region,
@@ -607,13 +608,20 @@ class _AttributeRecorder:
 
 
 def test_float_pairs_make_no_numpy_call(monkeypatch):
+    # The ss command, its branches, gate, certificates and JSON, reads no numpy
+    # attribute, so it runs without executing numpy.
     recorder = _AttributeRecorder(np)
-    monkeypatch.setattr(singular, "np", recorder)
+    for module in (singular, scatter, qalg, oracle, cli):
+        monkeypatch.setattr(module, "np", recorder)
     plus, minus = ss_closed_form(-1.0, -2.0)
     scaled, lost = unit_scale(-1.0, -2.0), unit_scale_underflows(-1.0, -2.0)
+    report = cli.ss_report(-0.5, 3.0)   # both branches feasible
+    text = cli._ss_json(report)
     assert recorder.names == []
     assert (plus.reason, minus.reason) == (Reason.OK, Reason.NEGATIVE_G_SQUARED)
     assert (scaled, lost) == ((2, -0.25, -0.5), False)
+    assert report["classification"] == "BothBranches" and json.loads(text) == report
+    assert None not in report["oracle"].values()
     ss_branches(np.array([-1.0]), np.array([-2.0]))
     assert {"frexp", "maximum", "ldexp", "sqrt", "where", "copysign", "errstate",
             "uint8"} <= set(recorder.names)

@@ -7,8 +7,9 @@ threshold, that the CLI formats no ss report with json's indenting encoder
 and builds no quartic of its own, that g17 makes no numpy
 array per block, that every file is written through cli._output, that the
 benchmark's traced functions exist and the CSV writers do their work when
-called, which commands load numpy.random, and that the package and its
-metadata agree on the version."""
+called, which commands load numpy and numpy.random, that numpy is bound only
+through the lazy helper, and that the package and its metadata agree on the
+version."""
 
 import ast
 import importlib
@@ -252,31 +253,72 @@ def test_csv_writers_are_not_generators(name):
     assert not inspect.isgeneratorfunction(getattr(cli, name))
 
 
-# Loading numpy.random costs a command about 10 ms and 6 MB, so only the
-# commands that draw random numbers may load it.
-_LOADS_NUMPY_RANDOM = """
+# A command that computes on Python floats alone runs without executing numpy,
+# which is about half of its start-up; loading numpy.random costs a command
+# about 10 ms and 6 MB more, so only the commands that draw random numbers load
+# it. numpy counts as loaded once its core is: the lazy module stands in
+# sys.modules from the import of qdelta on.
+_LOADS_NUMPY = """
 import sys
 from qdelta import cli
 code = cli.main(sys.argv[1:])
-print(code, "numpy.random" in sys.modules, file=sys.stderr)
+print(code, "numpy._core.multiarray" in sys.modules, "numpy.random" in sys.modules,
+      file=sys.stderr)
 """
+_SCAN_ARGV = ["scan", "--v1-min=-1", "--v1-max=1", "--v2-min=-1", "--v2-max=1", "--n1=3",
+              "--n2=3"]
+_SWEEP_ARGV = ["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3"]
 
 
-@pytest.mark.parametrize("argv, loads", [
-    (["ss", "--v1=-0.5", "--v2=3"], False),
-    (["scan", "--v1-min=-1", "--v1-max=1", "--v2-min=-1", "--v2-max=1", "--n1=3", "--n2=3"],
-     False),
-    (["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3"], False),
-    (["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--out={tmp}/curves.svg"], False),
-    (["verify", "--trials=20"], True),
-    (["sweep", "--v1=-0.5", "--v2=3", "--g2=3.75", "--emin=1", "--emax=2", "--steps=3",
-      "--format=json"], False),
-])
-def test_only_verify_loads_numpy_random(argv, loads, tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_RANDOM,
+# (name, argv, exit code, loads numpy, loads numpy.random)
+_LOADS = [
+    ("ss", ["ss", "--v1=-0.5", "--v2=3"], 0, False, False),
+    ("ss-json", ["ss", "--v1=-0.5", "--v2=3", "--json"], 0, False, False),
+    ("ss-out", ["ss", "--v1=-0.5", "--v2=3", "--out={tmp}/ss.txt"], 0, False, False),
+    ("version", ["--version"], 0, False, False),
+    ("help", ["--help"], 0, False, False),
+    ("usage-error", ["ss", "--v1=x", "--v2=1"], 2, False, False),
+    ("ss-scale-gap", ["ss", "--v1=-1e-200", "--v2=-1e200"], 3, False, False),
+    ("ss-overflow", ["ss", "--v1=-1e200", "--v2=-2e200"], 3, False, False),
+    ("ss-refused-certificate", ["ss", "--v1=-1e-20", "--v2=-1e100"], 3, False, False),
+    ("scan", _SCAN_ARGV, 0, True, False),
+    ("sweep", _SWEEP_ARGV, 0, True, False),
+    ("sweep-json", [*_SWEEP_ARGV, "--format=json"], 0, True, False),
+    ("plot", ["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--out={tmp}/curves.svg"],
+     0, True, False),
+    ("verify", ["verify", "--trials=20"], 0, True, True),
+]
+
+
+@pytest.mark.parametrize("argv, code, loads_numpy, loads_random",
+                         [row[1:] for row in _LOADS], ids=[row[0] for row in _LOADS])
+def test_numpy_and_numpy_random_load_only_where_used(argv, code, loads_numpy, loads_random,
+                                                      tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY,
                            *(arg.format(tmp=tmp_path) for arg in argv)],
                           capture_output=True, text=True)
-    assert proc.stderr.splitlines()[-1] == f"0 {loads}", proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} {loads_numpy} {loads_random}", proc.stderr
+
+
+def test_numpy_is_bound_only_through_the_lazy_helper():
+    # `import numpy` executes numpy at once: _lazy is the one module that names
+    # numpy, and every other module that reads np binds it from there.
+    names_numpy, reads_np, takes_lazy = set(), set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [node.value] if isinstance(node, ast.Constant) else [])
+            if any(re.fullmatch(r"numpy(\.\w+)*", str(name)) for name in names):
+                names_numpy.add(path.name)
+            if isinstance(node, ast.Name) and node.id == "np":
+                reads_np.add(path.name)
+        if any(ast.unparse(node) == "from ._lazy import np" for node in tree.body):
+            takes_lazy.add(path.name)
+    assert names_numpy == {"_lazy.py"}
+    assert reads_np - {"_lazy.py"} == takes_lazy
+    assert {"cli.py", "singular.py", "scatter.py", "qalg.py", "oracle.py"} <= takes_lazy
 
 
 def test_package_version_matches_pyproject():
