@@ -24,9 +24,9 @@ from . import __version__
 from ._lazy import np
 from .oracle import MatchMode, NumericalError, certify_double_root, matching_solver
 from .scatter import (DeltaPotential, ScatteringResult, denominator,
-                      energy_grid, sweep)
-from .singular import (RegionScan, SSBranchSolution, region_of, scan_region,
-                       ss_closed_form, unit_scale_underflows)
+                      energy_grid, sweep, uniform_grid)
+from .singular import (SSBranchSolution, region_of, ss_branches, ss_closed_form,
+                       unit_scale_underflows)
 
 # verify, g17 and svgplot are imported by the commands that use them, so that ss
 # neither compiles them nor executes the numpy their module-level code reads.
@@ -227,7 +227,7 @@ def _resolve_potential(args: argparse.Namespace) -> DeltaPotential:
 
 def _require_usable(v1, v2, plus: SSBranchSolution, minus: SSBranchSolution) -> None:
     """Raise NumericalError at the first (v1, v2), in row-major order, where the
-    branches plus and minus (floats for a pair, arrays for a grid) are unusable,
+    branches plus and minus (floats for a pair, arrays for a scan block) are unusable,
     naming the first check that fails there: unit_scale lost a strength (see
     singular.unit_scale_underflows); a feasible g^2 or E overflowed, to print as
     inf; one underflowed to 0 or a subnormal, a wrong value; plus before minus."""
@@ -297,9 +297,10 @@ _JSON_ROW, _JSON_SINGULAR_ROW = (
                         (["%(E)r", "%(beta)r", *["null"] * 6, "%(absD)r"], "true")))
 
 # The sweep rows, and the scan cells (in whole v1 rows, at least one), formatted
-# per block: one block's strings are freed before the next. A sweep block's cells
-# and each formatter's workspace, about 250 bytes a cell, are allocated once per
-# command and reused; the scan's takes half a block's energies, minus and plus.
+# per block: one block's strings, and a scan block's branches, are freed before
+# the next. A sweep block's cells and each formatter's workspace, about 250 bytes
+# a cell, are allocated once per command and reused; the scan's takes half a
+# block's energies, minus and plus.
 _SWEEP_BLOCK, _SCAN_BLOCK = 512, 8192
 
 
@@ -459,28 +460,66 @@ def run_ss(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Nonzero scan axis values of binary exponent (math.frexp) -450 to 450: on
+# their grid _require_usable passes at every cell. A zero strength loses no
+# scale and leaves both branches infeasible, so let v1 and v2 be nonzero, m the
+# smaller of |v1| and |v2|, and u1 = 2^-k v1, u2 = 2^-k v2 as ss_branches
+# scales them, the larger in [0.5, 1): m >= 2^-451 and k <= 450, so the smaller
+# |u| is at least 2^-901, normal. With s = u1 + u2, a = u1 - u2 and
+# q = -2 u1 u2, a branch's h is a root of h^2 - a h + q, whose roots' product is q:
+# - The exponents differ by at most 900, not more than 1021: no scale is lost.
+# - |s|, |a| <= 2 and the square root is at most sqrt 8, so |h| < 2.42,
+#   g^2 = -s h 4^k < 5 4^k and E = (h 2^k)^2 / 2 < 3 4^k: none overflows
+#   below k = 511.
+# - |s| or |a| is |u1| + |u2| >= 2 |u1 u2|, so the farther root is at least
+#   |u1 u2| and the nearer, q over it, at least 0.8 |u1 u2| >= 0.4 m 2^-k:
+#   beta >= 0.4 m and E >= 0.08 m^2 > 2^-906.
+# - A feasible branch has s^2 + 4 u1 u2 >= 0: |s| >= 0.5 for strengths of one
+#   sign, and for strengths of opposite signs the smaller is at most 3 - 2 sqrt 2
+#   of the larger, so |s| >= 0.4. So |s h| >= 0.16 m 2^-k, normal at unit scale,
+#   and g^2 >= 0.16 m 2^k > 0.16 m^2 > 2^-905.
+_USABLE_AXES = (2.0 ** -451, 2.0 ** 450)
+
+
+def _axes_usable(v1: np.ndarray, v2: np.ndarray) -> bool:
+    """Whether every nonzero value of the scan axes v1 and v2 lies in
+    _USABLE_AXES, which proves _require_usable passes at every cell."""
+    axes = np.abs(np.concatenate((v1, v2)))
+    lo, hi = _USABLE_AXES
+    return bool(((axes == 0.0) | (lo <= axes) & (axes < hi)).all())
+
+
+def _scan_blocks(v1: np.ndarray, v2: np.ndarray) -> Iterator[tuple]:
+    """(rows, plus, minus) of each block of the scan of axes v1 and v2:
+    _SCAN_BLOCK cells in whole v1 rows, at least one, in row-major order, with
+    the branches of its cells (rows[i], v2[j])."""
+    step = max(1, _SCAN_BLOCK // v2.size)
+    for start in range(0, v1.size, step):
+        rows = v1[start:start + step]
+        yield rows, *ss_branches(rows[:, None], v2)
+
+
 # Cell tails "label,E_plus,E_minus" with no energy filled in, indexed by
 # 2 * plus.feasible + minus.feasible; a feasible E_plus and its comma are appended.
 _SCAN_TAILS = [region_of(plus, minus).value + ("," if plus else ",,")
                for plus in (False, True) for minus in (False, True)]
 
 
-def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
-    """Write the scan CSV to the text stream out, a block of v1 rows at a time.
-    Cell (i, j) is its head "v2[j],tail" from a table of 4 n2, picked by its two
-    flags, then its feasible energies, formatted a block at once (g17.Formatter)."""
+def scan_to_csv(v1: np.ndarray, v2: np.ndarray, out: TextIO) -> None:
+    """Write the CSV of the scan of axes v1 and v2 to the text stream out, a
+    block (_scan_blocks) at a time. Cell (i, j) is its head "v2[j],tail" from a
+    table of 4 n2, picked by its two flags, then its feasible energies,
+    formatted a block at once (g17.Formatter)."""
     from .g17 import Formatter
-    size, n2 = _SCAN_BLOCK // 2, scan.v2.size
+    size, n2 = _SCAN_BLOCK // 2, v2.size
     fmt = Formatter(size, 1)
-    v2_texts = [f"{v2:.17g}," for v2 in scan.v2.tolist()]
-    heads = np.array([v2 + tail for tail in _SCAN_TAILS for v2 in v2_texts], dtype=object)
-    step = max(1, _SCAN_BLOCK // n2)
+    v2_texts = [f"{x:.17g}," for x in v2.tolist()]
+    heads = np.array([x + tail for tail in _SCAN_TAILS for x in v2_texts], dtype=object)
     out.write("v1,v2,classification,E_plus,E_minus")
-    for start in range(0, scan.v1.size, step):
-        rows = slice(start, start + step)
-        plus, minus = scan.plus.feasible[rows], scan.minus.feasible[rows]
+    for rows, plus_branch, minus_branch in _scan_blocks(v1, v2):
+        plus, minus = plus_branch.feasible, minus_branch.feasible
         cells = heads.take((2 * plus + minus) * n2 + np.arange(n2))
-        energies = np.concatenate((scan.minus.energy[rows][minus], scan.plus.energy[rows][plus]))
+        energies = np.concatenate((minus_branch.energy[minus], plus_branch.energy[plus]))
         text = "".join([fmt.text(energies[i:i + size, None])
                         for i in range(0, energies.size, size)])
         # Minus energies first; a plus one's "\n" becomes ",", as E_minus follows.
@@ -489,7 +528,9 @@ def scan_to_csv(scan: RegionScan, out: TextIO) -> None:
         cells[minus] += np.array(minus_texts, dtype=object)   # after E_plus
         # Row i is "\nv1[i]," + cells[i, 0] + ... + "\nv1[i]," + cells[i, n2 - 1].
         out.writelines(lead + lead.join(row) for lead, row in zip(
-            [f"\n{v1:.17g}," for v1 in scan.v1[rows].tolist()], cells.tolist()))
+            [f"\n{x:.17g}," for x in rows.tolist()], cells.tolist()))
+        # Freed before the next block's branches are evaluated.
+        del plus_branch, minus_branch, plus, minus, cells, energies, text, minus_texts, plus_text
     out.write("\n")
 
 
@@ -499,11 +540,13 @@ def run_scan(args: argparse.Namespace) -> int:
     for axis, lo, hi in (("v1", args.v1_min, args.v1_max), ("v2", args.v2_min, args.v2_max)):
         if lo < hi and math.isinf(hi - lo):
             raise NumericalError(f"the {axis} span --{axis}-max - --{axis}-min overflows")
-    scan = scan_region((args.v1_min, args.v1_max), (args.v2_min, args.v2_max),
-                       args.n1, args.n2)
-    _require_usable(scan.v1[:, None], scan.v2, scan.plus, scan.minus)
+    v1 = uniform_grid(args.v1_min, args.v1_max, args.n1)
+    v2 = uniform_grid(args.v2_min, args.v2_max, args.n2)
+    if not _axes_usable(v1, v2):  # a gate pass, so that a failing scan writes nothing
+        for rows, plus, minus in _scan_blocks(v1, v2):
+            _require_usable(rows[:, None], v2, plus, minus)
     with _output(args.out) as out:
-        scan_to_csv(scan, out)
+        scan_to_csv(v1, v2, out)
     return EXIT_OK
 
 

@@ -39,7 +39,9 @@ class Quaternion:
 
     def norm(self) -> float:
         square = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-        return np.sqrt(square) if isinstance(square, np.ndarray) else math.sqrt(square)
+        if isinstance(square, float) or not isinstance(square, np.ndarray):
+            return math.sqrt(square)   # a Python float is tested first: it loads no numpy
+        return np.sqrt(square)
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -123,7 +125,9 @@ def power(x, n):
     """x ** n through libm pow, a float for a float x; where float ** raises on
     overflow, inf, or -inf for odd n and negative x, as for arrays."""
     try:
-        return np.float_power(x, n) if isinstance(x, np.ndarray) else x ** n
+        if isinstance(x, float) or not isinstance(x, np.ndarray):   # as in norm
+            return x ** n
+        return np.float_power(x, n)
     except OverflowError:
         return -math.inf if x < 0.0 and n % 2 else math.inf
 

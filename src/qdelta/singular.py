@@ -288,7 +288,6 @@ def ss_branches(v1, v2) -> tuple[SSBranchSolution, SSBranchSolution]:
         far = 0.5 * (a + xp.copysign(root, a))
         near = xp.where(a == 0.0, -far, q / far)   # far != 0: root is nan at v1 == v2 == 0
         h_plus, h_minus = xp.where(a < 0.0, near, far), xp.where(a < 0.0, far, near)
-        del v1, v2, a, q, disc, root, far, near   # bounds the peak memory of a scan
         solutions = []
         for branch, h, h_other in ((Branch.PLUS, h_plus, h_minus),
                                    (Branch.MINUS, h_minus, h_plus)):

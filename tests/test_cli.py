@@ -20,7 +20,7 @@ import pytest
 from qdelta import __version__, cli, g17, singular
 from qdelta.cli import SS_REPORT_SCHEMA, build_parser, main, ss_report
 from qdelta.oracle import MatchMode, NumericalError, matching_solver
-from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep
+from qdelta.scatter import DeltaPotential, denominator, energy_grid, sweep, uniform_grid
 from qdelta.singular import KAPPA, region_of, scan_region
 
 HEADER = "E,beta,re_r,im_r,re_t,im_t,R,T,absD"
@@ -269,6 +269,65 @@ def test_every_command_fails_an_unusable_pair_alike(v1, v2, failure, capsys, tmp
         assert main([*argv, f"--out={out}"]) == 3, argv
         assert capsys.readouterr() == ("", f"numerical failure: {failure}\n"), argv
         assert not out.exists()
+
+
+@pytest.mark.parametrize("box, failure", [
+    # One row a block: the one cell whose strengths differ too much in scale,
+    # (2^25, just below 2^-996), lies in the third.
+    (((0.5, 2.0 ** 25), (math.nextafter(2.0 ** -996, 0.0), 2.0 ** -995), 3, 8192),
+     "the strengths (v1, v2) = (33554432, 1.49322178960515e-300) " + _SCALE_GAP[:-1]),
+    # Every cell of the third row, v1 = -1e-160, has an underflowing plus branch.
+    (((-1.0, -1e-160), (-2.0, -1.0), 3, 8192),
+     "the closed forms of the plus branch underflow at (v1, v2) = (-9.9999999999999999e-161, -2)"),
+])
+def test_scan_fails_at_its_first_unusable_cell_past_the_first_block(box, failure, capsys,
+                                                                   tmp_path):
+    # Outside the axes bound a gate pass runs over the blocks before the
+    # output is opened: it fails as the whole-grid gate did, writing nothing.
+    v1, v2 = (uniform_grid(*box[i], box[i + 2]) for i in (0, 1))
+    assert cli._SCAN_BLOCK // v2.size == 1 and not cli._axes_usable(v1, v2)
+    out = tmp_path / "scan.csv"
+    for argv in (_scan_argv(*box), [*_scan_argv(*box), f"--out={out}"]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {failure}\n")
+        assert not out.exists()
+
+
+def _axis_end(rng: random.Random) -> float:
+    """A scan axis end: near the axes bound's exponents -450 and 450, anywhere
+    in the float range, subnormal, zero or at unit scale."""
+    sign, kind = rng.choice((-1.0, 1.0)), rng.random()
+    if kind < 0.5:
+        exponent = rng.choice((-450, 450)) + rng.randint(-2, 1)
+        return sign * math.ldexp(rng.uniform(0.5, 1.0), exponent)
+    if kind < 0.7:
+        return sign * math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1021, 1024))
+    if kind < 0.8:
+        return sign * rng.randint(1, 2 ** 52) * 2.0 ** -1074
+    return 0.0 if kind < 0.9 else sign * rng.uniform(0.1, 10.0)
+
+
+def test_scan_axes_bound_admits_no_unusable_cell():
+    # Wherever cli._axes_usable lets a scan skip its gate pass, the gate finds
+    # no failing cell in any block. The safe boxes reach feasible g^2 and E
+    # below 2^-890, near the floor of 2^-906 the bound proves.
+    rng = random.Random(39)
+    safe, unsafe, lowest = 0, 0, math.inf
+    for _ in range(4000):
+        (a, b), (c, d) = (sorted((_axis_end(rng), _axis_end(rng))) for _ in range(2))
+        if not (a < b and c < d) or math.isinf(b - a) or math.isinf(d - c):
+            continue
+        v1, v2 = uniform_grid(a, b, rng.randint(2, 30)), uniform_grid(c, d, rng.randint(2, 30))
+        if not cli._axes_usable(v1, v2):
+            unsafe += 1
+            continue
+        safe += 1
+        for rows, plus, minus in cli._scan_blocks(v1, v2):
+            cli._require_usable(rows[:, None], v2, plus, minus)
+            for sol in (plus, minus):
+                lowest = min([lowest, *sol.g_squared[sol.feasible], *sol.energy[sol.feasible]])
+    assert safe >= 300 and unsafe >= 300
+    assert 2.0 ** -906 < lowest < 2.0 ** -890
 
 
 def _sign(x: Fraction) -> int:
@@ -998,15 +1057,26 @@ def test_physical_sweep_memory_holds_no_matching_temporaries(tmp_path):
 
 
 def test_scan_csv_memory_does_not_grow_with_the_table(tmp_path):
-    # 1.80 times the bytes written, reached in scan_region: its result arrays
-    # are 1.0 times the bytes and its temporaries 0.80. The writer adds 0.67 to
-    # those arrays, 0.30 of it the energies' g17.Formatter workspace of 4,096
-    # cells. Building a Reason array per branch and a 3-piece array per cell
-    # peaked at 2.07, rendering the whole table before writing it at 4.4.
+    # 0.79 times the bytes written: one block's branches and strings, and the
+    # energies' g17.Formatter workspace of 4,096 cells, 0.30 of them. Evaluating
+    # the branches of the whole grid before writing peaked at 1.80, with a
+    # Reason array per branch and a 3-piece array per cell at 2.07, and
+    # rendering the whole table before writing it at 4.4.
     ratio = _traced_peak_per_byte(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 250, 250),
                                   _scan_argv((-1.0, 1.0), (-1.0, 1.0), 3, 3),
                                   tmp_path / "scan.csv")
-    assert ratio <= 1.9
+    assert ratio <= 1.0
+
+
+def test_scan_traced_peak_does_not_grow_with_the_grid(tmp_path):
+    # A 2000x2000 scan writes 209 MB and peaks at 4.6 MB traced, about one
+    # block; evaluating the branches of the whole grid first peaked at 376 MB.
+    out = tmp_path / "scan.csv"
+    ratio = _traced_peak_per_byte(_scan_argv((-9.3, 10.7), (-10.7, 9.3), 2000, 2000),
+                                  _scan_argv((-1.0, 1.0), (-1.0, 1.0), 3, 3), out)
+    peak = ratio * out.stat().st_size
+    out.unlink()
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("seed, returncode, digest", [
@@ -1366,8 +1436,10 @@ def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
     assert [line[2] for line in lines] == (["scan"] * 4 + ["ss"] * 3 * (8 + 2 * 4)
-                                           + ["sweep"] * 2 * 4 + ["plot"] * 4)
+                                           + ["sweep"] * 2 * 4 + ["plot"] * 4 + ["scan"] * 2 * 4)
     assert {line[1] for line in lines} == {"0", "3"}      # the 1e200-scale scan fails
+    # The late-failing scans fail, the boxes about the axes bound do not.
+    assert [line[1] for line in lines[-2 * 4:]] == ["3", "0"] * 4
     files = {"PLOT.svg": tmp_path / "plot.svg", "SS.json": tmp_path / "ss.json"}
     for sha, code, *argv in lines:
         name, out = next(((name, out) for name, out in files.items() if f"--out={name}" in argv),
@@ -1378,6 +1450,6 @@ def test_census_script_hashes_what_each_command_wrote(tmp_path, capsys):
         written = out.read_bytes() if out.exists() else b""
         text = printed.out.encode() + b"\0" + printed.err.encode() + b"\0" + written
         assert (hashlib.sha256(text).hexdigest(), got) == (sha, int(code)), argv
-    assert lines[-1][-1] == "--out=PLOT.svg" and files["PLOT.svg"].stat().st_size > 0
+    assert lines[-2 * 4 - 1][-1] == "--out=PLOT.svg" and files["PLOT.svg"].stat().st_size > 0
     assert sum(line[-1] == "--out=SS.json" for line in lines) == 8 + 2 * 4
     assert files["SS.json"].stat().st_size > 0

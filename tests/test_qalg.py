@@ -216,6 +216,19 @@ def test_power_overflows_to_signed_infinity():
     assert power(-1e200, 4) == math.inf
 
 
+def test_numpy_scalars_keep_the_scalar_path():
+    # power and norm test for a Python float first, which loads no numpy; numpy
+    # scalars still take ** and math.sqrt, with their types, and arrays numpy's.
+    for x in (np.float64(1.1), np.float32(1.1)):
+        assert type(power(x, 3)) is type(x) and power(x, 3) == x ** 3
+    assert _hex(power(np.array([1.1]), 3)) == _hex(np.float_power([1.1], 3))
+    parts = (0.5, 1.5, -2.0, 3.1)
+    p = Quaternion(*map(np.float64, parts))
+    assert type(p.norm()) is float and p.norm() == Quaternion(*parts).norm()
+    on_array = Quaternion(*(np.array([c]) for c in parts)).norm()
+    assert type(on_array) is np.ndarray and on_array.tolist() == [p.norm()]
+
+
 def test_maximum_folds_from_the_left():
     a, b = np.array([1.0, np.nan, 3.0]), np.array([2.0, 0.0, np.nan])
     got = maximum(0.5, a, b)

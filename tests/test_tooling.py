@@ -257,11 +257,12 @@ def test_csv_writers_are_not_generators(name):
 # which is about half of its start-up; loading numpy.random costs a command
 # about 10 ms and 6 MB more, so only the commands that draw random numbers load
 # it. numpy counts as loaded once its core is: the lazy module stands in
-# sys.modules from the import of qdelta on.
+# sys.modules from the import of qdelta on. A row whose argv is a string is a
+# call of the package on Python floats, its value printed in place of the code.
 _LOADS_NUMPY = """
 import sys
-from qdelta import cli
-code = cli.main(sys.argv[1:])
+from qdelta import cli, qalg
+code = eval(sys.argv[2]) if sys.argv[1] == "-c" else cli.main(sys.argv[1:])
 print(code, "numpy._core.multiarray" in sys.modules, "numpy.random" in sys.modules,
       file=sys.stderr)
 """
@@ -287,6 +288,8 @@ _LOADS = [
     ("plot", ["plot", "--v1=-0.5", "--v2=3", "--branch=plus", "--out={tmp}/curves.svg"],
      0, True, False),
     ("verify", ["verify", "--trials=20"], 0, True, True),
+    ("qalg-power", "qalg.power(3.0, 2.0)", 9.0, False, False),
+    ("quaternion-norm", "qalg.Quaternion(0.0, 3.0, 4.0, 0.0).norm()", 5.0, False, False),
 ]
 
 
@@ -294,8 +297,8 @@ _LOADS = [
                          [row[1:] for row in _LOADS], ids=[row[0] for row in _LOADS])
 def test_numpy_and_numpy_random_load_only_where_used(argv, code, loads_numpy, loads_random,
                                                       tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY,
-                           *(arg.format(tmp=tmp_path) for arg in argv)],
+    args = ["-c", argv] if isinstance(argv, str) else [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY, *args],
                           capture_output=True, text=True)
     assert proc.stderr.splitlines()[-1] == f"{code} {loads_numpy} {loads_random}", proc.stderr
 
